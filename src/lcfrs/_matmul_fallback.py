@@ -1,27 +1,38 @@
 """Pure-numpy stand-in for the compiled packed-row multiply kernel.
 
 Same contract as the compiled module: packed uint64 rows, little-endian bit
-order inside each word.  Noticeably slower, but keeps the package usable
-without a C toolchain.
+order inside each word.  The product is a row-sparse (Gustavson) product
+built from whole-array operations, so its cost tracks the set bits of the
+left operand, not its dimension.  The compiled kernel is still several
+times faster per multiply; this one keeps the package usable without a C
+toolchain.
 """
 
 import numpy as np
 
+# words of the right operand gathered at once; bounds the temporaries of a
+# dense left operand (32 MB), engine planes fit in one block
+_BLOCK_WORDS = 1 << 22
 
-def _row_bits(words_row, dim):
-    by = words_row.view(np.uint8)
-    return np.flatnonzero(np.unpackbits(by, bitorder="little")[:dim])
+
+def set_bits(words, rows, cols):
+    """Coordinates (i, j) of the set bits in the words at (``rows``,
+    ``cols``) of packed ``words``, which are nonzero words in row-major
+    order as ``np.nonzero(words)`` lists them.  Only those words are
+    unpacked, and the pairs come out in row-major order too."""
+    by = words[rows, cols].view(np.uint8).reshape(-1, 8)
+    hit, bit = np.nonzero(np.unpackbits(by, axis=1, bitorder="little"))
+    return rows[hit], cols[hit] * 64 + bit
 
 
 def multiply_packed(a, b, out):
     """out |= a x b over the Boolean semiring (packed uint64 rows)."""
-    rows = a.shape[0]
-    brows = b.shape[0]
-    for i in range(rows):
-        ks = _row_bits(a[i], brows)
-        if ks.size:
-            acc = np.bitwise_or.reduce(b[ks], axis=0)
-            np.bitwise_or(out[i], acc, out=out[i])
+    rows, cols = np.nonzero(a)
+    step = max(1, _BLOCK_WORDS // (64 * b.shape[1]))
+    for lo in range(0, rows.size, step):
+        i, k = set_bits(a, rows[lo:lo + step], cols[lo:lo + step])
+        starts = np.flatnonzero(np.concatenate(([True], i[1:] != i[:-1])))
+        out[i[starts]] |= np.bitwise_or.reduceat(b[k], starts, axis=0)
     return None
 
 

@@ -13,6 +13,7 @@ import numpy as np
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
+from ._matmul_fallback import set_bits
 from .addresses import Address, AddressSpace, enumerate_space, sort_key
 from .engine import CopySym, ProductMatrix
 from .grammar import Grammar, configurations
@@ -66,6 +67,16 @@ class BoolMatrix:
         return cls(dense.shape[0], pack_rows(dense))
 
     @classmethod
+    def from_cells(cls, dim: int, cells) -> "BoolMatrix":
+        """The matrix whose set bits are the (row, col) pairs in ``cells``."""
+        m = cls(dim)
+        rc = np.array(cells, dtype=np.intp).reshape(-1, 2)
+        rows, cols = rc[:, 0], rc[:, 1]
+        bits = np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64))
+        np.bitwise_or.at(m.words, (rows, cols >> 6), bits)
+        return m
+
+    @classmethod
     def identity(cls, dim: int) -> "BoolMatrix":
         return cls.from_dense(np.eye(dim, dtype=np.uint8))
 
@@ -82,7 +93,8 @@ class BoolMatrix:
         return bool(self.words.any())
 
     def count(self) -> int:
-        return int(unpack_rows(self.words, self.dim).sum())
+        nonzero = self.words[self.words != 0]
+        return int(np.unpackbits(nonzero.view(np.uint8)).sum())
 
     def copy(self) -> "BoolMatrix":
         return BoolMatrix(self.dim, self.words.copy())
@@ -104,8 +116,9 @@ class BoolMatrix:
         raise TypeError("BoolMatrix is unhashable")
 
     def nonzero_cells(self):
-        dense = self.to_dense()
-        return list(zip(*np.nonzero(dense)))
+        """Set cells as (row, col) int pairs in row-major order."""
+        rows, cols = set_bits(self.words, *np.nonzero(self.words))
+        return list(zip(rows.tolist(), cols.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -227,31 +240,30 @@ def _space_masks(space: AddressSpace) -> _SpaceMasks:
     return _SpaceMasks(space)
 
 
-def _role_mask(space: AddressSpace, cfg, fo: int, keep_side: str) -> BoolMatrix:
+@lru_cache(maxsize=64)
+def _role_mask(space: AddressSpace, cfg: frozenset, fo: int) -> BoolMatrix:
     """Cells (left, right) whose merged endpoints, selected by ``cfg``, equal
-    the kept side's address.  Built constructively from endpoint multisets."""
-    out = BoolMatrix(space.dim)
+    the row's address.  Built constructively from endpoint multisets.  The
+    mask depends on the rule only through (cfg, fo), so it is shared by
+    rules and by re-parsed grammars alike."""
     ids = space.ids
     d = space.d
     picked = sorted(cfg)
+    cells = []
     for e in combinations_with_replacement(range(space.n + 1), 2 * fo):
-        chosen = set(picked)
-        kept = tuple(e[t - 1] for t in picked)
-        other = tuple(e[t] for t in range(2 * fo) if (t + 1) not in chosen)
-        if not (1 <= len(kept) <= d and 1 <= len(other) <= d):
+        row = tuple(e[t - 1] for t in picked)
+        col = tuple(e[t] for t in range(2 * fo) if (t + 1) not in cfg)
+        if not (1 <= len(row) <= d and 1 <= len(col) <= d):
             continue
-        if keep_side == "row":
-            row, col = kept, other
-        else:
-            row, col = other, kept
         if col[0] <= row[0]:
             continue
-        out.set(ids[Address(row)], ids[Address(col)])
-    return out
+        cells.append((ids[Address(row)], ids[Address(col)]))
+    return BoolMatrix.from_cells(space.dim, cells)
 
 
 class EngineTables:
-    """Per-(grammar, n) mask bundle for the Boolean rendering."""
+    """Per-(grammar, n) mask bundle for the Boolean rendering.  The per-rule
+    masks are built when a product first needs them."""
 
     def __init__(self, g: Grammar, space: AddressSpace):
         self.grammar = g
@@ -262,17 +274,14 @@ class EngineTables:
         self.p_torow = base.p_torow
         self.p_fromcol = base.p_fromcol
         self._size = base.size_mask
-        self.q2 = {}
-        self.q3 = {}
-        self.q1 = {}
-        for r in g.binary_rules():
-            cfg1, cfg2, cfg3 = configurations(r)
-            self.q2[r.rid] = _role_mask(space, cfg2, r.fo[1], "row")
-            self.q3[r.rid] = _role_mask(space, cfg3, r.fo[2], "row")
-            self.q1[r.rid] = _role_mask(space, cfg1, r.fo[0], "row")
 
     def size_mask(self, total: int) -> BoolMatrix:
         return self._size(total)
+
+    def rule_mask(self, r, role: int) -> BoolMatrix:
+        """Mask q1 (role 1: head), q2 (role 2: first child) or q3 (role 3:
+        second child) of binary rule ``r``."""
+        return _role_mask(self.space, configurations(r)[role - 1], r.fo[role - 1])
 
 
 _tables_cache: dict = {}
@@ -295,15 +304,16 @@ def tables_for(g: Grammar, space: AddressSpace) -> EngineTables:
 
 def symbol_planes(T: ProductMatrix) -> dict:
     """One Boolean matrix per symbol occurring in T."""
-    dim = T.space.dim
-    planes = {}
-    for (r, c), syms in T.cells.items():
+    cells = {}
+    for key, syms in T.cells.items():
         for s in syms:
-            plane = planes.get(s)
-            if plane is None:
-                plane = planes[s] = BoolMatrix(dim)
-            plane.set(r, c)
-    return planes
+            got = cells.get(s)
+            if got is None:
+                cells[s] = [key]
+            else:
+                got.append(key)
+    dim = T.space.dim
+    return {s: BoolMatrix.from_cells(dim, keys) for s, keys in cells.items()}
 
 
 def build_rule_factors(T1: ProductMatrix, T2: ProductMatrix, g: Grammar) -> dict:
@@ -324,8 +334,8 @@ def build_rule_factors(T1: ProductMatrix, T2: ProductMatrix, g: Grammar) -> dict
         if r.is_binary:
             gb = g_planes.get(r.rhs[0])
             hc = h_planes.get(r.rhs[1])
-            factors[("G", r.rid)] = (gb & tab.q2[r.rid]) if gb else zero()
-            factors[("H", r.rid)] = (hc & tab.q3[r.rid]) if hc else zero()
+            factors[("G", r.rid)] = (gb & tab.rule_mask(r, 2)) if gb else zero()
+            factors[("H", r.rid)] = (hc & tab.rule_mask(r, 3)) if hc else zero()
         else:
             factors[("G", r.rid)] = zero()
             factors[("H", r.rid)] = zero()
@@ -371,13 +381,13 @@ def product_via_boolean(T1: ProductMatrix, T2: ProductMatrix, g: Grammar,
         hc = h_planes.get(r.rhs[1])
         if gb is None or hc is None:
             continue
-        gf = gb & tab.q2[r.rid]
+        gf = gb & tab.rule_mask(r, 2)
         if not gf.any():
             continue
-        hf = hc & tab.q3[r.rid]
+        hf = hc & tab.rule_mask(r, 3)
         if not hf.any():
             continue
-        add(r.lhs, mul(gf, hf) & tab.q1[r.rid])
+        add(r.lhs, mul(gf, hf) & tab.rule_mask(r, 1))
 
     h_tocol = h_planes.get(CopySym.ToCol)
     h_unmarkcol = h_planes.get(CopySym.UnmarkCol)
@@ -408,5 +418,5 @@ def product_via_boolean(T1: ProductMatrix, T2: ProductMatrix, g: Grammar,
     out = ProductMatrix(space)
     for nt, bits in acc.items():
         for (i, j) in bits.nonzero_cells():
-            out.add(int(i), int(j), nt)
+            out.add(i, j, nt)
     return out

@@ -14,12 +14,14 @@ import time
 from math import comb
 
 from . import bundled
+from .boolmat import BACKENDS
 from .engine import EngineUnsupported, engine_ready
-from .grammar import GrammarError, analyze, is_single_initial, parse_grammar, to_single_initial
+from .grammar import (
+    DEFAULT_OMEGA, GrammarError, analyze, is_single_initial, parse_grammar, to_single_initial,
+)
 from .oracle import tabular_recognize
 from .recognizer import extract_derivation, run_recognition, space_rank
 
-BACKENDS = ("naive", "bitset", "strassen")
 CLOSURES = ("fixpoint", "valiant")
 
 # benchmark guard: rows of the address space beyond which a run is skipped
@@ -190,7 +192,7 @@ def main(argv=None) -> int:
         p.add_argument("--backend", choices=BACKENDS, default="bitset")
         p.add_argument("--closure", choices=CLOSURES, default="fixpoint")
         p.add_argument("--json", action="store_true")
-        p.add_argument("--omega", type=float, default=2.3728639)
+        p.add_argument("--omega", type=float, default=DEFAULT_OMEGA)
 
     p = sub.add_parser("analyze", help="report fan-out, contact rank, balance, exponents")
     common(p)

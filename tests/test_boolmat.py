@@ -3,14 +3,17 @@ import random
 import numpy as np
 import pytest
 
+from lcfrs import _matmul_fallback
 from lcfrs.addresses import enumerate_space
 from lcfrs.boolmat import (
     KERNEL_KIND,
     BoolMatrix,
+    _mult_naive,
     bool_multiply,
     build_rule_factors,
     pack_rows,
     product_via_boolean,
+    symbol_planes,
     tables_for,
     unpack_rows,
 )
@@ -144,6 +147,89 @@ class TestMultiply:
 
     def test_kernel_kind_reported(self):
         assert KERNEL_KIND in ("compiled", "fallback")
+
+
+KERNEL_DIMS = [1, 63, 64, 65, 130, 714]
+
+
+def _fallback_product(a: BoolMatrix, b: BoolMatrix, out: BoolMatrix) -> BoolMatrix:
+    # called directly, so it is checked even when the compiled kernel is active
+    _matmul_fallback.multiply_packed(a.words, b.words, out.words)
+    return out
+
+
+def _kernel_operands(dim):
+    rng = np.random.default_rng(dim)
+    full_row = np.zeros((dim, dim), dtype=bool)
+    full_row[dim // 2] = True
+    word_tops = np.zeros((dim, dim), dtype=bool)
+    word_tops[:, 63::64] = True          # bit 63 of every word
+    sparse = rng.random((dim, dim)) < 1.0 / dim
+    dense = rng.random((dim, dim)) < 0.2
+    zero = np.zeros((dim, dim), dtype=bool)
+    yield "zero-left", zero, dense
+    yield "full-row", full_row, dense
+    yield "word-tops", word_tops, dense
+    yield "word-tops-right", dense, word_tops
+    yield "sparse", sparse, sparse
+    yield "dense", dense, dense
+
+
+class TestFallbackKernel:
+    @pytest.mark.parametrize("dim", KERNEL_DIMS)
+    def test_matches_naive(self, dim):
+        for label, da, db in _kernel_operands(dim):
+            a, b = BoolMatrix.from_dense(da), BoolMatrix.from_dense(db)
+            got = _fallback_product(a, b, BoolMatrix(dim))
+            assert got == _mult_naive(a, b), label
+
+    @pytest.mark.parametrize("dim", KERNEL_DIMS)
+    def test_ors_into_out(self, dim):
+        rng = np.random.default_rng(dim + 1)
+        a = BoolMatrix.from_dense(rng.random((dim, dim)) < 0.05)
+        b = BoolMatrix.from_dense(rng.random((dim, dim)) < 0.05)
+        held = BoolMatrix.from_dense(rng.random((dim, dim)) < 0.1)
+        got = _fallback_product(a, b, held.copy())
+        assert got == (_mult_naive(a, b) | held)
+
+    def test_blocks_split_inside_a_row(self, monkeypatch):
+        # a block of one word at a time splits rows across blocks
+        monkeypatch.setattr(_matmul_fallback, "_BLOCK_WORDS", 64 * 3)
+        rng = np.random.default_rng(5)
+        for dim in (65, 130):
+            a = BoolMatrix.from_dense(rng.random((dim, dim)) < 0.3)
+            b = BoolMatrix.from_dense(rng.random((dim, dim)) < 0.3)
+            assert _fallback_product(a, b, BoolMatrix(dim)) == _mult_naive(a, b)
+
+
+class TestScatter:
+    @pytest.mark.parametrize("dim", KERNEL_DIMS)
+    def test_nonzero_cells_matches_dense(self, dim):
+        for label, da, _ in _kernel_operands(dim):
+            m = BoolMatrix.from_dense(da)
+            want = [(int(i), int(j)) for i, j in zip(*np.nonzero(da))]
+            assert m.nonzero_cells() == want, label
+            assert m.count() == int(da.sum()), label
+
+    def test_from_cells_with_duplicates(self):
+        m = BoolMatrix.from_cells(70, [(3, 64), (3, 64), (3, 0), (69, 69)])
+        assert m.nonzero_cells() == [(3, 0), (3, 64), (69, 69)]
+        assert BoolMatrix.from_cells(70, []) == BoolMatrix(70)
+
+    def test_symbol_planes_match_cell_by_cell(self, grammars):
+        g = grammars["count4"]
+        toks = "a b c d".split()
+        sp = enumerate_space(len(toks), space_rank(g))
+        T = seed(g, toks, sp)
+        T = union(T, matrix_product(T, T, g))
+        want = {}
+        for (r, c), syms in T.cells.items():
+            for s in syms:
+                want.setdefault(s, BoolMatrix(sp.dim)).set(r, c)
+        got = symbol_planes(T)
+        assert set(got) == set(want)
+        assert all(got[s] == want[s] for s in want)
+        assert any(isinstance(s, CopySym) for s in got)
 
 
 class TestFactors:
