@@ -180,7 +180,8 @@ class AddressSpace:
     """The full ordered index set for sentence length ``n`` and max length ``d``.
 
     ``addresses`` is sorted by the total order; ``ids`` maps an address to its
-    rank, which doubles as its row/column index in every matrix.
+    rank, which doubles as its row/column index in every matrix, and
+    ``unmarked_ids`` maps the positions tuple of an unmarked address to it.
     """
 
     def __init__(self, n: int, d: int):
@@ -190,6 +191,7 @@ class AddressSpace:
         self.d = d
         self.addresses = sorted(self._generate(n, d), key=sort_key)
         self.ids = {a: t for t, a in enumerate(self.addresses)}
+        self.unmarked_ids = {a.positions: t for a, t in self.ids.items() if a.mark < 0}
         self.dim = len(self.addresses)
 
     @staticmethod

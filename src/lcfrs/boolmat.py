@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from ._matmul_fallback import set_bits
-from .addresses import Address, AddressSpace, enumerate_space, sort_key
+from .addresses import AddressSpace
 from .engine import CopySym, ProductMatrix
 from .grammar import Grammar, configurations
 
@@ -104,6 +104,10 @@ class BoolMatrix:
 
     def __or__(self, other) -> "BoolMatrix":
         return BoolMatrix(self.dim, self.words | other.words)
+
+    def __sub__(self, other) -> "BoolMatrix":
+        """The cells set here and not in ``other``."""
+        return BoolMatrix(self.dim, self.words & ~other.words)
 
     def __eq__(self, other):
         return (
@@ -246,18 +250,17 @@ def _role_mask(space: AddressSpace, cfg: frozenset, fo: int) -> BoolMatrix:
     the row's address.  Built constructively from endpoint multisets.  The
     mask depends on the rule only through (cfg, fo), so it is shared by
     rules and by re-parsed grammars alike."""
-    ids = space.ids
-    d = space.d
-    picked = sorted(cfg)
+    picked = [t - 1 for t in sorted(cfg)]
+    rest = [t for t in range(2 * fo) if t + 1 not in cfg]
+    if not (1 <= len(picked) <= space.d and 1 <= len(rest) <= space.d):
+        return BoolMatrix(space.dim)
+    ids = space.unmarked_ids
     cells = []
     for e in combinations_with_replacement(range(space.n + 1), 2 * fo):
-        row = tuple(e[t - 1] for t in picked)
-        col = tuple(e[t] for t in range(2 * fo) if (t + 1) not in cfg)
-        if not (1 <= len(row) <= d and 1 <= len(col) <= d):
-            continue
-        if col[0] <= row[0]:
-            continue
-        cells.append((ids[Address(row)], ids[Address(col)]))
+        row = tuple([e[t] for t in picked])
+        col = tuple([e[t] for t in rest])
+        if col[0] > row[0]:
+            cells.append((ids[row], ids[col]))
     return BoolMatrix.from_cells(space.dim, cells)
 
 
@@ -316,49 +319,51 @@ def symbol_planes(T: ProductMatrix) -> dict:
     return {s: BoolMatrix.from_cells(dim, keys) for s, keys in cells.items()}
 
 
-def build_rule_factors(T1: ProductMatrix, T2: ProductMatrix, g: Grammar) -> dict:
-    """The full factor family: a (G, H) pair per rule, a pair of bare planes
-    per nonterminal, and the six copy-symbol planes.  Lexical rules
-    contribute structurally empty pairs so the family size is always
-    2 x rules + 2 x nonterminals + 6."""
-    if T1.space is not T2.space:
-        raise ValueError("operands live in different address spaces")
-    space = T1.space
-    dim = space.dim
-    tab = tables_for(g, space)
-    g_planes = symbol_planes(T1)
-    h_planes = symbol_planes(T2)
-    zero = lambda: BoolMatrix(dim)
-    factors = {}
-    for r in g.rules:
-        if r.is_binary:
-            gb = g_planes.get(r.rhs[0])
-            hc = h_planes.get(r.rhs[1])
-            factors[("G", r.rid)] = (gb & tab.rule_mask(r, 2)) if gb else zero()
-            factors[("H", r.rid)] = (hc & tab.rule_mask(r, 3)) if hc else zero()
-        else:
-            factors[("G", r.rid)] = zero()
-            factors[("H", r.rid)] = zero()
-    for nt in sorted(g.nonterminals):
-        factors[("G", nt)] = g_planes.get(nt, None) or zero()
-        factors[("H", nt)] = h_planes.get(nt, None) or zero()
-    for sym in (CopySym.FromRow, CopySym.ToRow, CopySym.UnmarkRow):
-        factors[("G", sym)] = g_planes.get(sym, None) or zero()
-    for sym in (CopySym.ToCol, CopySym.UnmarkCol, CopySym.FromCol):
-        factors[("H", sym)] = h_planes.get(sym, None) or zero()
-    return factors
+def scatter_planes(planes: dict, M: ProductMatrix) -> None:
+    """Add every set bit of every plane to ``M`` as a symbol fact."""
+    cells = M.cells
+    for sym, bits in planes.items():
+        for cell in bits.nonzero_cells():
+            got = cells.get(cell)
+            if got is None:
+                cells[cell] = {sym}
+            else:
+                got.add(sym)
 
 
-def product_via_boolean(T1: ProductMatrix, T2: ProductMatrix, g: Grammar,
-                        backend: str = "bitset", tables: EngineTables | None = None,
-                        stats: dict | None = None) -> ProductMatrix:
-    """Same result as the cell-by-cell product, via Boolean multiplications."""
-    if T1.space is not T2.space:
-        raise ValueError("operands live in different address spaces")
-    space = T1.space
-    tab = tables or tables_for(g, space)
-    g_planes = symbol_planes(T1)
-    h_planes = symbol_planes(T2)
+def _delta_factors(gf, hf, db, dc):
+    """Operands of one rule's multiply that cover the terms reading a delta
+    fact: db x hf and (gf - db) x dc, given the masked full planes gf, hf
+    and masked delta planes db, dc (or None).  When both terms can be
+    nonempty, one multiply of the full planes covers them and scans the
+    same set bits of its left operand.  None when neither can."""
+    new_b = db is not None and db.any()
+    new_c = dc is not None and dc.any()
+    old_b = gf - db if new_b else gf
+    if new_c and old_b.any():
+        return (gf, hf) if new_b else (gf, dc)
+    return (db, hf) if new_b else None
+
+
+def plane_product(G: dict, H: dict, g: Grammar, tables: EngineTables,
+                  backend: str = "bitset", stats: dict | None = None,
+                  delta: dict | None = None) -> dict:
+    """The cell product of two charts held as symbol planes (``{symbol:
+    BoolMatrix}``), returned as nonterminal planes.  One masked multiply per
+    binary rule, and up to six mask-filtered copy moves per nonterminal.
+
+    Every term is (A & M1) x (B & M2) & M3, so the product distributes over
+    OR in either operand.  Given ``delta``, nonterminal planes contained in
+    both G and H, only terms that read a delta plane are multiplied: a rule
+    whose one child has delta facts multiplies that child's delta plane by
+    the other's full plane, a rule whose two children both have them
+    multiplies the full planes, and only delta planes are copy-moved.  The
+    result then holds every term of G x H that reads a delta fact, and
+    nothing outside G x H."""
+    tab = tables
+    dim = tab.space.dim
+    if any(p.dim != dim for p in G.values()) or any(p.dim != dim for p in H.values()):
+        raise ValueError("planes and tables live in different address spaces")
 
     def mul(x: BoolMatrix, y: BoolMatrix) -> BoolMatrix:
         if stats is not None:
@@ -377,29 +382,43 @@ def product_via_boolean(T1: ProductMatrix, T2: ProductMatrix, g: Grammar,
             np.bitwise_or(have.words, bits.words, out=have.words)
 
     for r in g.binary_rules():
-        gb = g_planes.get(r.rhs[0])
-        hc = h_planes.get(r.rhs[1])
+        b, c = r.rhs
+        gb = G.get(b)
+        hc = H.get(c)
         if gb is None or hc is None:
             continue
-        gf = gb & tab.rule_mask(r, 2)
+        if delta is not None and b not in delta and c not in delta:
+            continue
+        q2 = tab.rule_mask(r, 2)
+        gf = gb & q2
         if not gf.any():
             continue
-        hf = hc & tab.rule_mask(r, 3)
+        q3 = tab.rule_mask(r, 3)
+        hf = hc & q3
         if not hf.any():
             continue
+        if delta is not None:
+            db = delta.get(b)
+            dc = delta.get(c)
+            pair = _delta_factors(gf, hf, None if db is None else db & q2,
+                                  None if dc is None else dc & q3)
+            if pair is None:
+                continue
+            gf, hf = pair
         add(r.lhs, mul(gf, hf) & tab.rule_mask(r, 1))
 
-    h_tocol = h_planes.get(CopySym.ToCol)
-    h_unmarkcol = h_planes.get(CopySym.UnmarkCol)
-    h_fromcol = h_planes.get(CopySym.FromCol)
-    g_fromrow = g_planes.get(CopySym.FromRow)
-    g_torow = g_planes.get(CopySym.ToRow)
-    g_unmarkrow = g_planes.get(CopySym.UnmarkRow)
-    nts = [s for s in set(g_planes) | set(h_planes) if not isinstance(s, CopySym)]
+    moved_left, moved_right = (G, H) if delta is None else (delta, delta)
+    h_tocol = H.get(CopySym.ToCol)
+    h_unmarkcol = H.get(CopySym.UnmarkCol)
+    h_fromcol = H.get(CopySym.FromCol)
+    g_fromrow = G.get(CopySym.FromRow)
+    g_torow = G.get(CopySym.ToRow)
+    g_unmarkrow = G.get(CopySym.UnmarkRow)
+    nts = [s for s in set(moved_left) | set(moved_right) if not isinstance(s, CopySym)]
     for nt in sorted(nts):
         size = 2 * g.fanout[nt]
-        gp = g_planes.get(nt)
-        hp = h_planes.get(nt)
+        gp = moved_left.get(nt)
+        hp = moved_right.get(nt)
         if gp is not None:
             if h_tocol is not None:
                 add(nt, mul(gp, h_tocol) & tab.p_tocol)
@@ -414,9 +433,17 @@ def product_via_boolean(T1: ProductMatrix, T2: ProductMatrix, g: Grammar,
                 add(nt, mul(g_torow, hp) & tab.p_torow)
             if g_unmarkrow is not None:
                 add(nt, mul(g_unmarkrow, hp) & tab.size_mask(size))
+    return acc
 
-    out = ProductMatrix(space)
-    for nt, bits in acc.items():
-        for (i, j) in bits.nonzero_cells():
-            out.add(i, j, nt)
+
+def product_via_boolean(T1: ProductMatrix, T2: ProductMatrix, g: Grammar,
+                        backend: str = "bitset", tables: EngineTables | None = None,
+                        stats: dict | None = None) -> ProductMatrix:
+    """Same result as the cell-by-cell product, via Boolean multiplications."""
+    if T1.space is not T2.space:
+        raise ValueError("operands live in different address spaces")
+    tab = tables or tables_for(g, T1.space)
+    acc = plane_product(symbol_planes(T1), symbol_planes(T2), g, tab, backend, stats)
+    out = ProductMatrix(T1.space)
+    scatter_planes(acc, out)
     return out

@@ -35,6 +35,12 @@ class CopySym(enum.Enum):
         return self.value
 
 
+# Members are singletons that compare by identity, so identity hashing is
+# sound, and it runs in C where ``Enum.__hash__`` runs in Python; chart cells
+# hash their copy symbols on every set operation.
+CopySym.__hash__ = object.__hash__
+
+
 def _symkey(sym):
     return sym.value if isinstance(sym, CopySym) else sym
 

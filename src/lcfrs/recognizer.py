@@ -13,7 +13,8 @@ import time
 from dataclasses import dataclass, field
 
 from .addresses import Address, enumerate_space, splits_of_endpoints
-from .boolmat import product_via_boolean, tables_for
+from . import boolmat
+from .boolmat import plane_product, product_via_boolean, scatter_planes, tables_for
 from .engine import (
     CopySym,
     EngineUnsupported,
@@ -22,7 +23,6 @@ from .engine import (
     engine_ready,
     pi_copy,
     seed,
-    union,
 )
 from .grammar import (
     AnalysisReport,
@@ -44,6 +44,9 @@ class Closure:
     muls: int = 0
     iterations: int = 0
     seconds: float = 0.0
+    # one {"muls", "new_facts"} record per iteration: the multiplies it made
+    # and the nonterminal facts it added
+    rounds: list = field(default_factory=list)
 
 
 def space_rank(g: Grammar) -> int:
@@ -55,45 +58,63 @@ def space_rank(g: Grammar) -> int:
     return d
 
 
-def _boolean_product(g, backend, tables, stats):
-    def product(a, b):
-        return product_via_boolean(a, b, g, backend, tables, stats)
-    return product
-
-
 def closure_fixpoint(T: ProductMatrix, g: Grammar, backend: str = "bitset",
-                     tables=None, product=None) -> Closure:
-    """Least fixpoint of X -> T | X*X, by iterating until the fact count
-    stops moving.  Counts are monotone, so an unchanged count is equality;
-    that is asserted once at convergence."""
-    stats: dict = {}
-    if product is None:
-        product = _boolean_product(g, backend, tables or tables_for(g, T.space), stats)
+                     tables=None) -> Closure:
+    """Least fixpoint of X -> T | X*X, evaluated semi-naively on bit planes.
+
+    T is split into symbol planes once.  The copy-symbol planes C never
+    change, because products emit only nonterminals.  Each round multiplies
+    only the terms of (X | C) * (X | C) that read a fact the round before
+    added (D): every product term distributes over OR, and the terms that
+    read no D fact were multiplied the round before.  Round 1 takes all of
+    X as D, so it is the full product.  Round k therefore holds exactly the
+    facts of round k of naive iteration, and ``iterations`` counts the same
+    rounds, the last of which adds nothing.  The planes are scattered back
+    into a copy of T once, at the end."""
     t0 = time.perf_counter()
-    X = T.copy()
-    iters = 0
+    tab = tables or tables_for(g, T.space)
+    # looked up on the module, so that a wrapper installed there sees it
+    seeded = boolmat.symbol_planes(T)
+    copies = {s: p for s, p in seeded.items() if isinstance(s, CopySym)}
+    X = {s: p for s, p in seeded.items() if not isinstance(s, CopySym)}
+    delta = X
+    stats = {"muls": 0}
+    rounds = []
     while True:
-        iters += 1
-        X2 = union(X, product(X, X))
-        if X2.fact_count() == X.fact_count():
-            assert X2 == X
+        before = stats["muls"]
+        chart = {**X, **copies}
+        fresh = {}
+        for nt, bits in plane_product(chart, chart, g, tab, backend, stats, delta).items():
+            have = X.get(nt)
+            if have is not None:
+                bits = bits - have
+            if bits.any():
+                fresh[nt] = bits
+        rounds.append({"muls": stats["muls"] - before,
+                       "new_facts": sum(b.count() for b in fresh.values())})
+        if not fresh:
             break
-        X = X2
-    return Closure(X, stats.get("muls", 0), iters, time.perf_counter() - t0)
+        for nt, bits in fresh.items():
+            have = X.get(nt)
+            X[nt] = bits if have is None else have | bits
+        delta = fresh
+    out = T.copy()
+    scatter_planes({nt: bits - seeded[nt] if nt in seeded else bits
+                    for nt, bits in X.items()}, out)
+    return Closure(out, stats["muls"], len(rounds), time.perf_counter() - t0, rounds)
 
 
 def closure_valiant(T: ProductMatrix, g: Grammar, backend: str = "bitset",
-                    tables=None, base: int = 64, product=None) -> Closure:
+                    tables=None, base: int = 64) -> Closure:
     """Divide-and-conquer closure: split the index range in half, close both
     diagonal blocks recursively, then grow the off-diagonal block by repeated
     products.  Sound because a product landing at (i, j) only ever reads
     cells between them in address order."""
-    stats: dict = {}
-    if product is None:
-        product = _boolean_product(g, backend, tables or tables_for(g, T.space), stats)
+    stats: dict = {"muls": 0}
+    tab = tables or tables_for(g, T.space)
     t0 = time.perf_counter()
     X = T.copy()
-    iters = 0
+    rounds = []
 
     def restrict(lo, hi):
         kept = {
@@ -103,37 +124,36 @@ def closure_valiant(T: ProductMatrix, g: Grammar, backend: str = "bitset",
         }
         return ProductMatrix(X.space, kept)
 
-    def absorb(P, rlo, rhi, clo, chi) -> bool:
-        grew = False
-        for (r, c), syms in P.cells.items():
+    def absorb(rlo, rhi, clo, chi) -> bool:
+        """One iteration: square the diagonal block spanning both ranges and
+        keep what lands in rows [rlo, rhi) x columns [clo, chi).  Returns
+        whether that added anything."""
+        before = stats["muls"]
+        sub = restrict(min(rlo, clo), max(rhi, chi))
+        added = 0
+        for (r, c), syms in product_via_boolean(sub, sub, g, backend, tab, stats).cells.items():
             if rlo <= r < rhi and clo <= c < chi and syms:
                 cell = X.cells.setdefault((r, c), set())
-                if not syms <= cell:
-                    cell |= syms
-                    grew = True
-        return grew
+                added += len(syms - cell)
+                cell |= syms
+        rounds.append({"muls": stats["muls"] - before, "new_facts": added})
+        return added > 0
 
     def close(lo, hi):
-        nonlocal iters
         if hi - lo < 2:
             return
         if hi - lo <= base:
-            while True:
-                iters += 1
-                sub = restrict(lo, hi)
-                if not absorb(product(sub, sub), lo, hi, lo, hi):
-                    return
+            while absorb(lo, hi, lo, hi):
+                pass
+            return
         mid = (lo + hi) // 2
         close(lo, mid)
         close(mid, hi)
-        while True:
-            iters += 1
-            sub = restrict(lo, hi)
-            if not absorb(product(sub, sub), lo, mid, mid, hi):
-                return
+        while absorb(lo, mid, mid, hi):
+            pass
 
     close(0, X.space.dim)
-    return Closure(X, stats.get("muls", 0), iters, time.perf_counter() - t0)
+    return Closure(X, stats["muls"], len(rounds), time.perf_counter() - t0, rounds)
 
 
 def _close(T, g, backend, closure_alg, tables=None) -> Closure:
@@ -174,12 +194,14 @@ def _run(g: Grammar, sentence, backend, closure_alg, general: bool):
     t0 = time.perf_counter()
     muls = iters = 0
     outer = 0
+    rounds = []
     if general:
         while True:
             outer += 1
             clo = _close(pi_copy(T), g, backend, closure_alg, tables)
             muls += clo.muls
             iters += clo.iterations
+            rounds += clo.rounds
             if clo.matrix.fact_count() == T.fact_count():
                 assert clo.matrix == T
                 break
@@ -188,7 +210,7 @@ def _run(g: Grammar, sentence, backend, closure_alg, general: bool):
     else:
         outer = 1
         clo = _close(T, g, backend, closure_alg, tables)
-        muls, iters = clo.muls, clo.iterations
+        muls, iters, rounds = clo.muls, clo.iterations, clo.rounds
         # the verdict cell has a unique split, but downstream consumers
         # (derivation extraction, invariant checks) expect the published
         # chart closed under equivalent-cell copying
@@ -204,6 +226,7 @@ def _run(g: Grammar, sentence, backend, closure_alg, general: bool):
         "muls": muls,
         "iterations": iters,
         "outer_iterations": outer,
+        "rounds": rounds,
         "facts": chart.fact_count(),
         "seconds": time.perf_counter() - t0,
     }

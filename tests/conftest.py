@@ -21,6 +21,14 @@ def grammars():
     return {name: bundled.load(name) for name in bundled.NAMES}
 
 
+# a grammar whose rules' two children gain facts in the same closure rounds,
+# so a semi-naive round needs both new-times-old and old-times-new terms
+BOTH_CHILDREN_GROW = (
+    "start S\nS -> C B : b1 g1\nC -> C B : b1 g1\nB -> C C : b1 g1\n"
+    "C -> : 'a'\nB -> : 'b'\n"
+)
+
+
 # ---------------------------------------------------------------------------
 # random grammars
 

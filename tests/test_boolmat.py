@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -10,15 +11,19 @@ from lcfrs.boolmat import (
     BoolMatrix,
     _mult_naive,
     bool_multiply,
-    build_rule_factors,
     pack_rows,
+    plane_product,
     product_via_boolean,
+    scatter_planes,
     symbol_planes,
     tables_for,
     unpack_rows,
 )
-from lcfrs.engine import CopySym, matrix_product, seed, union
+from lcfrs.engine import CopySym, ProductMatrix, _role_fits, matrix_product, seed, union
+from lcfrs.grammar import configurations, is_single_initial, parse_grammar, to_single_initial
 from lcfrs.recognizer import space_rank
+
+from conftest import BOTH_CHILDREN_GROW
 
 BACKENDS = ("naive", "bitset", "strassen")
 
@@ -232,50 +237,126 @@ class TestScatter:
         assert any(isinstance(s, CopySym) for s in got)
 
 
-class TestFactors:
-    def test_family_size(self, grammars):
-        g = grammars["cfg_anbn"]
-        sp = enumerate_space(2, space_rank(g))
-        T = seed(g, ["a", "b"], sp)
-        factors = build_rule_factors(T, T, g)
-        assert len(factors) == 2 * len(g.rules) + 2 * len(g.nonterminals) + 6
+def _planes_after_one_product(g, toks):
+    sp = enumerate_space(len(toks), space_rank(g))
+    T = seed(g, toks, sp)
+    return T, union(T, matrix_product(T, T, g)), tables_for(g, sp)
 
+
+def _or_planes(*plane_dicts):
+    out = {}
+    for planes in plane_dicts:
+        for s, bits in planes.items():
+            out[s] = out[s] | bits if s in out else bits
+    return out
+
+
+class TestFactors:
     def test_lexical_rules_contribute_nothing(self, grammars):
         g = grammars["cfg_anbn"]
-        sp = enumerate_space(2, space_rank(g))
-        T = seed(g, ["a", "b"], sp)
-        factors = build_rule_factors(T, T, g)
-        for r in g.rules:
-            if not r.is_binary:
-                assert not factors[("G", r.rid)].any()
-                assert not factors[("H", r.rid)].any()
+        T, T2, tab = _planes_after_one_product(g, ["a", "a", "b", "b"])
+        lexical = dataclasses.replace(g, rules=tuple(g.lexical_rules()))
+        binary = dataclasses.replace(g, rules=tuple(g.binary_rules()))
+        planes = symbol_planes(T)
+        lex_only = {s: p for s, p in planes.items() if not isinstance(s, CopySym)}
+        assert lex_only
+        stats = {}
+        assert plane_product(lex_only, lex_only, lexical, tab, stats=stats) == {}
+        assert stats.get("muls", 0) == 0
+        for chart in (planes, symbol_planes(T2)):
+            assert plane_product(chart, chart, g, tab) == plane_product(chart, chart, binary, tab)
 
     def test_empty_left_operand(self, grammars):
-        from lcfrs.engine import ProductMatrix
-
         g = grammars["cfg_anbn"]
-        sp = enumerate_space(2, space_rank(g))
-        T = seed(g, ["a", "b"], sp)
-        factors = build_rule_factors(ProductMatrix(sp), T, g)
-        for key, bits in factors.items():
-            if key[0] == "G":
-                assert not bits.any(), key
+        _, T2, tab = _planes_after_one_product(g, ["a", "a", "b", "b"])
+        stats = {}
+        assert plane_product({}, symbol_planes(T2), g, tab, stats=stats) == {}
+        assert stats.get("muls", 0) == 0
 
     def test_factors_stay_above_diagonal(self, grammars):
         g = grammars["count4"]
-        sp = enumerate_space(4, space_rank(g))
-        T = seed(g, ["a", "b", "c", "d"], sp)
-        for key, bits in build_rule_factors(T, T, g).items():
-            assert all(r < c for r, c in bits.nonzero_cells()), key
+        _, T2, tab = _planes_after_one_product(g, ["a", "b", "c", "d"])
+        chart = symbol_planes(T2)
+        for _ in range(3):
+            got = plane_product(chart, chart, g, tab)
+            assert got
+            for nt, bits in got.items():
+                assert all(r < c for r, c in bits.nonzero_cells()), nt
+            chart = _or_planes(chart, got)
 
     def test_space_mismatch_raises(self, grammars):
-        from lcfrs.engine import ProductMatrix
-
         g = grammars["cfg_anbn"]
         a = ProductMatrix(enumerate_space(2, 1))
         b = ProductMatrix(enumerate_space(3, 1))
         with pytest.raises(ValueError):
-            build_rule_factors(a, b, g)
+            product_via_boolean(a, b, g)
+        small = seed(g, ["a", "b"], enumerate_space(2, 1))
+        big_tables = tables_for(g, enumerate_space(3, 1))
+        with pytest.raises(ValueError):
+            plane_product(symbol_planes(small), {}, g, big_tables)
+
+    def test_plane_product_matches_product_via_boolean(self, grammars):
+        for name, sentence in (("count4", "a b c d"), ("itg_sep", "x y # y x")):
+            g = grammars[name]
+            T, T2, tab = _planes_after_one_product(g, sentence.split())
+            for left, right in ((T, T2), (T2, T), (T2, T2)):
+                got = ProductMatrix(T.space)
+                scatter_planes(plane_product(symbol_planes(left), symbol_planes(right), g, tab), got)
+                assert got == product_via_boolean(left, right, g, tables=tab)
+                assert got == matrix_product(left, right, g), name
+
+    def test_delta_terms_complete_the_old_product(self, grammars):
+        # semi-naive step: the terms reading a new fact, together with the
+        # product of the old chart, make up the product of the new chart
+        both_grow = parse_grammar(BOTH_CHILDREN_GROW)
+        for name, g, sentence in (
+            ("count4", grammars["count4"], "a a b c d d"),
+            ("itg_sep", grammars["itg_sep"], "x y # y x"),
+            ("both_grow", both_grow, "a a b a b"),
+        ):
+            toks = sentence.split()
+            sp = enumerate_space(len(toks), space_rank(g))
+            tab = tables_for(g, sp)
+            T = seed(g, toks, sp)
+            for step in range(3):
+                grown = union(T, matrix_product(T, T, g))
+                old, new = symbol_planes(T), symbol_planes(grown)
+                delta = {s: new[s] - old[s] if s in old else new[s]
+                         for s in new if not isinstance(s, CopySym)}
+                delta = {s: bits for s, bits in delta.items() if bits.any()}
+                full = plane_product(new, new, g, tab)
+                part = plane_product(new, new, g, tab, delta=delta)
+                label = (name, step)
+                assert _or_planes(plane_product(old, old, g, tab), part) == full, label
+                assert all((bits - full[s]).count() == 0 for s, bits in part.items()), label
+                T = grown
+            stats = {}
+            plane_product(new, new, g, tab, stats=stats, delta={})
+            assert stats.get("muls", 0) == 0
+
+
+class TestRoleMask:
+    def test_matches_cell_by_cell(self, grammars):
+        checked = 0
+        for name, g in grammars.items():
+            d = space_rank(g if is_single_initial(g) else to_single_initial(g))
+            for n in range(7):
+                sp = enumerate_space(n, d)
+                tab = tables_for(g, sp)
+                unmarked = [a for a in sp.addresses if a.mark < 0]
+                for r in g.binary_rules():
+                    for role, cfg in zip((1, 2, 3), configurations(r)):
+                        fo2 = 2 * r.fo[role - 1]
+                        want = BoolMatrix(sp.dim)
+                        for i in unmarked:
+                            if len(i) != len(cfg):
+                                continue
+                            for j in unmarked:
+                                if len(i) + len(j) == fo2 and _role_fits(cfg, fo2, i, j, i):
+                                    want.set(sp.ids[i], sp.ids[j])
+                        assert tab.rule_mask(r, role) == want, (name, n, r.rid, role)
+                        checked += want.any()
+        assert checked
 
 
 class TestReduction:

@@ -81,6 +81,30 @@ class TestRecognize:
         assert data["sentence"] == ["a", "b", "c", "d"]
         assert data["stats"]["n"] == 4
 
+    def test_json_output_unchanged(self, capsys):
+        code, out, _ = run(
+            capsys, "recognize", "--grammar", "itg_sep",
+            "--sentence", "x y # y x", "--json",
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["stats"].pop("seconds") >= 0
+        assert data["stats"].pop("rounds") == [
+            {"muls": m, "new_facts": f}
+            for m, f in ((15, 26), (19, 20), (12, 8), (12, 2), (7, 2), (12, 1), (6, 2),
+                         (6, 0), (21, 3), (6, 2), (6, 1), (6, 0), (21, 0))
+        ]
+        assert data == {
+            "sentence": ["x", "y", "#", "y", "x"],
+            "accepted": True,
+            "stats": {
+                "n": 5, "dim": 251, "path": "general", "backend": "bitset",
+                "closure": "fixpoint", "muls": 149, "iterations": 13,
+                "outer_iterations": 3, "facts": 589, "converted": False,
+                "engine": "matmul",
+            },
+        }
+
     def test_sentence_from_file(self, capsys, tmp_path):
         path = tmp_path / "sent.txt"
         path.write_text("a b c d\n")

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 
@@ -275,3 +276,23 @@ class TestDump:
             for ln in lines
         ]
         assert cells == sorted(cells)
+
+    def test_bundled_charts_unchanged(self, grammars):
+        # the published charts, dumped, are fixed figures: they must not
+        # depend on how symbols hash (copy symbols hash by identity)
+        from lcfrs.recognizer import run_recognition
+
+        want = {
+            ("count4", "a b c d"): (
+                348, "1447ae91052c72922facbd62ddb2404e530ecd8645c6fbdf2b0beb78f3e026b6"),
+            ("itg_sep", "x y # y x"): (
+                589, "e64733ebe7474a85d1ae35ce1b2ac620a95f85dc1f24b2400b315b5f95634041"),
+        }
+        for (name, sentence), (lines, digest) in want.items():
+            text = run_recognition(grammars[name], sentence.split()).chart.dump()
+            assert len(text.splitlines()) == lines, name
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+
+    def test_copy_symbols_hash_by_identity(self):
+        assert CopySym.__hash__ is object.__hash__
+        assert {CopySym.ToCol: 1}[CopySym("ToCol")] == 1

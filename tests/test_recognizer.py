@@ -5,8 +5,11 @@ import random
 import pytest
 
 from lcfrs.addresses import Address, enumerate_space
-from lcfrs.engine import EngineUnsupported, ProductMatrix, seed
-from lcfrs.grammar import Grammar, GrammarError, Rule, Var, parse_grammar
+from lcfrs.boolmat import product_via_boolean
+from lcfrs.engine import EngineUnsupported, ProductMatrix, seed, union
+from lcfrs.grammar import (
+    Grammar, GrammarError, Rule, Var, is_single_initial, parse_grammar, to_single_initial,
+)
 from lcfrs.oracle import tabular_recognize
 from lcfrs.recognizer import (
     Closure,
@@ -19,6 +22,8 @@ from lcfrs.recognizer import (
     run_recognition,
     space_rank,
 )
+
+from conftest import BOTH_CHILDREN_GROW, random_grammar
 
 
 def _closed(g, sentence, alg=closure_fixpoint, **kw):
@@ -66,6 +71,88 @@ class TestClosure:
         again = closure_fixpoint(clo.matrix, g)
         assert again.matrix == clo.matrix
         assert again.iterations == 1
+
+
+def _naive_closure(T, g):
+    """Reference: square the whole chart until it stops growing."""
+    stats = {}
+    X, iterations = T, 0
+    while True:
+        iterations += 1
+        grown = union(X, product_via_boolean(X, X, g, stats=stats))
+        if grown == X:
+            return X, iterations, stats.get("muls", 0)
+        X = grown
+
+
+def _bundled_cases(grammars):
+    rng = random.Random(11)
+    for name, g in grammars.items():
+        if not is_single_initial(g):
+            g = to_single_initial(g)
+        alphabet = sorted(g.terminals)
+        for n in range(7):
+            for _ in range(2):
+                yield name, g, [rng.choice(alphabet) for _ in range(n)]
+    for name, sentence in (
+        ("cfg_anbn", "a a a b b b"),
+        ("count4", "a a b c c d"),
+        ("itg_sep", "x y # y x"),
+        ("itg_sep", "x y x # x y x"),
+        ("tag_style", "x x y y y"),
+    ):
+        yield name, grammars[name], sentence.split()
+
+
+class TestSemiNaiveClosure:
+    def _check(self, g, toks, label):
+        sp = enumerate_space(len(toks), space_rank(g))
+        T = seed(g, toks, sp)
+        want, iterations, muls = _naive_closure(T, g)
+        got = closure_fixpoint(T, g)
+        assert got.matrix == want, label
+        assert got.iterations == iterations, label
+        assert got.muls <= muls, label
+        return got.muls, muls
+
+    def test_random_grammars(self):
+        rng = random.Random(5)
+        saved = 0
+        for case in range(100):
+            g = random_grammar(rng, d_cap=4)
+            toks = [rng.choice("ab") for _ in range(rng.randint(0, 5))]
+            got, want = self._check(g, toks, (case, toks))
+            saved += want - got
+        assert saved > 0
+
+    def test_bundled_grammars(self, grammars):
+        for name, g, toks in _bundled_cases(grammars):
+            self._check(g, toks, (name, toks))
+
+    def test_rule_whose_children_both_grow(self):
+        g = parse_grammar(BOTH_CHILDREN_GROW)
+        for n in range(1, 5):
+            for toks in itertools.product("ab", repeat=n):
+                self._check(g, list(toks), toks)
+
+    @pytest.mark.parametrize("alg", [closure_fixpoint, closure_valiant])
+    def test_round_trace_adds_up(self, grammars, alg):
+        g = grammars["count4"]
+        toks = "a a b b c c d d".split()
+        sp = enumerate_space(len(toks), space_rank(g))
+        T = seed(g, toks, sp)
+        clo = alg(T, g)
+        assert len(clo.rounds) == clo.iterations
+        assert sum(r["muls"] for r in clo.rounds) == clo.muls
+        assert T.fact_count() + sum(r["new_facts"] for r in clo.rounds) == clo.matrix.fact_count()
+        if alg is closure_fixpoint:
+            assert clo.rounds[-1]["new_facts"] == 0
+
+    def test_run_reports_rounds(self, grammars):
+        for name, sentence in (("count4", "a b b c d d"), ("itg_sep", "x y # y x")):
+            stats = run_recognition(grammars[name], sentence.split()).stats
+            assert len(stats["rounds"]) == stats["iterations"], name
+            assert sum(r["muls"] for r in stats["rounds"]) == stats["muls"], name
 
 
 class TestRecognizeUnbalanced:
