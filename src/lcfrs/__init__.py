@@ -1,99 +1,48 @@
 """Recognition and parsing for binary LCFRS via transitive closure of a seed
-matrix, with the product lowered to Boolean matrix multiplication."""
+matrix, with the product lowered to Boolean matrix multiplication.
 
-from .addresses import Address, AddressSpace, compare, enumerate_space, insert, merge_m, remove
-from .boolmat import (
-    KERNEL_KIND,
-    BoolMatrix,
-    bool_multiply,
-    product_via_boolean,
-)
-from .engine import (
-    CopySym,
-    EngineUnsupported,
-    ProductMatrix,
-    cell_product,
-    matrix_product,
-    pi_copy,
-    seed,
-    union,
-)
+``run_recognition`` is the one recognition entry point.  Everything not
+re-exported here stays importable from its own module."""
+
+from .boolmat import KERNEL_KIND
+from .engine import EngineUnsupported
 from .grammar import (
     AnalysisReport,
     Grammar,
     GrammarError,
-    Rule,
     analyze,
-    config_set,
-    configurations,
     contact_rank,
-    delta,
     is_balanced,
-    is_single_initial,
     parse_grammar,
     to_single_initial,
     validate,
 )
 from .oracle import enumerate_language, tabular_recognize
-from .recognizer import (
-    Closure,
-    DerivationNode,
-    RunResult,
-    closure_fixpoint,
-    closure_valiant,
-    extract_derivation,
-    recognize,
-    recognize_general,
-    recognize_unbalanced,
-    run_recognition,
-)
+from .recognizer import DerivationNode, RunResult, extract_derivation, run_recognition
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Address",
-    "AddressSpace",
-    "AnalysisReport",
-    "BoolMatrix",
-    "Closure",
-    "CopySym",
-    "DerivationNode",
-    "EngineUnsupported",
+    # parse
+    "parse_grammar",
     "Grammar",
     "GrammarError",
-    "KERNEL_KIND",
-    "ProductMatrix",
-    "Rule",
-    "RunResult",
-    "analyze",
-    "bool_multiply",
-    "cell_product",
-    "closure_fixpoint",
-    "closure_valiant",
-    "compare",
-    "config_set",
-    "configurations",
-    "contact_rank",
-    "delta",
-    "enumerate_language",
-    "enumerate_space",
-    "extract_derivation",
-    "insert",
-    "is_balanced",
-    "is_single_initial",
-    "matrix_product",
-    "merge_m",
-    "parse_grammar",
-    "pi_copy",
-    "product_via_boolean",
-    "recognize",
-    "recognize_general",
-    "recognize_unbalanced",
-    "remove",
-    "run_recognition",
-    "seed",
-    "to_single_initial",
-    "tabular_recognize",
-    "union",
     "validate",
+    "to_single_initial",
+    # analyze
+    "analyze",
+    "AnalysisReport",
+    "contact_rank",
+    "is_balanced",
+    # run
+    "run_recognition",
+    "RunResult",
+    "EngineUnsupported",
+    "extract_derivation",
+    "DerivationNode",
+    # oracles
+    "tabular_recognize",
+    "enumerate_language",
+    # kernel
+    "KERNEL_KIND",
 ]

@@ -204,12 +204,6 @@ class AddressSpace:
                     if t + 1 == length or pos[t + 1] != pos[t]:
                         yield Address(pos, t)
 
-    def id_of(self, positions, mark=-1) -> int:
-        return self.ids[Address(positions, mark)]
-
-    def cell_ids(self, row_positions, col_positions) -> tuple[int, int]:
-        return self.id_of(row_positions), self.id_of(col_positions)
-
     def equivalent_cells(self, i: Address, j: Address):
         """All unmarked (row, col) address pairs merging to the same spans."""
         spans = merge_m(i, j)

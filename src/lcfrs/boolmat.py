@@ -1,5 +1,6 @@
-"""Dense bit-packed Boolean matrices, three multiplication backends, and the
-rendering of the cell product as a bundle of plain Boolean matrix products.
+"""Dense bit-packed Boolean matrices, their multiply (the packed kernel, with
+a dense reference beside it), and the rendering of the cell product as a
+bundle of plain Boolean matrix products.
 
 The cell product decomposes per symbol: one masked product per binary rule
 and six mask-filtered products per nonterminal for the copy moves.  Every
@@ -24,8 +25,6 @@ try:  # compiled kernel if the extension built, else the numpy fallback
 except ImportError:  # pragma: no cover - depends on build environment
     from . import _matmul_fallback as _kernel
     KERNEL_KIND = "fallback"
-
-BACKENDS = ("naive", "bitset", "strassen")
 
 
 def _nwords(dim: int) -> int:
@@ -126,11 +125,12 @@ class BoolMatrix:
 
 
 # ---------------------------------------------------------------------------
-# the three backends
+# the two backends: a dense reference and the packed kernel the engine runs
 
 def _mult_naive(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
     prod = a.to_dense().astype(np.int64) @ b.to_dense().astype(np.int64)
     return BoolMatrix.from_dense(prod > 0)
+
 
 def _mult_bitset(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
     out = BoolMatrix(a.dim)
@@ -138,55 +138,14 @@ def _mult_bitset(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
     return out
 
 
-def _strassen_rec(a, b, cutoff):
-    n = a.shape[0]
-    if n <= cutoff:
-        return a @ b
-    h = n // 2
-    a11, a12, a21, a22 = a[:h, :h], a[:h, h:], a[h:, :h], a[h:, h:]
-    b11, b12, b21, b22 = b[:h, :h], b[:h, h:], b[h:, :h], b[h:, h:]
-    m1 = _strassen_rec(a11 + a22, b11 + b22, cutoff)
-    m2 = _strassen_rec(a21 + a22, b11, cutoff)
-    m3 = _strassen_rec(a11, b12 - b22, cutoff)
-    m4 = _strassen_rec(a22, b21 - b11, cutoff)
-    m5 = _strassen_rec(a11 + a12, b22, cutoff)
-    m6 = _strassen_rec(a21 - a11, b11 + b12, cutoff)
-    m7 = _strassen_rec(a12 - a22, b21 + b22, cutoff)
-    out = np.empty((n, n), dtype=a.dtype)
-    out[:h, :h] = m1 + m4 - m5 + m7
-    out[:h, h:] = m3 + m5
-    out[h:, :h] = m2 + m4
-    out[h:, h:] = m1 - m2 + m3 + m6
-    return out
-
-
-def _mult_strassen(a: BoolMatrix, b: BoolMatrix, cutoff: int) -> BoolMatrix:
-    if a.dim <= cutoff:
-        return _mult_bitset(a, b)
-    size = 1
-    while size < a.dim:
-        size *= 2
-    ad = np.zeros((size, size), dtype=np.int64)
-    bd = np.zeros((size, size), dtype=np.int64)
-    ad[: a.dim, : a.dim] = a.to_dense()
-    bd[: b.dim, : b.dim] = b.to_dense()
-    prod = _strassen_rec(ad, bd, cutoff)
-    return BoolMatrix.from_dense(prod[: a.dim, : a.dim] > 0)
-
-
-def bool_multiply(a: BoolMatrix, b: BoolMatrix, backend: str = "bitset",
-                  cutoff: int = 64) -> BoolMatrix:
-    """C[i,j] = OR_k A[i,k] AND B[k,j]; all backends agree bit for bit."""
+def bool_multiply(a: BoolMatrix, b: BoolMatrix, backend: str = "bitset") -> BoolMatrix:
+    """C[i,j] = OR_k A[i,k] AND B[k,j]; both backends agree bit for bit."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch: %d vs %d" % (a.dim, b.dim))
     if backend == "naive":
         return _mult_naive(a, b)
     if backend == "bitset":
         return _mult_bitset(a, b)
-    if backend == "strassen":
-        if cutoff < 1:
-            raise ValueError("cutoff must be >= 1")
-        return _mult_strassen(a, b, cutoff)
     raise ValueError("unknown backend %r" % backend)
 
 
@@ -346,8 +305,7 @@ def _delta_factors(gf, hf, db, dc):
 
 
 def plane_product(G: dict, H: dict, g: Grammar, tables: EngineTables,
-                  backend: str = "bitset", stats: dict | None = None,
-                  delta: dict | None = None) -> dict:
+                  stats: dict | None = None, delta: dict | None = None) -> dict:
     """The cell product of two charts held as symbol planes (``{symbol:
     BoolMatrix}``), returned as nonterminal planes.  One masked multiply per
     binary rule, and up to six mask-filtered copy moves per nonterminal.
@@ -368,7 +326,7 @@ def plane_product(G: dict, H: dict, g: Grammar, tables: EngineTables,
     def mul(x: BoolMatrix, y: BoolMatrix) -> BoolMatrix:
         if stats is not None:
             stats["muls"] = stats.get("muls", 0) + 1
-        return bool_multiply(x, y, backend)
+        return bool_multiply(x, y)
 
     acc: dict = {}
 
@@ -437,13 +395,13 @@ def plane_product(G: dict, H: dict, g: Grammar, tables: EngineTables,
 
 
 def product_via_boolean(T1: ProductMatrix, T2: ProductMatrix, g: Grammar,
-                        backend: str = "bitset", tables: EngineTables | None = None,
+                        tables: EngineTables | None = None,
                         stats: dict | None = None) -> ProductMatrix:
     """Same result as the cell-by-cell product, via Boolean multiplications."""
     if T1.space is not T2.space:
         raise ValueError("operands live in different address spaces")
     tab = tables or tables_for(g, T1.space)
-    acc = plane_product(symbol_planes(T1), symbol_planes(T2), g, tab, backend, stats)
+    acc = plane_product(symbol_planes(T1), symbol_planes(T2), g, tab, stats)
     out = ProductMatrix(T1.space)
     scatter_planes(acc, out)
     return out

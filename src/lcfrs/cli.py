@@ -14,15 +14,12 @@ import time
 from math import comb
 
 from . import bundled
-from .boolmat import BACKENDS
 from .engine import EngineUnsupported, engine_ready
 from .grammar import (
     DEFAULT_OMEGA, GrammarError, analyze, is_single_initial, parse_grammar, to_single_initial,
 )
 from .oracle import tabular_recognize
 from .recognizer import extract_derivation, run_recognition, space_rank
-
-CLOSURES = ("fixpoint", "valiant")
 
 # benchmark guard: rows of the address space beyond which a run is skipped
 DIM_CAP = 8000
@@ -80,7 +77,7 @@ def _cmd_recognize(args) -> int:
         accepted, chart = tabular_recognize(g, tokens)
         stats = {"engine": "tabular", "facts": len(chart)}
     else:
-        res = run_recognition(g, tokens, args.backend, args.closure)
+        res = run_recognition(g, tokens)
         accepted, stats = res.accepted, dict(res.stats, engine="matmul")
     if args.json:
         print(json.dumps({"sentence": tokens, "accepted": accepted, "stats": stats}))
@@ -92,7 +89,7 @@ def _cmd_recognize(args) -> int:
 def _cmd_parse(args) -> int:
     g = _load_grammar(args.grammar)
     tokens = _tokens(args.sentence)
-    res = run_recognition(g, tokens, args.backend, args.closure)
+    res = run_recognition(g, tokens)
     if not res.accepted:
         print("null")
         return 1
@@ -128,7 +125,7 @@ def _cmd_bench(args) -> int:
     names = [args.grammar] if args.grammar else list(bundled.NAMES)
     sweep = [n for n in (4, 8, 16, 32) if n <= args.max_len]
     writer = csv.writer(sys.stdout)
-    writer.writerow(["grammar", "n", "engine", "backend", "closure", "ms", "facts", "muls"])
+    writer.writerow(["grammar", "n", "engine", "ms", "facts", "muls"])
     done = set()
     for name in names:
         try:
@@ -156,14 +153,12 @@ def _cmd_bench(args) -> int:
                     file=sys.stderr,
                 )
             else:
-                res = run_recognition(g, tokens, args.backend, args.closure)
+                res = run_recognition(g, tokens)
                 writer.writerow(
                     [
                         name,
                         len(tokens),
                         "matmul",
-                        args.backend,
-                        args.closure,
                         "%.3f" % (res.stats["seconds"] * 1000),
                         res.stats["facts"],
                         res.stats["muls"],
@@ -172,7 +167,7 @@ def _cmd_bench(args) -> int:
             t0 = time.perf_counter()
             _, chart = tabular_recognize(g, tokens)
             ms = (time.perf_counter() - t0) * 1000
-            writer.writerow([name, len(tokens), "tabular", "-", "-", "%.3f" % ms, len(chart), 0])
+            writer.writerow([name, len(tokens), "tabular", "%.3f" % ms, len(chart), 0])
     return 0
 
 
@@ -189,8 +184,6 @@ def main(argv=None) -> int:
         if sentence:
             p.add_argument("--sentence", required=True,
                            help="whitespace-separated tokens; @FILE reads a file")
-        p.add_argument("--backend", choices=BACKENDS, default="bitset")
-        p.add_argument("--closure", choices=CLOSURES, default="fixpoint")
         p.add_argument("--json", action="store_true")
         p.add_argument("--omega", type=float, default=DEFAULT_OMEGA)
 
@@ -209,8 +202,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("bench", help="CSV timing sweep over bundled grammars")
     p.add_argument("--grammar", help="bench a single grammar instead of all bundled ones")
-    p.add_argument("--backend", choices=BACKENDS, default="bitset")
-    p.add_argument("--closure", choices=CLOSURES, default="fixpoint")
     p.add_argument("--max-len", type=int, default=16)
     p.set_defaults(fn=_cmd_bench)
 

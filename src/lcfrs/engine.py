@@ -192,12 +192,12 @@ def seed(g: Grammar, sentence, space: AddressSpace) -> ProductMatrix:
             "address length cap %d cannot hold fan-out-%d lexical facts" % (space.d, need)
         )
     T = ProductMatrix(space)
-    ids = space.ids
+    ids = space.unmarked_ids
     for r in g.lexical_rules():
         for spans in _placements(r.words, tokens, space.n):
             flat = tuple(sorted(p for span in spans for p in span))
             for row, col in splits_of_endpoints(flat, space.d):
-                T.add(ids[Address(row)], ids[Address(col)], r.lhs)
+                T.add(ids[row], ids[col], r.lhs)
     for row_id, col_id, sym in copy_symbol_cells(space):
         T.add(row_id, col_id, sym)
     return T
@@ -313,10 +313,10 @@ def pi_copy(T: ProductMatrix) -> ProductMatrix:
         flat = tuple(sorted(a.positions + b.positions))
         groups.setdefault(flat, set()).update(nts)
     out = T.copy()
-    ids = space.ids
+    ids = space.unmarked_ids
     for flat, nts in groups.items():
         for row, col in splits_of_endpoints(flat, space.d):
-            cell = out.cells.setdefault((ids[Address(row)], ids[Address(col)]), set())
+            cell = out.cells.setdefault((ids[row], ids[col]), set())
             cell.update(nts)
     return out
 

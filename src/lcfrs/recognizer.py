@@ -1,4 +1,4 @@
-"""Transitive closure of seed matrices and the top-level recognition paths.
+"""Transitive closure of seed matrices and the recognition entry point.
 
 Recognition is closure of the seed matrix under the cell product.  When no
 nonterminal is used in two different full-length endpoint configurations, a
@@ -12,9 +12,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .addresses import Address, enumerate_space, splits_of_endpoints
+from .addresses import enumerate_space, splits_of_endpoints
 from . import boolmat
-from .boolmat import plane_product, product_via_boolean, scatter_planes, tables_for
+from .boolmat import KERNEL_KIND, plane_product, scatter_planes, tables_for
 from .engine import (
     CopySym,
     EngineUnsupported,
@@ -58,8 +58,7 @@ def space_rank(g: Grammar) -> int:
     return d
 
 
-def closure_fixpoint(T: ProductMatrix, g: Grammar, backend: str = "bitset",
-                     tables=None) -> Closure:
+def closure_fixpoint(T: ProductMatrix, g: Grammar, tables=None) -> Closure:
     """Least fixpoint of X -> T | X*X, evaluated semi-naively on bit planes.
 
     T is split into symbol planes once.  The copy-symbol planes C never
@@ -84,7 +83,7 @@ def closure_fixpoint(T: ProductMatrix, g: Grammar, backend: str = "bitset",
         before = stats["muls"]
         chart = {**X, **copies}
         fresh = {}
-        for nt, bits in plane_product(chart, chart, g, tab, backend, stats, delta).items():
+        for nt, bits in plane_product(chart, chart, g, tab, stats, delta).items():
             have = X.get(nt)
             if have is not None:
                 bits = bits - have
@@ -104,88 +103,12 @@ def closure_fixpoint(T: ProductMatrix, g: Grammar, backend: str = "bitset",
     return Closure(out, stats["muls"], len(rounds), time.perf_counter() - t0, rounds)
 
 
-def closure_valiant(T: ProductMatrix, g: Grammar, backend: str = "bitset",
-                    tables=None, base: int = 64) -> Closure:
-    """Divide-and-conquer closure: split the index range in half, close both
-    diagonal blocks recursively, then grow the off-diagonal block by repeated
-    products.  Sound because a product landing at (i, j) only ever reads
-    cells between them in address order."""
-    stats: dict = {"muls": 0}
-    tab = tables or tables_for(g, T.space)
-    t0 = time.perf_counter()
-    X = T.copy()
-    rounds = []
-
-    def restrict(lo, hi):
-        kept = {
-            cell: set(syms)
-            for cell, syms in X.cells.items()
-            if lo <= cell[0] < hi and lo <= cell[1] < hi and syms
-        }
-        return ProductMatrix(X.space, kept)
-
-    def absorb(rlo, rhi, clo, chi) -> bool:
-        """One iteration: square the diagonal block spanning both ranges and
-        keep what lands in rows [rlo, rhi) x columns [clo, chi).  Returns
-        whether that added anything."""
-        before = stats["muls"]
-        sub = restrict(min(rlo, clo), max(rhi, chi))
-        added = 0
-        for (r, c), syms in product_via_boolean(sub, sub, g, backend, tab, stats).cells.items():
-            if rlo <= r < rhi and clo <= c < chi and syms:
-                cell = X.cells.setdefault((r, c), set())
-                added += len(syms - cell)
-                cell |= syms
-        rounds.append({"muls": stats["muls"] - before, "new_facts": added})
-        return added > 0
-
-    def close(lo, hi):
-        if hi - lo < 2:
-            return
-        if hi - lo <= base:
-            while absorb(lo, hi, lo, hi):
-                pass
-            return
-        mid = (lo + hi) // 2
-        close(lo, mid)
-        close(mid, hi)
-        while absorb(lo, mid, mid, hi):
-            pass
-
-    close(0, X.space.dim)
-    return Closure(X, stats["muls"], len(rounds), time.perf_counter() - t0, rounds)
-
-
-def _close(T, g, backend, closure_alg, tables=None) -> Closure:
-    if closure_alg == "fixpoint":
-        return closure_fixpoint(T, g, backend, tables)
-    if closure_alg == "valiant":
-        return closure_valiant(T, g, backend, tables)
-    raise ValueError("unknown closure algorithm %r" % closure_alg)
-
-
-def _require_valid(g: Grammar) -> None:
-    problems = validate(g)
-    if problems:
-        raise GrammarError("; ".join(problems))
-
-
-def _require_runnable(g: Grammar) -> None:
-    if not is_single_initial(g):
-        raise EngineUnsupported(
-            "grammar is not single-initial; convert with to_single_initial first"
-        )
-    problems = engine_ready(g)
-    if problems:
-        raise EngineUnsupported("; ".join(problems))
-
-
 def _top_cell(space, n):
-    return space.ids[Address((0,))], space.ids[Address((n,))]
+    return space.unmarked_ids[(0,)], space.unmarked_ids[(n,)]
 
 
-def _run(g: Grammar, sentence, backend, closure_alg, general: bool):
-    """Shared recognition core; returns (accepted, chart, stats)."""
+def _run(g: Grammar, sentence, general: bool):
+    """Recognition core; returns (accepted, chart, stats)."""
     tokens = tuple(sentence)
     n = len(tokens)
     space = enumerate_space(n, space_rank(g))
@@ -198,7 +121,7 @@ def _run(g: Grammar, sentence, backend, closure_alg, general: bool):
     if general:
         while True:
             outer += 1
-            clo = _close(pi_copy(T), g, backend, closure_alg, tables)
+            clo = closure_fixpoint(pi_copy(T), g, tables)
             muls += clo.muls
             iters += clo.iterations
             rounds += clo.rounds
@@ -209,7 +132,7 @@ def _run(g: Grammar, sentence, backend, closure_alg, general: bool):
         chart = T
     else:
         outer = 1
-        clo = _close(T, g, backend, closure_alg, tables)
+        clo = closure_fixpoint(T, g, tables)
         muls, iters, rounds = clo.muls, clo.iterations, clo.rounds
         # the verdict cell has a unique split, but downstream consumers
         # (derivation extraction, invariant checks) expect the published
@@ -221,8 +144,7 @@ def _run(g: Grammar, sentence, backend, closure_alg, general: bool):
         "n": n,
         "dim": space.dim,
         "path": "general" if general else "single-closure",
-        "backend": backend,
-        "closure": closure_alg,
+        "kernel": KERNEL_KIND,
         "muls": muls,
         "iterations": iters,
         "outer_iterations": outer,
@@ -231,30 +153,6 @@ def _run(g: Grammar, sentence, backend, closure_alg, general: bool):
         "seconds": time.perf_counter() - t0,
     }
     return accepted, chart, stats
-
-
-def recognize_unbalanced(g: Grammar, sentence, backend: str = "bitset",
-                         closure_alg: str = "fixpoint") -> bool:
-    """Seed, one closure, read off the start symbol at ((0),(n))."""
-    _require_valid(g)
-    if is_balanced(g):
-        raise ValueError(
-            "grammar is balanced (a nonterminal has two full-length "
-            "configurations); use recognize_general"
-        )
-    _require_runnable(g)
-    accepted, _, _ = _run(g, sentence, backend, closure_alg, general=False)
-    return accepted
-
-
-def recognize_general(g: Grammar, sentence, backend: str = "bitset",
-                      closure_alg: str = "fixpoint") -> bool:
-    """Alternate the copying pass and closure until the matrix stops
-    changing, then read off the start symbol."""
-    _require_valid(g)
-    _require_runnable(g)
-    accepted, _, _ = _run(g, sentence, backend, closure_alg, general=True)
-    return accepted
 
 
 @dataclass
@@ -266,26 +164,20 @@ class RunResult:
     stats: dict = field(default_factory=dict)
 
 
-def run_recognition(g: Grammar, sentence, backend: str = "bitset",
-                    closure_alg: str = "fixpoint") -> RunResult:
+def run_recognition(g: Grammar, sentence) -> RunResult:
     """Validate, convert to single-initial if needed, dispatch on balance."""
-    _require_valid(g)
-    work = g
-    converted = False
-    if not is_single_initial(work):
-        work = to_single_initial(work)
-        converted = True
-    _require_runnable(work)
+    problems = validate(g)
+    if problems:
+        raise GrammarError("; ".join(problems))
+    converted = not is_single_initial(g)
+    work = to_single_initial(g) if converted else g
+    problems = engine_ready(work)
+    if problems:
+        raise EngineUnsupported("; ".join(problems))
     report = analyze(work)
-    general = is_balanced(work)
-    accepted, chart, stats = _run(work, sentence, backend, closure_alg, general)
+    accepted, chart, stats = _run(work, sentence, is_balanced(work))
     stats["converted"] = converted
     return RunResult(accepted, work, chart, report, stats)
-
-
-def recognize(g: Grammar, sentence, backend: str = "bitset",
-              closure_alg: str = "fixpoint") -> bool:
-    return run_recognition(g, sentence, backend, closure_alg).accepted
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +203,13 @@ def _spans_of(flat):
     return tuple((flat[t], flat[t + 1]) for t in range(0, len(flat), 2))
 
 
-def extract_derivation(closure, g: Grammar, sentence):
+def extract_derivation(chart: ProductMatrix, g: Grammar, sentence):
     """Backtrack a derivation tree out of a recognition chart.
 
-    Accepts a Closure or a bare ProductMatrix.  Returns None when the start
-    symbol is absent from ((0),(n)).  A present start fact that cannot be
-    rebuilt from the chart is a hard error: the chart lied.
+    Returns None when the start symbol is absent from ((0),(n)).  A present
+    start fact that cannot be rebuilt from the chart is a hard error: the
+    chart lied.
     """
-    chart = closure.matrix if isinstance(closure, Closure) else closure
     tokens = tuple(sentence)
     n = len(tokens)
     if n == 0:
@@ -364,8 +255,8 @@ def extract_derivation(closure, g: Grammar, sentence):
             cfg1, cfg2, cfg3 = configurations(r)
             B, C = r.rhs
             for row, col in sorted(splits_of_endpoints(flat, space.d)):
-                i = space.ids.get(Address(row))
-                j = space.ids.get(Address(col))
+                i = space.unmarked_ids.get(row)
+                j = space.unmarked_ids.get(col)
                 if i is None or j is None:
                     continue
                 for k in sorted(by_row.get(i, set()) & by_col.get(j, set())):

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from lcfrs import KERNEL_KIND
 from lcfrs.cli import main
 
 
@@ -98,8 +99,8 @@ class TestRecognize:
             "sentence": ["x", "y", "#", "y", "x"],
             "accepted": True,
             "stats": {
-                "n": 5, "dim": 251, "path": "general", "backend": "bitset",
-                "closure": "fixpoint", "muls": 149, "iterations": 13,
+                "n": 5, "dim": 251, "path": "general", "kernel": KERNEL_KIND,
+                "muls": 149, "iterations": 13,
                 "outer_iterations": 3, "facts": 589, "converted": False,
                 "engine": "matmul",
             },
@@ -114,14 +115,13 @@ class TestRecognize:
         assert code == 0 and out.strip() == "ACCEPT"
 
     def test_backend_flags(self, capsys):
-        for backend in ("naive", "bitset", "strassen"):
-            for closure in ("fixpoint", "valiant"):
-                code, out, _ = run(
-                    capsys, "recognize", "--grammar", "count4",
-                    "--sentence", "a b c d",
-                    "--backend", backend, "--closure", closure,
-                )
-                assert code == 0 and out.strip() == "ACCEPT"
+        # recognition has one configuration; the old selectors are gone
+        for flag, value in (("--backend", "bitset"), ("--closure", "fixpoint")):
+            with pytest.raises(SystemExit) as exc:
+                main(["recognize", "--grammar", "count4", "--sentence", "a b c d",
+                      flag, value])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
 
 
 class TestParse:
@@ -158,13 +158,14 @@ class TestBench:
         )
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == "grammar,n,engine,backend,closure,ms,facts,muls"
-        assert len(lines) > 1
-        for ln in lines[1:]:
-            fields = ln.split(",")
-            assert fields[0] == "cfg_anbn"
-            assert fields[2] in ("matmul", "tabular")
-            float(fields[5])
+        assert lines[0] == "grammar,n,engine,ms,facts,muls"
+        rows = [ln.split(",") for ln in lines[1:]]
+        for row in rows:
+            assert float(row.pop(3)) >= 0
+        assert rows == [
+            ["cfg_anbn", "4", "matmul", "12", "9"],
+            ["cfg_anbn", "4", "tabular", "7", "0"],
+        ]
 
 
 class TestErrors:

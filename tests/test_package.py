@@ -1,0 +1,45 @@
+import os
+import subprocess
+import sys
+
+import lcfrs
+
+PUBLIC = {
+    # parse
+    "parse_grammar", "Grammar", "GrammarError", "validate", "to_single_initial",
+    # analyze
+    "analyze", "AnalysisReport", "contact_rank", "is_balanced",
+    # run
+    "run_recognition", "RunResult", "EngineUnsupported", "extract_derivation",
+    "DerivationNode",
+    # oracles
+    "tabular_recognize", "enumerate_language",
+    # kernel
+    "KERNEL_KIND",
+}
+
+
+class TestPublicSurface:
+    def test_all_names_resolve(self):
+        assert set(lcfrs.__all__) == PUBLIC
+        assert len(lcfrs.__all__) == len(PUBLIC)
+        for name in lcfrs.__all__:
+            assert getattr(lcfrs, name) is not None, name
+
+    def test_benchmark_worker_names_resolve_in_a_fresh_process(self):
+        # perfbench/worker.py imports the package and its CLI, then reaches
+        # these through the package object
+        code = (
+            "import lcfrs, lcfrs.cli\n"
+            "for name in ('run_recognition', 'KERNEL_KIND', 'cli', 'bundled', 'oracle'):\n"
+            "    getattr(lcfrs, name)\n"
+            "g = lcfrs.bundled.load('cfg_anbn')\n"
+            "assert lcfrs.run_recognition(g, 'a b'.split()).accepted\n"
+            "assert lcfrs.oracle.tabular_recognize(g, 'a b'.split())[0]\n"
+        )
+        src = os.path.dirname(os.path.dirname(lcfrs.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr

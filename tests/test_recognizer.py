@@ -5,20 +5,16 @@ import random
 import pytest
 
 from lcfrs.addresses import Address, enumerate_space
-from lcfrs.boolmat import product_via_boolean
-from lcfrs.engine import EngineUnsupported, ProductMatrix, seed, union
+from lcfrs.boolmat import KERNEL_KIND, product_via_boolean
+from lcfrs.engine import ProductMatrix, seed, union
 from lcfrs.grammar import (
     Grammar, GrammarError, Rule, Var, is_single_initial, parse_grammar, to_single_initial,
 )
 from lcfrs.oracle import tabular_recognize
 from lcfrs.recognizer import (
-    Closure,
+    _run,
     closure_fixpoint,
-    closure_valiant,
     extract_derivation,
-    recognize,
-    recognize_general,
-    recognize_unbalanced,
     run_recognition,
     space_rank,
 )
@@ -26,10 +22,10 @@ from lcfrs.recognizer import (
 from conftest import BOTH_CHILDREN_GROW, random_grammar
 
 
-def _closed(g, sentence, alg=closure_fixpoint, **kw):
+def _closed(g, sentence):
     toks = sentence.split()
     sp = enumerate_space(len(toks), space_rank(g))
-    return alg(seed(g, toks, sp), g, **kw), sp
+    return closure_fixpoint(seed(g, toks, sp), g), sp
 
 
 class TestClosure:
@@ -52,18 +48,6 @@ class TestClosure:
         clo, sp = _closed(g, "a b c d")
         top = clo.matrix.get(sp.ids[Address((0,))], sp.ids[Address((4,))])
         assert "S" in top
-
-    @pytest.mark.parametrize("base", [2, 8, 64])
-    def test_valiant_equals_fixpoint(self, grammars, base):
-        for name, sentence in (
-            ("cfg_anbn", "a a b b"),
-            ("count4", "a b c d"),
-            ("itg_sep", "x y # y x"),
-        ):
-            g = grammars[name]
-            fix, _ = _closed(g, sentence)
-            val, _ = _closed(g, sentence, alg=closure_valiant, base=base)
-            assert val.matrix == fix.matrix, (name, base)
 
     def test_closure_is_idempotent(self, grammars):
         g = grammars["cfg_anbn"]
@@ -135,18 +119,16 @@ class TestSemiNaiveClosure:
             for toks in itertools.product("ab", repeat=n):
                 self._check(g, list(toks), toks)
 
-    @pytest.mark.parametrize("alg", [closure_fixpoint, closure_valiant])
-    def test_round_trace_adds_up(self, grammars, alg):
+    def test_round_trace_adds_up(self, grammars):
         g = grammars["count4"]
         toks = "a a b b c c d d".split()
         sp = enumerate_space(len(toks), space_rank(g))
         T = seed(g, toks, sp)
-        clo = alg(T, g)
+        clo = closure_fixpoint(T, g)
         assert len(clo.rounds) == clo.iterations
         assert sum(r["muls"] for r in clo.rounds) == clo.muls
         assert T.fact_count() + sum(r["new_facts"] for r in clo.rounds) == clo.matrix.fact_count()
-        if alg is closure_fixpoint:
-            assert clo.rounds[-1]["new_facts"] == 0
+        assert clo.rounds[-1]["new_facts"] == 0
 
     def test_run_reports_rounds(self, grammars):
         for name, sentence in (("count4", "a b b c d d"), ("itg_sep", "x y # y x")):
@@ -155,28 +137,24 @@ class TestSemiNaiveClosure:
             assert sum(r["muls"] for r in stats["rounds"]) == stats["muls"], name
 
 
+def _accepts(g, tokens):
+    return run_recognition(g, tokens).accepted
+
+
 class TestRecognizeUnbalanced:
     def test_cfg_language(self, grammars):
         g = grammars["cfg_anbn"]
-        assert recognize_unbalanced(g, "a b".split())
-        assert recognize_unbalanced(g, "a a b b".split())
-        assert not recognize_unbalanced(g, "a b b".split())
-        assert not recognize_unbalanced(g, "b a".split())
+        assert _accepts(g, "a b".split())
+        assert _accepts(g, "a a b b".split())
+        assert not _accepts(g, "a b b".split())
+        assert not _accepts(g, "b a".split())
 
     def test_count4_language(self, grammars):
         g = grammars["count4"]
-        assert recognize_unbalanced(g, "a b c d".split())
-        assert recognize_unbalanced(g, "a a b b c c d d".split())
-        assert not recognize_unbalanced(g, "a b d c".split())
-        assert not recognize_unbalanced(g, "a a b c c d d".split())
-
-    def test_balanced_grammar_refused(self, grammars):
-        with pytest.raises(ValueError, match="recognize_general"):
-            recognize_unbalanced(grammars["itg_sep"], ["x", "#", "x"])
-
-    def test_dual_initial_refused(self, grammars):
-        with pytest.raises(EngineUnsupported):
-            recognize_unbalanced(grammars["dual_initial_demo"], ["a"])
+        assert _accepts(g, "a b c d".split())
+        assert _accepts(g, "a a b b c c d d".split())
+        assert not _accepts(g, "a b d c".split())
+        assert not _accepts(g, "a a b c c d d".split())
 
     def test_invalid_grammar_refused(self):
         r = Rule(0, "S", ("A", "A"), ((Var("g", 1), Var("b", 1)),), None, (1, 1, 1))
@@ -185,16 +163,16 @@ class TestRecognizeUnbalanced:
             "S", (r, lex), {"S": 1, "A": 1}, frozenset({"S", "A"}), frozenset({"a"})
         )
         with pytest.raises(GrammarError):
-            recognize_unbalanced(g, ["a", "a"])
+            run_recognition(g, ["a", "a"])
 
     def test_single_token_and_empty_input(self):
         g = parse_grammar("start S\nS -> : 'a'\n")
-        assert recognize_unbalanced(g, ["a"])
-        assert not recognize_unbalanced(g, ["a", "a"])
-        assert not recognize_unbalanced(g, [])
+        assert _accepts(g, ["a"])
+        assert not _accepts(g, ["a", "a"])
+        assert not _accepts(g, [])
 
     def test_unknown_token_rejected(self, grammars):
-        assert not recognize_unbalanced(grammars["cfg_anbn"], ["a", "q"])
+        assert not _accepts(grammars["cfg_anbn"], ["a", "q"])
 
 
 class TestRecognizeGeneral:
@@ -210,9 +188,13 @@ class TestRecognizeGeneral:
         ):
             toks = sentence.split()
             want, _ = tabular_recognize(g, toks)
-            assert recognize_general(g, toks) == want, sentence
+            res = run_recognition(g, toks)
+            assert res.stats["path"] == "general"
+            assert res.accepted == want, sentence
 
     def test_agrees_with_single_closure_on_unbalanced(self, grammars):
+        # the general loop, forced onto unbalanced grammars, reaches the
+        # verdict and the chart of the single closure
         for name, sentence in (
             ("cfg_anbn", "a a b b"),
             ("cfg_anbn", "a b a b"),
@@ -221,7 +203,10 @@ class TestRecognizeGeneral:
         ):
             g = grammars[name]
             toks = sentence.split()
-            assert recognize_general(g, toks) == recognize_unbalanced(g, toks)
+            general, chart, _ = _run(g, toks, general=True)
+            single, want, _ = _run(g, toks, general=False)
+            assert general == single, sentence
+            assert chart == want, sentence
 
 
 class TestRunRecognition:
@@ -235,36 +220,19 @@ class TestRunRecognition:
 
     def test_stats_shape(self, grammars):
         res = run_recognition(grammars["count4"], "a b c d".split())
-        for key in (
-            "n", "dim", "path", "backend", "closure",
-            "muls", "iterations", "outer_iterations", "facts", "seconds",
-        ):
-            assert key in res.stats, key
+        assert set(res.stats) == {
+            "n", "dim", "path", "kernel", "muls", "iterations",
+            "outer_iterations", "rounds", "facts", "seconds", "converted",
+        }
         assert res.stats["path"] == "single-closure"
         assert res.stats["n"] == 4
+        assert res.stats["kernel"] == KERNEL_KIND
 
     def test_balanced_takes_general_path(self, grammars):
         res = run_recognition(grammars["itg_sep"], "x # x".split())
         assert res.accepted
         assert res.stats["path"] == "general"
         assert res.stats["outer_iterations"] >= 1
-
-    def test_backend_and_closure_invariance(self, grammars):
-        for name, sentence in (("count4", "a b c d"), ("itg_sep", "x # x")):
-            g = grammars[name]
-            toks = sentence.split()
-            runs = [
-                run_recognition(g, toks, backend=b, closure_alg=c)
-                for b in ("naive", "bitset", "strassen")
-                for c in ("fixpoint", "valiant")
-            ]
-            assert len({r.accepted for r in runs}) == 1
-            first = runs[0].chart
-            assert all(r.chart == first for r in runs[1:])
-
-    def test_recognize_shortcut(self, grammars):
-        assert recognize(grammars["cfg_anbn"], ["a", "b"])
-        assert not recognize(grammars["cfg_anbn"], ["b"])
 
 
 class TestExtraction:
@@ -319,12 +287,6 @@ class TestExtraction:
         g = grammars["cfg_anbn"]
         sp = enumerate_space(0, space_rank(g))
         assert extract_derivation(ProductMatrix(sp), g, []) is None
-
-    def test_accepts_closure_wrapper(self, grammars):
-        g = grammars["cfg_anbn"]
-        clo, _ = _closed(g, "a b")
-        tree = extract_derivation(clo, g, "a b".split())
-        assert tree is not None and tree.nonterminal == "S"
 
     def test_deterministic(self, grammars):
         g = grammars["itg_sep"]
