@@ -1,6 +1,7 @@
 """Command-line front end: analyze | recognize | parse | bench.
 
-Exit codes: 0 accept (or success for analyze/bench), 1 reject, 2 error.
+Exit codes: 0 accept (or success for analyze/bench), 1 reject (or stdout
+closed by its reader), 2 error.
 """
 
 from __future__ import annotations
@@ -184,15 +185,16 @@ def main(argv=None) -> int:
         if sentence:
             p.add_argument("--sentence", required=True,
                            help="whitespace-separated tokens; @FILE reads a file")
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--omega", type=float, default=DEFAULT_OMEGA)
 
     p = sub.add_parser("analyze", help="report fan-out, contact rank, balance, exponents")
     common(p)
+    p.add_argument("--json", action="store_true")
+    p.add_argument("--omega", type=float, default=DEFAULT_OMEGA)
     p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser("recognize", help="ACCEPT/REJECT a sentence")
     common(p, sentence=True)
+    p.add_argument("--json", action="store_true")
     p.add_argument("--engine", choices=("matmul", "tabular"), default="matmul")
     p.set_defaults(fn=_cmd_recognize)
 
@@ -207,7 +209,16 @@ def main(argv=None) -> int:
 
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()      # so that a closed pipe shows up here
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (``lcfrs parse ... | head``): not an
+        # error; point stdout at devnull so the flush at exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (GrammarError, EngineUnsupported, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

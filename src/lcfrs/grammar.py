@@ -386,9 +386,10 @@ def is_balanced(g: Grammar) -> bool:
     configurations that each expose all of its endpoints.
 
     Such a nonterminal occupies cells whose row and column are both
-    full-length for it, in more than one split, so facts must be relayed
-    between splits by the copying pass between closures rather than inside
-    a single closure.
+    full-length for it, in more than one split, so its facts reach the
+    other splits only by pi-copy, not by the copy symbols in the matrix.
+    The paper alternates closure with copying for these grammars, which
+    costs the +1 in the predicted exponent.
     """
     for nt in g.nonterminals:
         full = {c for c in config_set(g, nt) if len(c) == g.fanout[nt]}

@@ -1,10 +1,10 @@
 """Transitive closure of seed matrices and the recognition entry point.
 
-Recognition is closure of the seed matrix under the cell product.  When no
-nonterminal is used in two different full-length endpoint configurations, a
-single closure settles everything (in-matrix copy chains relay facts between
-the splits that actually occur); otherwise closure alternates with a copying
-pass until the matrix stops growing.
+Recognition is closure of the seed matrix under the cell product and under
+copying each nonterminal fact to every cell that describes the same spans
+(pi-copy).  Both distribute over union, so one semi-naive loop evaluates
+them together: each round copies its new facts onto their equivalent cells,
+and the next round multiplies the copies along with the products.
 """
 
 from __future__ import annotations
@@ -14,14 +14,13 @@ from dataclasses import dataclass, field
 
 from .addresses import enumerate_space, splits_of_endpoints
 from . import boolmat
-from .boolmat import KERNEL_KIND, plane_product, scatter_planes, tables_for
+from .boolmat import BoolMatrix, KERNEL_KIND, plane_product, scatter_planes, tables_for
 from .engine import (
     CopySym,
     EngineUnsupported,
     ProductMatrix,
     _role_fits,
     engine_ready,
-    pi_copy,
     seed,
 )
 from .grammar import (
@@ -31,7 +30,6 @@ from .grammar import (
     analyze,
     configurations,
     contact_rank,
-    is_balanced,
     is_single_initial,
     to_single_initial,
     validate,
@@ -58,20 +56,42 @@ def space_rank(g: Grammar) -> int:
     return d
 
 
-def closure_fixpoint(T: ProductMatrix, g: Grammar, tables=None) -> Closure:
-    """Least fixpoint of X -> T | X*X, evaluated semi-naively on bit planes.
+def pi_copy(planes: dict, space) -> dict:
+    """Plane form of ``engine.pi_copy``: each nonterminal plane with its
+    facts also set on every cell whose addresses merge to the same
+    endpoints.  Cells with a mark or an undefined merge copy nowhere.  The
+    work grows with the facts given, not with the space."""
+    addrs, ids = space.addresses, space.unmarked_ids
+    out = {}
+    for nt, bits in planes.items():
+        flats = set()
+        for r, c in bits.nonzero_cells():
+            a, b = addrs[r], addrs[c]
+            if (a.mark < 0 and b.mark < 0 and b.positions[0] > a.positions[0]
+                    and not (len(a) + len(b)) % 2):
+                flats.add(tuple(sorted(a.positions + b.positions)))
+        cells = [(ids[row], ids[col])
+                 for flat in flats for row, col in splits_of_endpoints(flat, space.d)]
+        out[nt] = bits | BoolMatrix.from_cells(space.dim, cells) if cells else bits
+    return out
+
+
+def closure_fixpoint(T: ProductMatrix, g: Grammar) -> Closure:
+    """Least fixpoint of X -> pi(X | X*X) above T, evaluated semi-naively on
+    bit planes.  T must be closed under pi-copy, as every seed is.
 
     T is split into symbol planes once.  The copy-symbol planes C never
     change, because products emit only nonterminals.  Each round multiplies
     only the terms of (X | C) * (X | C) that read a fact the round before
-    added (D): every product term distributes over OR, and the terms that
-    read no D fact were multiplied the round before.  Round 1 takes all of
-    X as D, so it is the full product.  Round k therefore holds exactly the
-    facts of round k of naive iteration, and ``iterations`` counts the same
+    added (D), then copies its new facts to their equivalent cells.  Both
+    steps distribute over OR, and X stays closed under copying, so the terms
+    that read no D fact and the copies of older facts are in X already.
+    Round 1 takes all of X as D.  Round k therefore holds exactly the facts
+    of round k of naive iteration, and ``iterations`` counts the same
     rounds, the last of which adds nothing.  The planes are scattered back
     into a copy of T once, at the end."""
+    tab = tables_for(g, T.space)
     t0 = time.perf_counter()
-    tab = tables or tables_for(g, T.space)
     # looked up on the module, so that a wrapper installed there sees it
     seeded = boolmat.symbol_planes(T)
     copies = {s: p for s, p in seeded.items() if isinstance(s, CopySym)}
@@ -84,18 +104,18 @@ def closure_fixpoint(T: ProductMatrix, g: Grammar, tables=None) -> Closure:
         chart = {**X, **copies}
         fresh = {}
         for nt, bits in plane_product(chart, chart, g, tab, stats, delta).items():
-            have = X.get(nt)
-            if have is not None:
-                bits = bits - have
+            if nt in X:
+                bits = bits - X[nt]
             if bits.any():
                 fresh[nt] = bits
+        for nt, bits in pi_copy(fresh, T.space).items():
+            fresh[nt] = bits - X[nt] if nt in X else bits
         rounds.append({"muls": stats["muls"] - before,
                        "new_facts": sum(b.count() for b in fresh.values())})
         if not fresh:
             break
         for nt, bits in fresh.items():
-            have = X.get(nt)
-            X[nt] = bits if have is None else have | bits
+            X[nt] = X[nt] | bits if nt in X else bits
         delta = fresh
     out = T.copy()
     scatter_planes({nt: bits - seeded[nt] if nt in seeded else bits
@@ -105,54 +125,6 @@ def closure_fixpoint(T: ProductMatrix, g: Grammar, tables=None) -> Closure:
 
 def _top_cell(space, n):
     return space.unmarked_ids[(0,)], space.unmarked_ids[(n,)]
-
-
-def _run(g: Grammar, sentence, general: bool):
-    """Recognition core; returns (accepted, chart, stats)."""
-    tokens = tuple(sentence)
-    n = len(tokens)
-    space = enumerate_space(n, space_rank(g))
-    tables = tables_for(g, space)
-    T = seed(g, tokens, space)
-    t0 = time.perf_counter()
-    muls = iters = 0
-    outer = 0
-    rounds = []
-    if general:
-        while True:
-            outer += 1
-            clo = closure_fixpoint(pi_copy(T), g, tables)
-            muls += clo.muls
-            iters += clo.iterations
-            rounds += clo.rounds
-            if clo.matrix.fact_count() == T.fact_count():
-                assert clo.matrix == T
-                break
-            T = clo.matrix
-        chart = T
-    else:
-        outer = 1
-        clo = closure_fixpoint(T, g, tables)
-        muls, iters, rounds = clo.muls, clo.iterations, clo.rounds
-        # the verdict cell has a unique split, but downstream consumers
-        # (derivation extraction, invariant checks) expect the published
-        # chart closed under equivalent-cell copying
-        chart = pi_copy(clo.matrix)
-    i, j = _top_cell(space, n)
-    accepted = n > 0 and g.start in chart.get(i, j)
-    stats = {
-        "n": n,
-        "dim": space.dim,
-        "path": "general" if general else "single-closure",
-        "kernel": KERNEL_KIND,
-        "muls": muls,
-        "iterations": iters,
-        "outer_iterations": outer,
-        "rounds": rounds,
-        "facts": chart.fact_count(),
-        "seconds": time.perf_counter() - t0,
-    }
-    return accepted, chart, stats
 
 
 @dataclass
@@ -165,7 +137,7 @@ class RunResult:
 
 
 def run_recognition(g: Grammar, sentence) -> RunResult:
-    """Validate, convert to single-initial if needed, dispatch on balance."""
+    """Validate, convert to single-initial if needed, and close the seed."""
     problems = validate(g)
     if problems:
         raise GrammarError("; ".join(problems))
@@ -175,9 +147,24 @@ def run_recognition(g: Grammar, sentence) -> RunResult:
     if problems:
         raise EngineUnsupported("; ".join(problems))
     report = analyze(work)
-    accepted, chart, stats = _run(work, sentence, is_balanced(work))
-    stats["converted"] = converted
-    return RunResult(accepted, work, chart, report, stats)
+    tokens = tuple(sentence)
+    n = len(tokens)
+    space = enumerate_space(n, space_rank(work))
+    clo = closure_fixpoint(seed(work, tokens, space), work)
+    i, j = _top_cell(space, n)
+    accepted = n > 0 and work.start in clo.matrix.get(i, j)
+    stats = {
+        "n": n,
+        "dim": space.dim,
+        "kernel": KERNEL_KIND,
+        "muls": clo.muls,
+        "iterations": clo.iterations,
+        "rounds": clo.rounds,
+        "facts": clo.matrix.fact_count(),
+        "seconds": clo.seconds,
+        "converted": converted,
+    }
+    return RunResult(accepted, work, clo.matrix, report, stats)
 
 
 # ---------------------------------------------------------------------------

@@ -165,11 +165,12 @@ def test_05_backend_equivalence():
 
 
 def _cell_by_cell_closure(T, g):
-    """Least fixpoint of X <- X | X*X with the cell-by-cell product, which
-    shares no code with the bit-plane closure."""
+    """Least fixpoint of X <- pi(X | X*X) with the cell-by-cell product and
+    the dict-based copy step, which share no code with the bit-plane
+    closure."""
     X = T
     while True:
-        grown = union(X, matrix_product(X, X, g))
+        grown = pi_copy(union(X, matrix_product(X, X, g)))
         if grown == X:
             return X
         X = grown

@@ -1,4 +1,7 @@
+import errno
+import io
 import json
+import os
 import subprocess
 import sys
 
@@ -92,16 +95,14 @@ class TestRecognize:
         assert data["stats"].pop("seconds") >= 0
         assert data["stats"].pop("rounds") == [
             {"muls": m, "new_facts": f}
-            for m, f in ((15, 26), (19, 20), (12, 8), (12, 2), (7, 2), (12, 1), (6, 2),
-                         (6, 0), (21, 3), (6, 2), (6, 1), (6, 0), (21, 0))
+            for m, f in ((15, 32), (21, 25), (18, 11), (12, 2), (6, 0))
         ]
         assert data == {
             "sentence": ["x", "y", "#", "y", "x"],
             "accepted": True,
             "stats": {
-                "n": 5, "dim": 251, "path": "general", "kernel": KERNEL_KIND,
-                "muls": 149, "iterations": 13,
-                "outer_iterations": 3, "facts": 589, "converted": False,
+                "n": 5, "dim": 251, "kernel": KERNEL_KIND,
+                "muls": 72, "iterations": 5, "facts": 589, "converted": False,
                 "engine": "matmul",
             },
         }
@@ -115,13 +116,20 @@ class TestRecognize:
         assert code == 0 and out.strip() == "ACCEPT"
 
     def test_backend_flags(self, capsys):
-        # recognition has one configuration; the old selectors are gone
-        for flag, value in (("--backend", "bitset"), ("--closure", "fixpoint")):
+        # recognition has one configuration, and recognize/parse take no
+        # option they would ignore (omega only changes analyze's figures,
+        # and parse always prints JSON)
+        for cmd, flag in (
+            ("recognize", ["--backend", "bitset"]),
+            ("recognize", ["--closure", "fixpoint"]),
+            ("recognize", ["--omega", "2"]),
+            ("parse", ["--omega", "2"]),
+            ("parse", ["--json"]),
+        ):
             with pytest.raises(SystemExit) as exc:
-                main(["recognize", "--grammar", "count4", "--sentence", "a b c d",
-                      flag, value])
+                main([cmd, "--grammar", "count4", "--sentence", "a b c d"] + flag)
             assert exc.value.code == 2
-            assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
+            assert "unrecognized arguments: %s" % flag[0] in capsys.readouterr().err
 
 
 class TestParse:
@@ -176,6 +184,27 @@ class TestErrors:
         )
         assert code == 2
         assert "error:" in err
+
+    def test_closed_stdout_is_not_an_error(self, capsys, monkeypatch, tmp_path):
+        # ``lcfrs parse ... | head -1``: the reader closes the pipe early
+        class ClosedPipe(io.TextIOBase):
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+            def fileno(self):
+                return self.fd
+
+        with open(tmp_path / "stdout", "w") as fh:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(fh.fileno()))
+            code = main(["parse", "--grammar", "count4", "--sentence", "a b c d"])
+            monkeypatch.undo()
+            # what is left in stdout's buffer goes nowhere at exit
+            assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+        assert code == 1
+        assert capsys.readouterr().err == ""
 
     def test_console_entry_point(self):
         proc = subprocess.run(
