@@ -67,6 +67,8 @@ def _cmd_analyze(args) -> int:
             ", +1 balanced" if report.balanced else "",
         )
     )
+    print("runtime rank = %d" % report.runtime_rank)
+    print("predicted matmul exponent at runtime rank = %.4f" % report.runtime_exponent)
     print("tabular exponent = %d" % report.tabular_exponent)
     return 0
 

@@ -367,6 +367,27 @@ def contact_rank(g: Grammar) -> int:
     return best
 
 
+def space_rank(g: Grammar) -> int:
+    """Address length the engine runs at: the largest ``per_rule_d`` over the
+    binary rules whose products happen inside the matrix, and never less
+    than the widest lexical fact the seed must store.
+
+    When the start symbol is on no right-hand side, its binary rules are
+    left out: a start fact feeds no other rule, so the recognizer applies
+    those rules after the closure, by a join over the child facts, and the
+    matrix never needs their (possibly longer) addresses.  Otherwise every
+    binary rule counts, and this is the contact rank.
+    ``max(contact_rank(g), space_rank(g))`` is the rank at which every rule,
+    start rules included, fits inside the matrix."""
+    rules = g.binary_rules()
+    if not any(g.start in r.rhs for r in rules):
+        rules = [r for r in rules if r.lhs != g.start]
+    d = max((per_rule_d(r) for r in rules), default=1)
+    for r in g.lexical_rules():
+        d = max(d, g.fanout[r.lhs])
+    return d
+
+
 def config_set(g: Grammar, nt: str) -> frozenset:
     """Every endpoint configuration in which ``nt`` plays a role."""
     out = set()
@@ -530,6 +551,10 @@ class AnalysisReport:
     omega: float
     predicted_matmul_exponent: float
     tabular_exponent: int
+    # the rank the engine runs at, and the exponent predicted at that rank,
+    # both for the grammar it runs (after the single-initial rewrite)
+    runtime_rank: int
+    runtime_exponent: float
 
     def to_json(self):
         return {
@@ -555,6 +580,8 @@ class AnalysisReport:
             "omega": self.omega,
             "predicted_matmul_exponent": self.predicted_matmul_exponent,
             "tabular_exponent": self.tabular_exponent,
+            "runtime_rank": self.runtime_rank,
+            "runtime_exponent": self.runtime_exponent,
         }
 
 
@@ -566,6 +593,9 @@ def analyze(g: Grammar, omega: float = DEFAULT_OMEGA) -> AnalysisReport:
     )
     balanced = is_balanced(g)
     p = max((sum(r.fo) for r in g.binary_rules()), default=1)
+    work = to_single_initial(g)
+    runtime_rank = space_rank(work)
+    runtime_balanced = balanced if work is g else is_balanced(work)
     return AnalysisReport(
         f=max(g.fanout.values()),
         d=d,
@@ -576,4 +606,6 @@ def analyze(g: Grammar, omega: float = DEFAULT_OMEGA) -> AnalysisReport:
         omega=omega,
         predicted_matmul_exponent=omega * d + (1 if balanced else 0),
         tabular_exponent=p,
+        runtime_rank=runtime_rank,
+        runtime_exponent=omega * runtime_rank + (1 if runtime_balanced else 0),
     )

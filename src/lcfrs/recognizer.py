@@ -5,6 +5,10 @@ copying each nonterminal fact to every cell that describes the same spans
 (pi-copy).  Both distribute over union, so one semi-naive loop evaluates
 them together: each round copies its new facts onto their equivalent cells,
 and the next round multiplies the copies along with the products.
+
+The closure runs at ``space_rank``, which leaves out the start rules when
+the start symbol is on no right-hand side; those rules are then applied to
+the closed chart by a join over their children's span facts.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from .grammar import (
     GrammarError,
     analyze,
     configurations,
-    contact_rank,
     is_single_initial,
+    space_rank,
     to_single_initial,
     validate,
 )
@@ -45,15 +49,6 @@ class Closure:
     # one {"muls", "new_facts"} record per iteration: the multiplies it made
     # and the nonterminal facts it added
     rounds: list = field(default_factory=list)
-
-
-def space_rank(g: Grammar) -> int:
-    """Address length the engine needs: the grammar's contact rank, but never
-    less than the widest lexical fact the seed must store."""
-    d = contact_rank(g)
-    for r in g.lexical_rules():
-        d = max(d, g.fanout[r.lhs])
-    return d
 
 
 def pi_copy(planes: dict, space) -> dict:
@@ -127,6 +122,62 @@ def _top_cell(space, n):
     return space.unmarked_ids[(0,)], space.unmarked_ids[(n,)]
 
 
+def _span_facts(chart: ProductMatrix, nts) -> dict:
+    """``{nonterminal: set of sorted endpoint tuples}`` for the nonterminals
+    in ``nts``, read off the chart's unmarked cells whose merge is defined."""
+    addrs = chart.space.addresses
+    out = {}
+    for (r, c), syms in chart.cells.items():
+        hit = nts.intersection(syms)
+        if not hit:
+            continue
+        a, b = addrs[r], addrs[c]
+        if a.mark >= 0 or b.mark >= 0 or b.positions[0] <= a.positions[0]:
+            continue
+        flat = tuple(sorted(a.positions + b.positions))
+        for nt in hit:
+            out.setdefault(nt, set()).add(flat)
+    return out
+
+
+def _start_witness(chart: ProductMatrix, g: Grammar, n: int):
+    """The first ``(rule, left endpoints, right endpoints)``, in rule-id and
+    then endpoint order, by which a binary start rule derives (0, n) from two
+    facts of the chart; None when there is none.
+
+    The start symbol has fan-out 1, so the rule's one template lays the
+    children's spans end to end over (0, n): a first-child fact beginning at
+    0 fixes every span of the second child, the gaps between its own spans
+    and after its last one.  Each such fact costs one set lookup."""
+    rules = sorted((r for r in g.binary_rules() if r.lhs == g.start), key=lambda r: r.rid)
+    if not rules:
+        return None
+    facts = _span_facts(chart, {nt for r in rules for nt in r.rhs})
+    for r in rules:
+        B, C = r.rhs
+        right_facts = facts.get(C)
+        if not right_facts:
+            continue
+        (template,) = r.comp
+        ends_with_b = template[-1].side == "b"
+        for left in sorted(facts.get(B, ())):
+            if left[0] != 0:
+                break
+            if ends_with_b and left[-1] != n:
+                continue
+            spans = _spans_of(left)
+            right = []
+            for t, v in enumerate(template):
+                if v.side == "g":
+                    start = spans[template[t - 1].index - 1][1]
+                    end = spans[template[t + 1].index - 1][0] if t + 1 < len(template) else n
+                    right += (start, end)
+            right = tuple(right)
+            if right in right_facts:
+                return r, left, right
+    return None
+
+
 @dataclass
 class RunResult:
     accepted: bool
@@ -152,9 +203,11 @@ def run_recognition(g: Grammar, sentence) -> RunResult:
     space = enumerate_space(n, space_rank(work))
     clo = closure_fixpoint(seed(work, tokens, space), work)
     i, j = _top_cell(space, n)
-    accepted = n > 0 and work.start in clo.matrix.get(i, j)
+    accepted = n > 0 and (work.start in clo.matrix.get(i, j)
+                          or _start_witness(clo.matrix, work, n) is not None)
     stats = {
         "n": n,
+        "rank": space.d,
         "dim": space.dim,
         "kernel": KERNEL_KIND,
         "muls": clo.muls,
@@ -193,8 +246,12 @@ def _spans_of(flat):
 def extract_derivation(chart: ProductMatrix, g: Grammar, sentence):
     """Backtrack a derivation tree out of a recognition chart.
 
-    Returns None when the start symbol is absent from ((0),(n)).  A present
-    start fact that cannot be rebuilt from the chart is a hard error: the
+    When the top cell ((0),(n)) holds the start symbol, the tree is rebuilt
+    from that fact.  Otherwise its top node comes from ``_start_witness``,
+    the start rule joined over two child facts of the chart, as
+    ``run_recognition`` accepts it, and everything below that node is
+    rebuilt from the chart.  Returns None when neither exists.  A start fact
+    or witness that cannot be rebuilt from the chart is a hard error: the
     chart lied.
     """
     tokens = tuple(sentence)
@@ -204,8 +261,11 @@ def extract_derivation(chart: ProductMatrix, g: Grammar, sentence):
     space = chart.space
     addrs = space.addresses
     i0, j0 = _top_cell(space, n)
+    witness = None
     if g.start not in chart.get(i0, j0):
-        return None
+        witness = _start_witness(chart, g, n)
+        if witness is None:
+            return None
 
     nt_cells = {}
     by_row: dict = {}
@@ -271,10 +331,15 @@ def extract_derivation(chart: ProductMatrix, g: Grammar, sentence):
         memo[key] = node
         return node
 
-    root = justify(g.start, (0, n))
+    if witness is None:
+        root = justify(g.start, (0, n))
+    else:
+        r, left_flat, right_flat = witness
+        children = (justify(r.rhs[0], left_flat), justify(r.rhs[1], right_flat))
+        root = DerivationNode(g.start, r.rid, ((0, n),), children) if all(children) else None
     if root is None:
         raise RuntimeError(
-            "start fact present at ((0),(%d)) but no derivation rebuilds it; "
-            "the chart is inconsistent" % n
+            "start fact or start-rule witness present for (0, %d) but no "
+            "derivation rebuilds it; the chart is inconsistent" % n
         )
     return root

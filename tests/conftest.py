@@ -11,9 +11,16 @@ import pytest
 
 from lcfrs import bundled
 from lcfrs.engine import pi_copy
-from lcfrs.grammar import Grammar, Rule, Var, per_rule_d, validate
+from lcfrs.grammar import Grammar, Rule, Var, contact_rank, per_rule_d, validate
 from lcfrs.oracle import enumerate_language, tabular_recognize
-from lcfrs.recognizer import run_recognition
+from lcfrs.recognizer import run_recognition, space_rank
+
+
+def full_rank(g: Grammar) -> int:
+    """The rank at which every rule, start rules included, has its products
+    inside the matrix.  Tests that compare two products or two closures use
+    it, so that the start rules stay among the compared cases."""
+    return max(contact_rank(g), space_rank(g))
 
 
 @pytest.fixture(scope="session")

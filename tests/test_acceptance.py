@@ -25,9 +25,9 @@ from lcfrs.grammar import (
     validate,
 )
 from lcfrs.oracle import tabular_recognize
-from lcfrs.recognizer import closure_fixpoint, extract_derivation, space_rank
+from lcfrs.recognizer import closure_fixpoint, extract_derivation
 
-from conftest import _chart_violations, random_grammar
+from conftest import _chart_violations, full_rank, random_grammar
 
 # matrices produced by checks 3-6, re-examined by check 7
 MATERIALIZED = []
@@ -130,7 +130,7 @@ def test_04_reduction_equivalence():
         g = random_grammar(rng, d_cap=4)
         n = rng.randint(1, 5)
         toks = [rng.choice("ab") for _ in range(n)]
-        sp = enumerate_space(n, space_rank(g))
+        sp = enumerate_space(n, full_rank(g))
         T = seed(g, toks, sp)
         for _ in range(rng.choice((0, 0, 1, 2))):
             T = union(T, matrix_product(T, T, g))
@@ -191,7 +191,7 @@ def test_06_closure_equivalence(grammars):
         cases.append((name, grammars[name], sentence.split()))
     bad = []
     for t, (label, g, toks) in enumerate(cases):
-        T = seed(g, toks, enumerate_space(len(toks), space_rank(g)))
+        T = seed(g, toks, enumerate_space(len(toks), full_rank(g)))
         fix = closure_fixpoint(T, g)
         if fix.matrix != _cell_by_cell_closure(T, g):
             bad.append(label)

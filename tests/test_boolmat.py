@@ -21,9 +21,8 @@ from lcfrs.boolmat import (
 )
 from lcfrs.engine import CopySym, ProductMatrix, _role_fits, matrix_product, seed, union
 from lcfrs.grammar import configurations, is_single_initial, parse_grammar, to_single_initial
-from lcfrs.recognizer import space_rank
 
-from conftest import BOTH_CHILDREN_GROW
+from conftest import BOTH_CHILDREN_GROW, full_rank
 
 BACKENDS = ("naive", "bitset")
 
@@ -217,7 +216,7 @@ class TestScatter:
     def test_symbol_planes_match_cell_by_cell(self, grammars):
         g = grammars["count4"]
         toks = "a b c d".split()
-        sp = enumerate_space(len(toks), space_rank(g))
+        sp = enumerate_space(len(toks), full_rank(g))
         T = seed(g, toks, sp)
         T = union(T, matrix_product(T, T, g))
         want = {}
@@ -231,7 +230,7 @@ class TestScatter:
 
 
 def _planes_after_one_product(g, toks):
-    sp = enumerate_space(len(toks), space_rank(g))
+    sp = enumerate_space(len(toks), full_rank(g))
     T = seed(g, toks, sp)
     return T, union(T, matrix_product(T, T, g)), tables_for(g, sp)
 
@@ -308,7 +307,7 @@ class TestFactors:
             ("both_grow", both_grow, "a a b a b"),
         ):
             toks = sentence.split()
-            sp = enumerate_space(len(toks), space_rank(g))
+            sp = enumerate_space(len(toks), full_rank(g))
             tab = tables_for(g, sp)
             T = seed(g, toks, sp)
             for step in range(3):
@@ -332,7 +331,7 @@ class TestRoleMask:
     def test_matches_cell_by_cell(self, grammars):
         checked = 0
         for name, g in grammars.items():
-            d = space_rank(g if is_single_initial(g) else to_single_initial(g))
+            d = full_rank(g if is_single_initial(g) else to_single_initial(g))
             for n in range(7):
                 sp = enumerate_space(n, d)
                 tab = tables_for(g, sp)
@@ -366,7 +365,7 @@ class TestReduction:
     def test_matches_reference_product(self, grammars, name, sentence):
         g = grammars[name]
         toks = sentence.split()
-        sp = enumerate_space(len(toks), space_rank(g))
+        sp = enumerate_space(len(toks), full_rank(g))
         T = seed(g, toks, sp)
         ref = matrix_product(T, T, g)
         stats = {}
@@ -377,7 +376,7 @@ class TestReduction:
     def test_agrees_on_powers(self, grammars):
         g = grammars["count4"]
         toks = "a b c d".split()
-        sp = enumerate_space(len(toks), space_rank(g))
+        sp = enumerate_space(len(toks), full_rank(g))
         T = seed(g, toks, sp)
         tab = tables_for(g, sp)
         for _ in range(3):

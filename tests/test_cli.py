@@ -25,6 +25,8 @@ class TestAnalyze:
         assert "contact rank d = 3" in out
         assert "balanced = no" in out
         assert "single-initial = yes" in out
+        assert "runtime rank = 2" in out
+        assert "predicted matmul exponent at runtime rank = 4.7457" in out
         assert "tabular exponent = 6" in out
 
     def test_json_report(self, capsys):
@@ -33,6 +35,8 @@ class TestAnalyze:
         data = json.loads(out)
         assert data["d"] == 3
         assert data["balanced"] is True
+        assert data["runtime_rank"] == 2
+        assert data["runtime_exponent"] == pytest.approx(2 * data["omega"] + 1)
 
     def test_omega_flag(self, capsys):
         _, out2, _ = run(capsys, "analyze", "--grammar", "cfg_anbn", "--omega", "2")
@@ -95,14 +99,14 @@ class TestRecognize:
         assert data["stats"].pop("seconds") >= 0
         assert data["stats"].pop("rounds") == [
             {"muls": m, "new_facts": f}
-            for m, f in ((15, 32), (21, 25), (18, 11), (12, 2), (6, 0))
+            for m, f in ((14, 3), (8, 0))
         ]
         assert data == {
             "sentence": ["x", "y", "#", "y", "x"],
             "accepted": True,
             "stats": {
-                "n": 5, "dim": 251, "kernel": KERNEL_KIND,
-                "muls": 72, "iterations": 5, "facts": 589, "converted": False,
+                "n": 5, "rank": 2, "dim": 69, "kernel": KERNEL_KIND,
+                "muls": 22, "iterations": 2, "facts": 128, "converted": False,
                 "engine": "matmul",
             },
         }
@@ -174,6 +178,13 @@ class TestBench:
             ["cfg_anbn", "4", "matmul", "12", "9"],
             ["cfg_anbn", "4", "tabular", "7", "0"],
         ]
+
+    def test_guard_uses_the_runtime_rank(self, capsys):
+        # count4 runs at rank 2: about 1,749 rows at n=32, under DIM_CAP
+        code, out, err = run(capsys, "bench", "--grammar", "count4", "--max-len", "32")
+        assert code == 0 and err == ""
+        rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
+        assert ["count4", "32", "matmul"] in [row[:3] for row in rows]
 
 
 class TestErrors:

@@ -284,9 +284,9 @@ class TestDump:
 
         want = {
             ("count4", "a b c d"): (
-                348, "1447ae91052c72922facbd62ddb2404e530ecd8645c6fbdf2b0beb78f3e026b6"),
+                86, "c4f992ed5bf514f3b368397023b08e8da88a9d333018b7749857f4fcdaacaba3"),
             ("itg_sep", "x y # y x"): (
-                589, "e64733ebe7474a85d1ae35ce1b2ac620a95f85dc1f24b2400b315b5f95634041"),
+                128, "edf0453afe0b61fc1f7b404b5d7d968cc54863577e19aff166bff416ccdd6a4d"),
         }
         for (name, sentence), (lines, digest) in want.items():
             text = run_recognition(grammars[name], sentence.split()).chart.dump()

@@ -261,6 +261,17 @@ class TestContactRank:
     def test_per_rule_value_on_concatenation(self):
         assert per_rule_d(one_rule("S -> A B : b1 g1 b2 g2")) == 3
 
+    def test_space_rank_leaves_out_start_rules(self, grammars):
+        got = {name: space_rank(g) for name, g in grammars.items()}
+        assert got == {
+            "cfg_anbn": 1,          # its start symbol is on a right-hand side
+            "count4": 2,
+            "tag_style": 2,
+            "itg_sep": 2,
+            "dual_initial_demo": 2,  # 3 once the rewrite widens B
+        }
+        assert space_rank(to_single_initial(grammars["dual_initial_demo"])) == 3
+
     def test_space_rank_covers_lexical_fanout(self):
         # a wide lexical nonterminal needs addresses longer than any contact
         g = parse_grammar("start S\nS -> : 's'\nA -> : 'a' , 'b' , 'c'\n")
@@ -358,6 +369,19 @@ class TestAnalyze:
     def test_balanced_adds_one(self, grammars):
         rep = analyze(grammars["itg_sep"])
         assert rep.predicted_matmul_exponent == pytest.approx(rep.omega * 3 + 1)
+
+    def test_runtime_rank(self, grammars):
+        # start rules joined outside the matrix: ITG at 2*omega+1 as in the
+        # paper, count4 at 2*omega; dual_initial_demo's rewrite adds a
+        # fan-out-3 nonterminal, so it stays at 3
+        got = {name: analyze(grammars[name])
+               for name in ("itg_sep", "count4", "dual_initial_demo")}
+        assert got["itg_sep"].runtime_rank == 2
+        assert got["itg_sep"].runtime_exponent == pytest.approx(5.7457, abs=1e-4)
+        assert got["count4"].runtime_rank == 2
+        assert got["count4"].runtime_exponent == pytest.approx(4.7457, abs=1e-4)
+        assert got["dual_initial_demo"].runtime_rank == 3
+        assert [rep.d for rep in got.values()] == [3, 3, 3]
 
     def test_json_round_trip(self, grammars):
         rep = analyze(grammars["tag_style"])

@@ -13,18 +13,20 @@ from lcfrs.grammar import (
 from lcfrs.oracle import enumerate_language, tabular_recognize
 from lcfrs import recognizer
 from lcfrs.recognizer import (
+    _span_facts,
+    _top_cell,
     closure_fixpoint,
     extract_derivation,
     run_recognition,
     space_rank,
 )
 
-from conftest import BOTH_CHILDREN_GROW, random_grammar
+from conftest import BOTH_CHILDREN_GROW, full_rank, random_grammar, sweep_sentences
 
 
 def _closed(g, sentence):
     toks = sentence.split()
-    sp = enumerate_space(len(toks), space_rank(g))
+    sp = enumerate_space(len(toks), full_rank(g))
     return closure_fixpoint(seed(g, toks, sp), g), sp
 
 
@@ -91,7 +93,7 @@ def _bundled_cases(grammars):
 
 class TestSemiNaiveClosure:
     def _check(self, g, toks, label):
-        sp = enumerate_space(len(toks), space_rank(g))
+        sp = enumerate_space(len(toks), full_rank(g))
         T = seed(g, toks, sp)
         assert pi_copy(T) == T, label     # the closure's precondition
         want, iterations, muls = _naive_closure(T, g)
@@ -124,7 +126,7 @@ class TestSemiNaiveClosure:
     def test_round_trace_adds_up(self, grammars):
         g = grammars["count4"]
         toks = "a a b b c c d d".split()
-        sp = enumerate_space(len(toks), space_rank(g))
+        sp = enumerate_space(len(toks), full_rank(g))
         T = seed(g, toks, sp)
         clo = closure_fixpoint(T, g)
         assert len(clo.rounds) == clo.iterations
@@ -137,6 +139,38 @@ class TestSemiNaiveClosure:
             stats = run_recognition(grammars[name], sentence.split()).stats
             assert len(stats["rounds"]) == stats["iterations"], name
             assert sum(r["muls"] for r in stats["rounds"]) == stats["muls"], name
+
+
+class TestStartRulesOutsideMatrix:
+    """``count4`` and ``itg_sep`` get contact rank 3 only from their start
+    rule, so the engine closes them at rank 2 and applies the start rule by
+    a join over the closed chart."""
+
+    def test_non_start_facts_match_the_full_rank(self, grammars):
+        for name, sentences in (
+            ("count4", [list(t) for n in range(1, 5)
+                        for t in itertools.product("abcd", repeat=n)]),
+            ("itg_sep", sweep_sentences("itg_sep")),
+        ):
+            g = grammars[name]
+            assert (space_rank(g), full_rank(g)) == (2, 3), name
+            nts = set(g.nonterminals - {g.start})
+            for toks in sentences:
+                full, _ = _closed(g, " ".join(toks))
+                sp = enumerate_space(len(toks), space_rank(g))
+                runtime = closure_fixpoint(seed(g, toks, sp), g)
+                assert (_span_facts(runtime.matrix, nts)
+                        == _span_facts(full.matrix, nts)), (name, toks)
+
+    def test_start_fact_comes_from_the_join(self, grammars):
+        g = grammars["count4"]
+        toks = "a a b c c d".split()
+        res = run_recognition(g, toks)
+        assert res.accepted and res.stats["rank"] == 2
+        assert g.start not in res.chart.get(*_top_cell(res.chart.space, len(toks)))
+        tree = extract_derivation(res.chart, g, toks)
+        assert (tree.rule, tree.spans) == (0, ((0, 6),))
+        assert [c.spans for c in tree.children] == [((0, 2), (3, 5)), ((2, 3), (5, 6))]
 
 
 def _accepts(g, tokens):
@@ -197,10 +231,12 @@ class TestRecognizeGeneral:
 # Sentences the engine rejects although both oracles accept them.  Every one
 # of these grammars has an empty lexical span (or gains one from the
 # single-initial rewrite); the cause is not found yet.  The list is exact,
-# so a fix shows up here too, and shortens it.
+# so a fix shows up here too, and shortens it.  Seeds 103 and 169 ("b b")
+# left it when the start rules were joined over the chart's span facts,
+# which needs no cell for the start rule's own product.
 RANDOM_FALSE_REJECTS = [
-    (45, "b b"), (63, "a a"), (103, "b b"), (150, "a a b"), (150, "a b b"),
-    (169, "b b"), (173, "b b a"), (238, "a a a"), (288, "b b b"),
+    (45, "b b"), (63, "a a"), (150, "a a b"), (150, "a b b"),
+    (173, "b b a"), (238, "a a a"), (288, "b b b"),
 ]
 
 
@@ -238,13 +274,13 @@ class TestRunRecognition:
     def test_stats_shape(self, grammars):
         res = run_recognition(grammars["count4"], "a b c d".split())
         assert set(res.stats) == {
-            "n", "dim", "kernel", "muls", "iterations",
+            "n", "rank", "dim", "kernel", "muls", "iterations",
             "rounds", "facts", "seconds", "converted",
         }
         assert res.stats["n"] == 4
         assert res.stats["kernel"] == KERNEL_KIND
-        assert (res.stats["dim"], res.stats["muls"], res.stats["iterations"],
-                res.stats["facts"]) == (160, 105, 4, 390)
+        assert (res.stats["rank"], res.stats["dim"], res.stats["muls"],
+                res.stats["iterations"], res.stats["facts"]) == (2, 50, 26, 1, 92)
 
     def test_balanced_grammar_runs_one_closure(self, grammars, monkeypatch):
         # one closure publishes the chart; every copy step runs inside it
