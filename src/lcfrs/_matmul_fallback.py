@@ -3,7 +3,7 @@
 Same contract as the compiled module: packed uint64 rows, little-endian bit
 order inside each word.  The product is a row-sparse (Gustavson) product
 built from whole-array operations, so its cost tracks the set bits of the
-left operand, not its dimension.  The compiled kernel is still several
+left operand that meet a nonempty row of the right one, not its dimension.  The compiled kernel is still several
 times faster per multiply; this one keeps the package usable without a C
 toolchain.
 """
@@ -25,9 +25,21 @@ def set_bits(words, rows, cols):
     return rows[hit], cols[hit] * 64 + bit
 
 
+def _live_rows(b, words):
+    """Packed mask (``words`` uint64) of the rows of ``b`` with a set bit."""
+    by = np.packbits(b.any(axis=1), bitorder="little")
+    live = np.zeros(words * 8, dtype=np.uint8)
+    live[:by.size] = by
+    return live.view(np.uint64)
+
+
 def multiply_packed(a, b, out):
     """out |= a x b over the Boolean semiring (packed uint64 rows)."""
+    # a bit of a whose row of b is empty adds nothing: drop it before unpacking
+    a = a & _live_rows(b, a.shape[1])
     rows, cols = np.nonzero(a)
+    if not rows.size:
+        return None
     step = max(1, _BLOCK_WORDS // (64 * b.shape[1]))
     for lo in range(0, rows.size, step):
         i, k = set_bits(a, rows[lo:lo + step], cols[lo:lo + step])

@@ -193,6 +193,7 @@ class AddressSpace:
         self.ids = {a: t for t, a in enumerate(self.addresses)}
         self.unmarked_ids = {a.positions: t for a, t in self.ids.items() if a.mark < 0}
         self.dim = len(self.addresses)
+        self._split_ids = {}
 
     @staticmethod
     def _generate(n, d):
@@ -203,6 +204,16 @@ class AddressSpace:
                     # one marked variant per run of equal values
                     if t + 1 == length or pos[t + 1] != pos[t]:
                         yield Address(pos, t)
+
+    def split_ids(self, endpoints: tuple) -> tuple:
+        """``splits_of_endpoints(endpoints, d)`` as (row id, col id) pairs,
+        kept per space: seeds and copies meet the same endpoints again."""
+        got = self._split_ids.get(endpoints)
+        if got is None:
+            ids = self.unmarked_ids
+            got = self._split_ids[endpoints] = tuple(
+                (ids[row], ids[col]) for row, col in splits_of_endpoints(endpoints, self.d))
+        return got
 
     def equivalent_cells(self, i: Address, j: Address):
         """All unmarked (row, col) address pairs merging to the same spans."""

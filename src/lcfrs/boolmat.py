@@ -16,7 +16,7 @@ from itertools import combinations_with_replacement
 
 from ._matmul_fallback import set_bits
 from .addresses import AddressSpace
-from .engine import CopySym, ProductMatrix
+from .engine import CopySym, ProductMatrix, copy_symbol_cells
 from .grammar import Grammar, configurations
 
 try:  # compiled kernel if the extension built, else the numpy fallback
@@ -25,6 +25,10 @@ try:  # compiled kernel if the extension built, else the numpy fallback
 except ImportError:  # pragma: no cover - depends on build environment
     from . import _matmul_fallback as _kernel
     KERNEL_KIND = "fallback"
+
+
+# per-word set-bit count, in numpy 2.0 and later
+_popcount = getattr(np, "bitwise_count", None)
 
 
 def _nwords(dim: int) -> int:
@@ -92,6 +96,8 @@ class BoolMatrix:
         return bool(self.words.any())
 
     def count(self) -> int:
+        if _popcount is not None:
+            return int(_popcount(self.words).sum())
         nonzero = self.words[self.words != 0]
         return int(np.unpackbits(nonzero.view(np.uint8)).sum())
 
@@ -276,6 +282,17 @@ def symbol_planes(T: ProductMatrix) -> dict:
                 got.append(key)
     dim = T.space.dim
     return {s: BoolMatrix.from_cells(dim, keys) for s, keys in cells.items()}
+
+
+@lru_cache(maxsize=32)
+def copy_planes(space: AddressSpace) -> dict:
+    """The copy-symbol planes of every seed over ``space``.  Every run over
+    the space shares them, and nothing writes to them.  They stay writable
+    arrays all the same: the compiled kernel takes writable buffers only."""
+    cells = {}
+    for row, col, sym in copy_symbol_cells(space):
+        cells.setdefault(sym, []).append((row, col))
+    return {sym: BoolMatrix.from_cells(space.dim, keys) for sym, keys in cells.items()}
 
 
 def scatter_planes(planes: dict, M: ProductMatrix) -> None:

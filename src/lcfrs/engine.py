@@ -180,9 +180,9 @@ def _placements(words, tokens, n):
     return out
 
 
-def seed(g: Grammar, sentence, space: AddressSpace) -> ProductMatrix:
-    """Seed matrix: lexical facts at every split of their spans, plus the
-    copy symbols of the space."""
+def lexical_cells(g: Grammar, sentence, space: AddressSpace) -> dict:
+    """``{nonterminal: [(row id, col id), ...]}``: the cells of the seed's
+    lexical facts, each at every split of its spans (repeats allowed)."""
     tokens = tuple(sentence)
     if space.n != len(tokens):
         raise ValueError("space built for n=%d, sentence has %d tokens" % (space.n, len(tokens)))
@@ -191,13 +191,23 @@ def seed(g: Grammar, sentence, space: AddressSpace) -> ProductMatrix:
         raise ValueError(
             "address length cap %d cannot hold fan-out-%d lexical facts" % (space.d, need)
         )
-    T = ProductMatrix(space)
-    ids = space.unmarked_ids
+    out = {}
     for r in g.lexical_rules():
         for spans in _placements(r.words, tokens, space.n):
             flat = tuple(sorted(p for span in spans for p in span))
-            for row, col in splits_of_endpoints(flat, space.d):
-                T.add(ids[row], ids[col], r.lhs)
+            cells = space.split_ids(flat)
+            if cells:  # a fact no split of the space can hold adds no plane
+                out.setdefault(r.lhs, []).extend(cells)
+    return out
+
+
+def seed(g: Grammar, sentence, space: AddressSpace) -> ProductMatrix:
+    """Seed matrix: lexical facts at every split of their spans, plus the
+    copy symbols of the space."""
+    T = ProductMatrix(space)
+    for nt, cells in lexical_cells(g, sentence, space).items():
+        for row_id, col_id in cells:
+            T.add(row_id, col_id, nt)
     for row_id, col_id, sym in copy_symbol_cells(space):
         T.add(row_id, col_id, sym)
     return T

@@ -9,23 +9,35 @@ and the next round multiplies the copies along with the products.
 The closure runs at ``space_rank``, which leaves out the start rules when
 the start symbol is on no right-hand side; those rules are then applied to
 the closed chart by a join over their children's span facts.
+
+A run stays on bit planes from the seed to the verdict.  The symbol-set
+chart (``ProductMatrix``) is built from the closed planes only when a caller
+reads ``RunResult.chart`` or ``Closure.matrix``, as derivation extraction
+and chart dumps do.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .addresses import enumerate_space, splits_of_endpoints
-from . import boolmat
-from .boolmat import BoolMatrix, KERNEL_KIND, plane_product, scatter_planes, tables_for
+from .addresses import AddressSpace, enumerate_space, splits_of_endpoints
+from .boolmat import (
+    BoolMatrix,
+    KERNEL_KIND,
+    copy_planes,
+    plane_product,
+    scatter_planes,
+    tables_for,
+)
 from .engine import (
     CopySym,
     EngineUnsupported,
     ProductMatrix,
     _role_fits,
     engine_ready,
-    seed,
+    lexical_cells,
 )
 from .grammar import (
     AnalysisReport,
@@ -42,7 +54,9 @@ from .grammar import (
 
 @dataclass
 class Closure:
-    matrix: ProductMatrix
+    """A closed chart held as symbol planes over ``space``."""
+    planes: dict
+    space: AddressSpace
     muls: int = 0
     iterations: int = 0
     seconds: float = 0.0
@@ -50,13 +64,28 @@ class Closure:
     # and the nonterminal facts it added
     rounds: list = field(default_factory=list)
 
+    @cached_property
+    def matrix(self) -> ProductMatrix:
+        """The planes scattered into a symbol-set chart, on first access."""
+        out = ProductMatrix(self.space)
+        scatter_planes(self.planes, out)
+        return out
+
+    def fact_count(self) -> int:
+        return sum(p.count() for p in self.planes.values())
+
+    def cells_of(self, sym) -> list:
+        """The (row id, col id) cells holding ``sym``, in row-major order."""
+        plane = self.planes.get(sym)
+        return plane.nonzero_cells() if plane is not None else []
+
 
 def pi_copy(planes: dict, space) -> dict:
     """Plane form of ``engine.pi_copy``: each nonterminal plane with its
     facts also set on every cell whose addresses merge to the same
     endpoints.  Cells with a mark or an undefined merge copy nowhere.  The
     work grows with the facts given, not with the space."""
-    addrs, ids = space.addresses, space.unmarked_ids
+    addrs = space.addresses
     out = {}
     for nt, bits in planes.items():
         flats = set()
@@ -65,32 +94,39 @@ def pi_copy(planes: dict, space) -> dict:
             if (a.mark < 0 and b.mark < 0 and b.positions[0] > a.positions[0]
                     and not (len(a) + len(b)) % 2):
                 flats.add(tuple(sorted(a.positions + b.positions)))
-        cells = [(ids[row], ids[col])
-                 for flat in flats for row, col in splits_of_endpoints(flat, space.d)]
+        cells = [cell for flat in flats for cell in space.split_ids(flat)]
         out[nt] = bits | BoolMatrix.from_cells(space.dim, cells) if cells else bits
     return out
 
 
-def closure_fixpoint(T: ProductMatrix, g: Grammar) -> Closure:
-    """Least fixpoint of X -> pi(X | X*X) above T, evaluated semi-naively on
-    bit planes.  T must be closed under pi-copy, as every seed is.
+def seed_planes(g: Grammar, sentence, space: AddressSpace) -> dict:
+    """Plane form of ``engine.seed``: one plane of lexical facts per
+    nonterminal, plus the space's shared copy-symbol planes."""
+    planes = {nt: BoolMatrix.from_cells(space.dim, cells)
+              for nt, cells in lexical_cells(g, sentence, space).items()}
+    planes.update(copy_planes(space))
+    return planes
 
-    T is split into symbol planes once.  The copy-symbol planes C never
-    change, because products emit only nonterminals.  Each round multiplies
-    only the terms of (X | C) * (X | C) that read a fact the round before
-    added (D), then copies its new facts to their equivalent cells.  Both
-    steps distribute over OR, and X stays closed under copying, so the terms
-    that read no D fact and the copies of older facts are in X already.
-    Round 1 takes all of X as D.  Round k therefore holds exactly the facts
-    of round k of naive iteration, and ``iterations`` counts the same
-    rounds, the last of which adds nothing.  The planes are scattered back
-    into a copy of T once, at the end."""
-    tab = tables_for(g, T.space)
+
+def closure_fixpoint(T: dict, g: Grammar, space: AddressSpace) -> Closure:
+    """Least fixpoint of X -> pi(X | X*X) above T, evaluated semi-naively on
+    bit planes.  T is the seed as symbol planes over ``space``
+    (``seed_planes``, or ``boolmat.symbol_planes`` of a chart).  It must be
+    closed under pi-copy, as every seed is, and its planes are never
+    written to.
+
+    The copy-symbol planes C never change, because products emit only
+    nonterminals.  Each round multiplies only the terms of (X | C) * (X | C)
+    that read a fact the round before added (D), then copies its new facts
+    to their equivalent cells.  Both steps distribute over OR, and X stays
+    closed under copying, so the terms that read no D fact and the copies of
+    older facts are in X already.  Round 1 takes all of X as D.  Round k
+    therefore holds exactly the facts of round k of naive iteration, and
+    ``iterations`` counts the same rounds, the last of which adds nothing."""
+    tab = tables_for(g, space)
     t0 = time.perf_counter()
-    # looked up on the module, so that a wrapper installed there sees it
-    seeded = boolmat.symbol_planes(T)
-    copies = {s: p for s, p in seeded.items() if isinstance(s, CopySym)}
-    X = {s: p for s, p in seeded.items() if not isinstance(s, CopySym)}
+    copies = {s: p for s, p in T.items() if isinstance(s, CopySym)}
+    X = {s: p for s, p in T.items() if not isinstance(s, CopySym)}
     delta = X
     stats = {"muls": 0}
     rounds = []
@@ -103,7 +139,7 @@ def closure_fixpoint(T: ProductMatrix, g: Grammar) -> Closure:
                 bits = bits - X[nt]
             if bits.any():
                 fresh[nt] = bits
-        for nt, bits in pi_copy(fresh, T.space).items():
+        for nt, bits in pi_copy(fresh, space).items():
             fresh[nt] = bits - X[nt] if nt in X else bits
         rounds.append({"muls": stats["muls"] - before,
                        "new_facts": sum(b.count() for b in fresh.values())})
@@ -112,38 +148,37 @@ def closure_fixpoint(T: ProductMatrix, g: Grammar) -> Closure:
         for nt, bits in fresh.items():
             X[nt] = X[nt] | bits if nt in X else bits
         delta = fresh
-    out = T.copy()
-    scatter_planes({nt: bits - seeded[nt] if nt in seeded else bits
-                    for nt, bits in X.items()}, out)
-    return Closure(out, stats["muls"], len(rounds), time.perf_counter() - t0, rounds)
+    return Closure({**X, **copies}, space, stats["muls"], len(rounds),
+                   time.perf_counter() - t0, rounds)
 
 
 def _top_cell(space, n):
     return space.unmarked_ids[(0,)], space.unmarked_ids[(n,)]
 
 
-def _span_facts(chart: ProductMatrix, nts) -> dict:
+def _span_facts(cells_of, space, nts) -> dict:
     """``{nonterminal: set of sorted endpoint tuples}`` for the nonterminals
-    in ``nts``, read off the chart's unmarked cells whose merge is defined."""
-    addrs = chart.space.addresses
+    in ``nts``, read off the unmarked cells ``cells_of(nt)`` lists whose
+    merge is defined."""
+    addrs = space.addresses
     out = {}
-    for (r, c), syms in chart.cells.items():
-        hit = nts.intersection(syms)
-        if not hit:
-            continue
-        a, b = addrs[r], addrs[c]
-        if a.mark >= 0 or b.mark >= 0 or b.positions[0] <= a.positions[0]:
-            continue
-        flat = tuple(sorted(a.positions + b.positions))
-        for nt in hit:
-            out.setdefault(nt, set()).add(flat)
+    for nt in nts:
+        flats = set()
+        for r, c in cells_of(nt):
+            a, b = addrs[r], addrs[c]
+            if a.mark < 0 and b.mark < 0 and b.positions[0] > a.positions[0]:
+                flats.add(tuple(sorted(a.positions + b.positions)))
+        if flats:
+            out[nt] = flats
     return out
 
 
-def _start_witness(chart: ProductMatrix, g: Grammar, n: int):
+def _start_witness(cells_of, space, g: Grammar, n: int):
     """The first ``(rule, left endpoints, right endpoints)``, in rule-id and
     then endpoint order, by which a binary start rule derives (0, n) from two
-    facts of the chart; None when there is none.
+    facts of a closed chart; None when there is none.  ``cells_of(nt)``
+    lists the chart's cells holding ``nt``, and is asked only for the start
+    rules' children.
 
     The start symbol has fan-out 1, so the rule's one template lays the
     children's spans end to end over (0, n): a first-child fact beginning at
@@ -152,7 +187,7 @@ def _start_witness(chart: ProductMatrix, g: Grammar, n: int):
     rules = sorted((r for r in g.binary_rules() if r.lhs == g.start), key=lambda r: r.rid)
     if not rules:
         return None
-    facts = _span_facts(chart, {nt for r in rules for nt in r.rhs})
+    facts = _span_facts(cells_of, space, {nt for r in rules for nt in r.rhs})
     for r in rules:
         B, C = r.rhs
         right_facts = facts.get(C)
@@ -182,13 +217,27 @@ def _start_witness(chart: ProductMatrix, g: Grammar, n: int):
 class RunResult:
     accepted: bool
     grammar: Grammar            # the grammar actually run (post-conversion)
-    chart: ProductMatrix
     report: AnalysisReport
-    stats: dict = field(default_factory=dict)
+    stats: dict
+    closure: Closure = field(repr=False)
+
+    @property
+    def chart(self) -> ProductMatrix:
+        """The closed chart as a ``ProductMatrix``, built on first access."""
+        return self.closure.matrix
 
 
-def run_recognition(g: Grammar, sentence) -> RunResult:
-    """Validate, convert to single-initial if needed, and close the seed."""
+# grammar-only preparation, keyed by id(g) and checked by identity
+_prepared_cache: dict = {}
+
+
+def _prepare(g: Grammar):
+    """``(grammar to run, converted, report, rank)`` for ``g``, computed once
+    per grammar object.  A grammar that fails a check is not cached, so it
+    raises on every call."""
+    hit = _prepared_cache.get(id(g))
+    if hit is not None and hit[0] is g:
+        return hit[1]
     problems = validate(g)
     if problems:
         raise GrammarError("; ".join(problems))
@@ -197,14 +246,31 @@ def run_recognition(g: Grammar, sentence) -> RunResult:
     problems = engine_ready(work)
     if problems:
         raise EngineUnsupported("; ".join(problems))
-    report = analyze(work)
+    prepared = (work, converted, analyze(work), space_rank(work))
+    if len(_prepared_cache) >= 64:
+        _prepared_cache.clear()
+    _prepared_cache[id(g)] = (g, prepared)
+    return prepared
+
+
+def run_recognition(g: Grammar, sentence) -> RunResult:
+    """Validate, convert to single-initial if needed, and close the seed."""
+    work, converted, report, rank = _prepare(g)
     tokens = tuple(sentence)
     n = len(tokens)
-    space = enumerate_space(n, space_rank(work))
-    clo = closure_fixpoint(seed(work, tokens, space), work)
+    t0 = time.perf_counter()
+    space = enumerate_space(n, rank)
+    t1 = time.perf_counter()
+    seeded = seed_planes(work, tokens, space)
+    t2 = time.perf_counter()
+    clo = closure_fixpoint(seeded, work, space)
+    t3 = time.perf_counter()
     i, j = _top_cell(space, n)
-    accepted = n > 0 and (work.start in clo.matrix.get(i, j)
-                          or _start_witness(clo.matrix, work, n) is not None)
+    start = clo.planes.get(work.start)
+    accepted = n > 0 and ((start is not None and start.test(i, j))
+                          or _start_witness(clo.cells_of, space, work, n) is not None)
+    facts = clo.fact_count()
+    t4 = time.perf_counter()
     stats = {
         "n": n,
         "rank": space.d,
@@ -213,11 +279,13 @@ def run_recognition(g: Grammar, sentence) -> RunResult:
         "muls": clo.muls,
         "iterations": clo.iterations,
         "rounds": clo.rounds,
-        "facts": clo.matrix.fact_count(),
+        "facts": facts,
         "seconds": clo.seconds,
         "converted": converted,
+        "phases": {name: (b - a) * 1000 for name, a, b in (
+            ("space", t0, t1), ("seed", t1, t2), ("closure", t2, t3), ("readout", t3, t4))},
     }
-    return RunResult(accepted, work, clo.matrix, report, stats)
+    return RunResult(accepted, work, report, stats, clo)
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +329,11 @@ def extract_derivation(chart: ProductMatrix, g: Grammar, sentence):
     space = chart.space
     addrs = space.addresses
     i0, j0 = _top_cell(space, n)
-    witness = None
-    if g.start not in chart.get(i0, j0):
-        witness = _start_witness(chart, g, n)
-        if witness is None:
-            return None
 
     nt_cells = {}
     by_row: dict = {}
     by_col: dict = {}
+    by_nt: dict = {}
     for (r, c), syms in chart.cells.items():
         if addrs[r].mark >= 0 or addrs[c].mark >= 0:
             continue
@@ -279,6 +343,14 @@ def extract_derivation(chart: ProductMatrix, g: Grammar, sentence):
         nt_cells[(r, c)] = nts
         by_row.setdefault(r, set()).add(c)
         by_col.setdefault(c, set()).add(r)
+        for nt in nts:
+            by_nt.setdefault(nt, []).append((r, c))
+
+    witness = None
+    if g.start not in chart.get(i0, j0):
+        witness = _start_witness(lambda nt: by_nt.get(nt, ()), space, g, n)
+        if witness is None:
+            return None
 
     rules = sorted(g.rules, key=lambda r: r.rid)
     memo: dict = {}

@@ -25,7 +25,7 @@ from lcfrs.grammar import (
     validate,
 )
 from lcfrs.oracle import tabular_recognize
-from lcfrs.recognizer import closure_fixpoint, extract_derivation
+from lcfrs.recognizer import closure_fixpoint, extract_derivation, seed_planes
 
 from conftest import _chart_violations, full_rank, random_grammar
 
@@ -191,8 +191,9 @@ def test_06_closure_equivalence(grammars):
         cases.append((name, grammars[name], sentence.split()))
     bad = []
     for t, (label, g, toks) in enumerate(cases):
-        T = seed(g, toks, enumerate_space(len(toks), full_rank(g)))
-        fix = closure_fixpoint(T, g)
+        sp = enumerate_space(len(toks), full_rank(g))
+        T = seed(g, toks, sp)
+        fix = closure_fixpoint(seed_planes(g, toks, sp), g, sp)
         if fix.matrix != _cell_by_cell_closure(T, g):
             bad.append(label)
         if t % 6 == 0:

@@ -198,6 +198,36 @@ class TestFallbackKernel:
             b = BoolMatrix.from_dense(rng.random((dim, dim)) < 0.3)
             assert _fallback_product(a, b, BoolMatrix(dim)) == _mult_naive(a, b)
 
+    def test_every_left_bit_hits_an_empty_row(self):
+        # column k of a is set only where row k of b is empty: nothing to add
+        dim = 130
+        a = BoolMatrix.from_cells(dim, [(i, k) for i in range(0, dim, 3) for k in (1, 64, 129)])
+        b = BoolMatrix.from_cells(dim, [(k, j) for k in (0, 2, 65) for j in range(dim)])
+        held = BoolMatrix.from_cells(dim, [(5, 7)])
+        assert _fallback_product(a, b, held.copy()) == held
+        assert _mult_naive(a, b) == BoolMatrix(dim)
+
+    @pytest.mark.parametrize("dim", (1, 63, 64, 65, 130))
+    def test_mix_of_empty_and_live_rows(self, dim):
+        rng = np.random.default_rng(dim + 7)
+        da = rng.random((dim, dim)) < 0.2
+        db = rng.random((dim, dim)) < 0.2
+        db[rng.random(dim) < 0.6] = False      # most rows of b empty
+        a, b = BoolMatrix.from_dense(da), BoolMatrix.from_dense(db)
+        words = a.words.copy()
+        assert _fallback_product(a, b, BoolMatrix(dim)) == _mult_naive(a, b)
+        assert np.array_equal(a.words, words)  # the left operand is not written
+
+    @pytest.mark.parametrize("dim", (1, 63, 64, 65, 130))
+    def test_out_already_holding_bits(self, dim):
+        rng = np.random.default_rng(dim + 9)
+        db = rng.random((dim, dim)) < 0.3
+        db[::2] = False
+        a = BoolMatrix.from_dense(rng.random((dim, dim)) < 0.1)
+        b = BoolMatrix.from_dense(db)
+        held = BoolMatrix.from_dense(rng.random((dim, dim)) < 0.1)
+        assert _fallback_product(a, b, held.copy()) == (_mult_naive(a, b) | held)
+
 
 class TestScatter:
     @pytest.mark.parametrize("dim", KERNEL_DIMS)

@@ -2,39 +2,46 @@ import itertools
 import json
 import random
 
+import numpy as np
+
 import pytest
 
 from lcfrs.addresses import Address, enumerate_space
-from lcfrs.boolmat import KERNEL_KIND, product_via_boolean
-from lcfrs.engine import ProductMatrix, engine_ready, pi_copy, seed, union
+from lcfrs.boolmat import KERNEL_KIND, copy_planes, product_via_boolean, scatter_planes
+from lcfrs.engine import (
+    CopySym, EngineUnsupported, ProductMatrix, engine_ready, pi_copy, seed, union,
+)
 from lcfrs.grammar import (
     Grammar, GrammarError, Rule, Var, is_single_initial, parse_grammar, to_single_initial,
 )
 from lcfrs.oracle import enumerate_language, tabular_recognize
-from lcfrs import recognizer
+from lcfrs import boolmat, bundled, recognizer
 from lcfrs.recognizer import (
     _span_facts,
     _top_cell,
     closure_fixpoint,
     extract_derivation,
     run_recognition,
+    seed_planes,
     space_rank,
 )
 
-from conftest import BOTH_CHILDREN_GROW, full_rank, random_grammar, sweep_sentences
+from conftest import (
+    BOTH_CHILDREN_GROW, SWEEP_NAMES, full_rank, random_grammar, sweep_sentences,
+)
 
 
 def _closed(g, sentence):
     toks = sentence.split()
     sp = enumerate_space(len(toks), full_rank(g))
-    return closure_fixpoint(seed(g, toks, sp), g), sp
+    return closure_fixpoint(seed_planes(g, toks, sp), g, sp), sp
 
 
 class TestClosure:
     def test_empty_matrix_is_its_own_closure(self, grammars):
         g = grammars["cfg_anbn"]
         sp = enumerate_space(3, 1)
-        clo = closure_fixpoint(ProductMatrix(sp), g)
+        clo = closure_fixpoint({}, g, sp)
         assert clo.matrix.fact_count() == 0
         assert clo.iterations == 1
         assert clo.seconds >= 0.0
@@ -53,8 +60,8 @@ class TestClosure:
 
     def test_closure_is_idempotent(self, grammars):
         g = grammars["cfg_anbn"]
-        clo, _ = _closed(g, "a b")
-        again = closure_fixpoint(clo.matrix, g)
+        clo, sp = _closed(g, "a b")
+        again = closure_fixpoint(clo.planes, g, sp)
         assert again.matrix == clo.matrix
         assert again.iterations == 1
 
@@ -97,7 +104,7 @@ class TestSemiNaiveClosure:
         T = seed(g, toks, sp)
         assert pi_copy(T) == T, label     # the closure's precondition
         want, iterations, muls = _naive_closure(T, g)
-        got = closure_fixpoint(T, g)
+        got = closure_fixpoint(seed_planes(g, toks, sp), g, sp)
         assert got.matrix == want, label
         assert got.iterations == iterations, label
         assert got.muls <= muls, label
@@ -128,7 +135,7 @@ class TestSemiNaiveClosure:
         toks = "a a b b c c d d".split()
         sp = enumerate_space(len(toks), full_rank(g))
         T = seed(g, toks, sp)
-        clo = closure_fixpoint(T, g)
+        clo = closure_fixpoint(seed_planes(g, toks, sp), g, sp)
         assert len(clo.rounds) == clo.iterations
         assert sum(r["muls"] for r in clo.rounds) == clo.muls
         assert T.fact_count() + sum(r["new_facts"] for r in clo.rounds) == clo.matrix.fact_count()
@@ -158,9 +165,9 @@ class TestStartRulesOutsideMatrix:
             for toks in sentences:
                 full, _ = _closed(g, " ".join(toks))
                 sp = enumerate_space(len(toks), space_rank(g))
-                runtime = closure_fixpoint(seed(g, toks, sp), g)
-                assert (_span_facts(runtime.matrix, nts)
-                        == _span_facts(full.matrix, nts)), (name, toks)
+                runtime = closure_fixpoint(seed_planes(g, toks, sp), g, sp)
+                assert (_span_facts(runtime.cells_of, sp, nts)
+                        == _span_facts(full.cells_of, full.space, nts)), (name, toks)
 
     def test_start_fact_comes_from_the_join(self, grammars):
         g = grammars["count4"]
@@ -275,8 +282,10 @@ class TestRunRecognition:
         res = run_recognition(grammars["count4"], "a b c d".split())
         assert set(res.stats) == {
             "n", "rank", "dim", "kernel", "muls", "iterations",
-            "rounds", "facts", "seconds", "converted",
+            "rounds", "facts", "seconds", "converted", "phases",
         }
+        assert set(res.stats["phases"]) == {"space", "seed", "closure", "readout"}
+        assert all(ms >= 0 for ms in res.stats["phases"].values())
         assert res.stats["n"] == 4
         assert res.stats["kernel"] == KERNEL_KIND
         assert (res.stats["rank"], res.stats["dim"], res.stats["muls"],
@@ -300,6 +309,104 @@ class TestRunRecognition:
         res = run_recognition(grammars["itg_sep"], "x # x".split())
         assert res.accepted
         assert calls == ["pi_copy"] * res.stats["iterations"] + ["closure_fixpoint"]
+
+
+class TestPlanePath:
+    """A run stays on bit planes; the symbol-set chart is built only when a
+    caller reads it."""
+
+    def test_seed_planes_match_the_seed(self, grammars):
+        # the whole seed once per space; after that the copy-symbol planes
+        # are the space's shared ones, and only the lexical facts differ
+        for name in SWEEP_NAMES:
+            g = grammars[name]
+            if not is_single_initial(g):
+                g = to_single_initial(g)
+            spaces = set()
+            for toks in sweep_sentences(name):
+                sp = enumerate_space(len(toks), space_rank(g))
+                planes = seed_planes(g, toks, sp)
+                want = seed(g, toks, sp)
+                if sp not in spaces:
+                    spaces.add(sp)
+                    got = ProductMatrix(sp)
+                    scatter_planes(planes, got)
+                    assert got == want, (name, toks)
+                    continue
+                assert all(planes[s] is p for s, p in copy_planes(sp).items())
+                assert ({(cell, nt) for nt, p in planes.items() if not isinstance(nt, CopySym)
+                         for cell in p.nonzero_cells()}
+                        == {(cell, s) for cell, syms in want.cells.items() for s in syms
+                            if not isinstance(s, CopySym)}), (name, toks)
+
+    def test_facts_count_the_chart(self, grammars):
+        for name, sentence in (("count4", "a a b c c d"), ("itg_sep", "x y # y x"),
+                               ("dual_initial_demo", "a b a a b a"),
+                               ("cfg_anbn", "a a b")):
+            res = run_recognition(grammars[name], sentence.split())
+            assert res.stats["facts"] == res.chart.fact_count(), name
+
+    def test_recognition_builds_no_chart(self, grammars, monkeypatch):
+        calls = []
+        real = recognizer.scatter_planes
+
+        def spy(planes, M):
+            calls.append(len(planes))
+            real(planes, M)
+        monkeypatch.setattr(recognizer, "scatter_planes", spy)
+        for name, sentence in (("count4", "a a b c c d"), ("count4", "a b d c"),
+                               ("itg_sep", "x y # y x")):
+            res = run_recognition(grammars[name], sentence.split())
+        assert calls == []
+        chart = res.chart
+        assert res.chart is chart and len(calls) == 1
+
+    def test_kernel_operands_fit_the_compiled_kernel(self, grammars, monkeypatch):
+        # the compiled kernel takes writable C-contiguous uint64 buffers only;
+        # the shared copy-symbol planes are operands too
+        seen = []
+        real = boolmat._kernel.multiply_packed
+
+        def spy(a, b, out):
+            for arr in (a, b, out):
+                assert arr.dtype == np.uint64 and arr.ndim == 2
+                assert arr.flags.c_contiguous and arr.flags.writeable
+            seen.append(a.shape)
+            return real(a, b, out)
+        monkeypatch.setattr(boolmat._kernel, "multiply_packed", spy)
+        for name, sentence in (("count4", "a a b c c d"), ("itg_sep", "x y # y x")):
+            for _ in range(2):  # the second run meets the cached copy planes
+                assert run_recognition(grammars[name], sentence.split()).accepted
+        assert seen
+
+    def test_grammar_checks_run_once_per_grammar(self, monkeypatch):
+        calls = []
+        real = recognizer.validate
+
+        def spy(g):
+            calls.append(g)
+            return real(g)
+        monkeypatch.setattr(recognizer, "validate", spy)
+        g = parse_grammar(bundled.grammar_text("dual_initial_demo"))
+        first = run_recognition(g, "a b a a b a".split())
+        second = run_recognition(g, "a b a".split())
+        assert calls == [g]
+        assert second.grammar is first.grammar and second.report is first.report
+        copy = parse_grammar(bundled.grammar_text("dual_initial_demo"))
+        run_recognition(copy, "a b a".split())
+        assert calls == [g, copy]
+
+    def test_refused_grammar_raises_every_time(self):
+        g = parse_grammar("start S\nS -> A A : b1 g1\nA -> : 'a'\n")
+        invalid = Grammar("S", g.rules, {"S": 1}, g.nonterminals, g.terminals)
+        # the head keeps every endpoint, leaving an empty column address
+        unsupported = parse_grammar("start S\nS -> Z M : b1 g1 b2\n"
+                                    "Z -> : 'x' , 'x'\nM -> : '#'\n")
+        for _ in range(2):
+            with pytest.raises(GrammarError):
+                run_recognition(invalid, ["a", "a"])
+            with pytest.raises(EngineUnsupported):
+                run_recognition(unsupported, ["x", "#", "x"])
 
 
 class TestExtraction:
