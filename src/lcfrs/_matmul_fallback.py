@@ -46,8 +46,3 @@ def multiply_packed(a, b, out):
         starts = np.flatnonzero(np.concatenate(([True], i[1:] != i[:-1])))
         out[i[starts]] |= np.bitwise_or.reduceat(b[k], starts, axis=0)
     return None
-
-
-def or_accumulate(dst, src):
-    np.bitwise_or(dst, src, out=dst)
-    return None

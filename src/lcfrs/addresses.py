@@ -1,102 +1,53 @@
-"""Matrix index machinery: position sequences with an optional mark.
+"""Matrix index machinery: sorted position sequences.
 
 Rows and columns of every matrix in this package are addresses — short
-non-decreasing sequences of string positions, at most one of which may be
-marked.  This module defines their total order, merging of a row/column
-pair into the span list it denotes, insertion/removal of single positions,
-and the enumerated, totally ordered index space for a given sentence
-length and maximum address length.
+non-decreasing sequences of string positions.  This module defines their
+total order, merging of a row/column pair into the span list it denotes,
+and the enumerated, totally ordered index space for a given sentence length
+and maximum address length.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
 
 class Address:
-    """A non-decreasing tuple of positions with an optional marked element.
+    """A non-decreasing, nonempty tuple of positions."""
 
-    ``mark`` is the index of the marked element, or -1 for none.  The mark is
-    normalized onto the last element of its run of equal values, so (2, 7^, 7)
-    and (2, 7, 7^) are the same address.
-    """
+    __slots__ = ("positions",)
 
-    __slots__ = ("positions", "mark")
-
-    def __init__(self, positions, mark=-1):
+    def __init__(self, positions):
         positions = tuple(positions)
         if not positions:
             raise ValueError("empty address")
         if any(b < a for a, b in zip(positions, positions[1:])):
             raise ValueError("positions must be non-decreasing: %r" % (positions,))
-        if mark >= 0:
-            if not mark < len(positions):
-                raise ValueError("mark index out of range")
-            v = positions[mark]
-            while mark + 1 < len(positions) and positions[mark + 1] == v:
-                mark += 1
-        elif mark != -1:
-            raise ValueError("mark must be an index or -1")
         self.positions = positions
-        self.mark = mark
-
-    @property
-    def marked_value(self):
-        return None if self.mark < 0 else self.positions[self.mark]
-
-    def is_marked(self):
-        return self.mark >= 0
-
-    def unmarked(self):
-        """The same positions with the mark dropped."""
-        return Address(self.positions) if self.mark >= 0 else self
 
     def __len__(self):
         return len(self.positions)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Address)
-            and self.positions == other.positions
-            and self.mark == other.mark
-        )
+        return isinstance(other, Address) and self.positions == other.positions
 
     def __hash__(self):
-        return hash((self.positions, self.mark))
+        return hash(self.positions)
 
     def __repr__(self):
         return "Address(%s)" % str(self)
 
     def __str__(self):
-        out = []
-        for t, p in enumerate(self.positions):
-            out.append("%d^" % p if t == self.mark else str(p))
-        return ",".join(out)
+        return ",".join(map(str, self.positions))
 
     def __lt__(self, other):
         return sort_key(self) < sort_key(other)
 
 
 def sort_key(addr: Address):
-    """Total-order key: positions lexicographically (shorter prefixes first),
-    then a mark tie-break for equal position tuples.
-
-    The tie-break places a mark-on-last-element address *before* its unmarked
-    twin and any other marked variant *after* it.  Both directions are needed:
-    the two unmark symbols live on opposite sides of the diagonal, and which
-    side a marked/unmarked twin pair lands on must depend on where the mark
-    sits (a mark acquired by appending at the end comes off via a column
-    unmark; one acquired mid-sequence comes off via a row unmark).
-    """
-    if addr.mark < 0:
-        rank = 1
-    elif addr.mark == len(addr.positions) - 1:
-        rank = 0
-    else:
-        rank = 2 + addr.mark
-    return (addr.positions, rank)
+    """Total-order key: positions lexicographically, shorter prefixes first."""
+    return addr.positions
 
 
 def compare(a: Address, b: Address) -> int:
@@ -105,52 +56,22 @@ def compare(a: Address, b: Address) -> int:
     return -1 if ka < kb else (0 if ka == kb else 1)
 
 
-def insert(addr: Address, pos: int, marked: bool = False) -> Address:
-    """Insert one position (stable: after any equal values)."""
-    if marked and addr.mark >= 0:
-        raise ValueError("cannot insert a second mark into %s" % addr)
-    idx = bisect_right(addr.positions, pos)
-    positions = addr.positions[:idx] + (pos,) + addr.positions[idx:]
-    if marked:
-        mark = idx
-    elif addr.mark >= 0 and idx <= addr.mark:
-        mark = addr.mark + 1
-    else:
-        mark = addr.mark
-    return Address(positions, mark)
-
-
-def remove(addr: Address, pos: int, marked: bool = False) -> Address:
-    """Remove one occurrence of ``pos`` (the last one of matching markedness)."""
-    if marked:
-        if addr.mark < 0 or addr.positions[addr.mark] != pos:
-            raise ValueError("no marked %d in %s" % (pos, addr))
-        idx = addr.mark
-        mark = -1
-    else:
-        idx = -1
-        for t, p in enumerate(addr.positions):
-            if p == pos and t != addr.mark:
-                idx = t
-        if idx < 0:
-            raise ValueError("no unmarked %d in %s" % (pos, addr))
-        mark = addr.mark - 1 if addr.mark > idx else addr.mark
-    positions = addr.positions[:idx] + addr.positions[idx + 1:]
-    return Address(positions, mark)
+def cell_endpoints(i: Address, j: Address):
+    """The sorted endpoints of the spans a row and a column address denote,
+    or None when their merge is undefined: an odd combined length, or the
+    column's minimum not exceeding the row's."""
+    if j.positions[0] <= i.positions[0] or (len(i) + len(j)) % 2:
+        return None
+    return tuple(sorted(i.positions + j.positions))
 
 
 def merge_m(i: Address, j: Address):
     """Merge a row and a column address into the ordered span list they denote.
 
-    Returns a tuple of (left, right) pairs, or None when undefined: any mark,
-    an odd combined length, or the column's minimum not exceeding the row's.
+    Returns a tuple of (left, right) pairs, or None when undefined.
     """
-    if i.mark >= 0 or j.mark >= 0:
-        return None
-    if min(j.positions) <= min(i.positions):
-        return None
-    merged = sorted(i.positions + j.positions)
-    if len(merged) % 2:
+    merged = cell_endpoints(i, j)
+    if merged is None:
         return None
     return tuple((merged[t], merged[t + 1]) for t in range(0, len(merged), 2))
 
@@ -179,9 +100,9 @@ def splits_of_endpoints(endpoints, d):
 class AddressSpace:
     """The full ordered index set for sentence length ``n`` and max length ``d``.
 
-    ``addresses`` is sorted by the total order; ``ids`` maps an address to its
-    rank, which doubles as its row/column index in every matrix, and
-    ``unmarked_ids`` maps the positions tuple of an unmarked address to it.
+    ``addresses`` is sorted by the total order; ``ids`` maps the positions
+    tuple of an address to its rank, which doubles as its row/column index in
+    every matrix.  There are ``sum(comb(n + L, L) for L in 1..d)`` of them.
     """
 
     def __init__(self, n: int, d: int):
@@ -189,38 +110,31 @@ class AddressSpace:
             raise ValueError("need n >= 0 and d >= 1")
         self.n = n
         self.d = d
-        self.addresses = sorted(self._generate(n, d), key=sort_key)
-        self.ids = {a: t for t, a in enumerate(self.addresses)}
-        self.unmarked_ids = {a.positions: t for a, t in self.ids.items() if a.mark < 0}
+        self.addresses = [
+            Address(pos)
+            for length in range(1, d + 1)
+            for pos in combinations_with_replacement(range(n + 1), length)
+        ]
+        self.addresses.sort(key=sort_key)
+        self.ids = {a.positions: t for t, a in enumerate(self.addresses)}
         self.dim = len(self.addresses)
         self._split_ids = {}
-
-    @staticmethod
-    def _generate(n, d):
-        for length in range(1, d + 1):
-            for pos in combinations_with_replacement(range(n + 1), length):
-                yield Address(pos)
-                for t in range(length):
-                    # one marked variant per run of equal values
-                    if t + 1 == length or pos[t + 1] != pos[t]:
-                        yield Address(pos, t)
 
     def split_ids(self, endpoints: tuple) -> tuple:
         """``splits_of_endpoints(endpoints, d)`` as (row id, col id) pairs,
         kept per space: seeds and copies meet the same endpoints again."""
         got = self._split_ids.get(endpoints)
         if got is None:
-            ids = self.unmarked_ids
+            ids = self.ids
             got = self._split_ids[endpoints] = tuple(
                 (ids[row], ids[col]) for row, col in splits_of_endpoints(endpoints, self.d))
         return got
 
     def equivalent_cells(self, i: Address, j: Address):
-        """All unmarked (row, col) address pairs merging to the same spans."""
-        spans = merge_m(i, j)
-        if spans is None:
+        """All (row, col) address pairs merging to the same spans."""
+        flat = cell_endpoints(i, j)
+        if flat is None:
             raise ValueError("merge undefined for (%s, %s)" % (i, j))
-        flat = tuple(sorted(p for span in spans for p in span))
         return {
             (Address(row), Address(col))
             for row, col in splits_of_endpoints(flat, self.d)

@@ -2,10 +2,10 @@
 a dense reference beside it), and the rendering of the cell product as a
 bundle of plain Boolean matrix products.
 
-The cell product decomposes per symbol: one masked product per binary rule
-and six mask-filtered products per nonterminal for the copy moves.  Every
-mask is a property of cell addresses alone, so masks are cached per
-(grammar, sentence length) and reused across sentences.
+The cell product decomposes per binary rule into one masked product.  Every
+mask is a property of cell addresses and of the rule's configuration alone,
+so masks are cached per (address space, configuration) and shared across
+sentences, rules and grammars.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from itertools import combinations_with_replacement
 
 from ._matmul_fallback import set_bits
 from .addresses import AddressSpace
-from .engine import CopySym, ProductMatrix, copy_symbol_cells
-from .grammar import Grammar, configurations
+from .engine import ProductMatrix
+from .grammar import Grammar, Rule, configurations
 
 try:  # compiled kernel if the extension built, else the numpy fallback
     from . import _matmul_kernel as _kernel
@@ -134,7 +134,9 @@ class BoolMatrix:
 # the two backends: a dense reference and the packed kernel the engine runs
 
 def _mult_naive(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
-    prod = a.to_dense().astype(np.int64) @ b.to_dense().astype(np.int64)
+    # float64 counts exactly below 2**53, far above any dimension, and its
+    # product runs on BLAS where an integer one does not
+    prod = a.to_dense().astype(np.float64) @ b.to_dense().astype(np.float64)
     return BoolMatrix.from_dense(prod > 0)
 
 
@@ -158,57 +160,6 @@ def bool_multiply(a: BoolMatrix, b: BoolMatrix, backend: str = "bitset") -> Bool
 # ---------------------------------------------------------------------------
 # address-indexed masks (string-independent, cached)
 
-class _SpaceMasks:
-    """Masks that depend only on the address space."""
-
-    def __init__(self, space: AddressSpace):
-        self.space = space
-        dim = space.dim
-        n = space.n
-        length = np.fromiter((len(a) for a in space.addresses), np.int16, dim)
-        unmarked = np.fromiter((a.mark < 0 for a in space.addresses), np.uint8, dim)
-        member = np.zeros((n + 1, dim), dtype=np.uint8)   # x occurs in address
-        markval = np.full(dim, -1, dtype=np.int32)
-        for t, a in enumerate(space.addresses):
-            for p in set(a.positions):
-                member[p, t] = 1
-            if a.mark >= 0:
-                markval[t] = a.positions[a.mark]
-
-        tocol = np.zeros((dim, dim), dtype=np.uint8)
-        fromrow = np.zeros((dim, dim), dtype=np.uint8)
-        torow = np.zeros((dim, dim), dtype=np.uint8)
-        fromcol = np.zeros((dim, dim), dtype=np.uint8)
-        for t in range(dim):
-            x = markval[t]
-            if x < 0:
-                continue
-            # column t marked with x: row must (not) contain x
-            tocol[:, t] = member[x] & unmarked
-            fromrow[:, t] = 1 - member[x]
-            # row t marked with x: column must (not) contain x
-            torow[t, :] = member[x] & unmarked
-            fromcol[t, :] = 1 - member[x]
-        self.p_tocol = BoolMatrix(dim, pack_rows(tocol))
-        self.p_fromrow = BoolMatrix(dim, pack_rows(fromrow))
-        self.p_torow = BoolMatrix(dim, pack_rows(torow))
-        self.p_fromcol = BoolMatrix(dim, pack_rows(fromcol))
-        self._pair_len = np.add.outer(length, length)
-        self._size_cache = {}
-
-    def size_mask(self, total: int) -> BoolMatrix:
-        got = self._size_cache.get(total)
-        if got is None:
-            got = BoolMatrix(self.space.dim, pack_rows(self._pair_len == total))
-            self._size_cache[total] = got
-        return got
-
-
-@lru_cache(maxsize=32)
-def _space_masks(space: AddressSpace) -> _SpaceMasks:
-    return _SpaceMasks(space)
-
-
 @lru_cache(maxsize=64)
 def _role_mask(space: AddressSpace, cfg: frozenset, fo: int) -> BoolMatrix:
     """Cells (left, right) whose merged endpoints, selected by ``cfg``, equal
@@ -219,7 +170,7 @@ def _role_mask(space: AddressSpace, cfg: frozenset, fo: int) -> BoolMatrix:
     rest = [t for t in range(2 * fo) if t + 1 not in cfg]
     if not (1 <= len(picked) <= space.d and 1 <= len(rest) <= space.d):
         return BoolMatrix(space.dim)
-    ids = space.unmarked_ids
+    ids = space.ids
     cells = []
     for e in combinations_with_replacement(range(space.n + 1), 2 * fo):
         row = tuple([e[t] for t in picked])
@@ -229,42 +180,10 @@ def _role_mask(space: AddressSpace, cfg: frozenset, fo: int) -> BoolMatrix:
     return BoolMatrix.from_cells(space.dim, cells)
 
 
-class EngineTables:
-    """Per-(grammar, n) mask bundle for the Boolean rendering.  The per-rule
-    masks are built when a product first needs them."""
-
-    def __init__(self, g: Grammar, space: AddressSpace):
-        self.grammar = g
-        self.space = space
-        base = _space_masks(space)
-        self.p_tocol = base.p_tocol
-        self.p_fromrow = base.p_fromrow
-        self.p_torow = base.p_torow
-        self.p_fromcol = base.p_fromcol
-        self._size = base.size_mask
-
-    def size_mask(self, total: int) -> BoolMatrix:
-        return self._size(total)
-
-    def rule_mask(self, r, role: int) -> BoolMatrix:
-        """Mask q1 (role 1: head), q2 (role 2: first child) or q3 (role 3:
-        second child) of binary rule ``r``."""
-        return _role_mask(self.space, configurations(r)[role - 1], r.fo[role - 1])
-
-
-_tables_cache: dict = {}
-
-
-def tables_for(g: Grammar, space: AddressSpace) -> EngineTables:
-    key = (id(g), space.n, space.d)
-    hit = _tables_cache.get(key)
-    if hit is not None and hit.grammar is g and hit.space is space:
-        return hit
-    if len(_tables_cache) > 64:
-        _tables_cache.clear()
-    tab = EngineTables(g, space)
-    _tables_cache[key] = tab
-    return tab
+def rule_mask(space: AddressSpace, r: Rule, role: int) -> BoolMatrix:
+    """Mask q1 (role 1: head), q2 (role 2: first child) or q3 (role 3:
+    second child) of binary rule ``r``."""
+    return _role_mask(space, configurations(r)[role - 1], r.fo[role - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -282,17 +201,6 @@ def symbol_planes(T: ProductMatrix) -> dict:
                 got.append(key)
     dim = T.space.dim
     return {s: BoolMatrix.from_cells(dim, keys) for s, keys in cells.items()}
-
-
-@lru_cache(maxsize=32)
-def copy_planes(space: AddressSpace) -> dict:
-    """The copy-symbol planes of every seed over ``space``.  Every run over
-    the space shares them, and nothing writes to them.  They stay writable
-    arrays all the same: the compiled kernel takes writable buffers only."""
-    cells = {}
-    for row, col, sym in copy_symbol_cells(space):
-        cells.setdefault(sym, []).append((row, col))
-    return {sym: BoolMatrix.from_cells(space.dim, keys) for sym, keys in cells.items()}
 
 
 def scatter_planes(planes: dict, M: ProductMatrix) -> None:
@@ -321,41 +229,24 @@ def _delta_factors(gf, hf, db, dc):
     return (db, hf) if new_b else None
 
 
-def plane_product(G: dict, H: dict, g: Grammar, tables: EngineTables,
+def plane_product(G: dict, H: dict, g: Grammar, space: AddressSpace,
                   stats: dict | None = None, delta: dict | None = None) -> dict:
-    """The cell product of two charts held as symbol planes (``{symbol:
-    BoolMatrix}``), returned as nonterminal planes.  One masked multiply per
-    binary rule, and up to six mask-filtered copy moves per nonterminal.
+    """The cell product of two charts held as nonterminal planes
+    (``{nonterminal: BoolMatrix}`` over ``space``), returned as nonterminal
+    planes.  One masked multiply per binary rule.
 
     Every term is (A & M1) x (B & M2) & M3, so the product distributes over
-    OR in either operand.  Given ``delta``, nonterminal planes contained in
-    both G and H, only terms that read a delta plane are multiplied: a rule
-    whose one child has delta facts multiplies that child's delta plane by
-    the other's full plane, a rule whose two children both have them
-    multiplies the full planes, and only delta planes are copy-moved.  The
-    result then holds every term of G x H that reads a delta fact, and
-    nothing outside G x H."""
-    tab = tables
-    dim = tab.space.dim
+    OR in either operand.  Given ``delta``, planes contained in both G and
+    H, only terms that read a delta plane are multiplied: a rule whose one
+    child has delta facts multiplies that child's delta plane by the other's
+    full plane, and a rule whose two children both have them multiplies the
+    full planes.  The result then holds every term of G x H that reads a
+    delta fact, and nothing outside G x H."""
+    dim = space.dim
     if any(p.dim != dim for p in G.values()) or any(p.dim != dim for p in H.values()):
-        raise ValueError("planes and tables live in different address spaces")
-
-    def mul(x: BoolMatrix, y: BoolMatrix) -> BoolMatrix:
-        if stats is not None:
-            stats["muls"] = stats.get("muls", 0) + 1
-        return bool_multiply(x, y)
+        raise ValueError("planes live in a different address space")
 
     acc: dict = {}
-
-    def add(nt: str, bits: BoolMatrix) -> None:
-        if not bits.any():
-            return
-        have = acc.get(nt)
-        if have is None:
-            acc[nt] = bits
-        else:
-            np.bitwise_or(have.words, bits.words, out=have.words)
-
     for r in g.binary_rules():
         b, c = r.rhs
         gb = G.get(b)
@@ -364,11 +255,11 @@ def plane_product(G: dict, H: dict, g: Grammar, tables: EngineTables,
             continue
         if delta is not None and b not in delta and c not in delta:
             continue
-        q2 = tab.rule_mask(r, 2)
+        q2 = rule_mask(space, r, 2)
         gf = gb & q2
         if not gf.any():
             continue
-        q3 = tab.rule_mask(r, 3)
+        q3 = rule_mask(space, r, 3)
         hf = hc & q3
         if not hf.any():
             continue
@@ -380,45 +271,25 @@ def plane_product(G: dict, H: dict, g: Grammar, tables: EngineTables,
             if pair is None:
                 continue
             gf, hf = pair
-        add(r.lhs, mul(gf, hf) & tab.rule_mask(r, 1))
-
-    moved_left, moved_right = (G, H) if delta is None else (delta, delta)
-    h_tocol = H.get(CopySym.ToCol)
-    h_unmarkcol = H.get(CopySym.UnmarkCol)
-    h_fromcol = H.get(CopySym.FromCol)
-    g_fromrow = G.get(CopySym.FromRow)
-    g_torow = G.get(CopySym.ToRow)
-    g_unmarkrow = G.get(CopySym.UnmarkRow)
-    nts = [s for s in set(moved_left) | set(moved_right) if not isinstance(s, CopySym)]
-    for nt in sorted(nts):
-        size = 2 * g.fanout[nt]
-        gp = moved_left.get(nt)
-        hp = moved_right.get(nt)
-        if gp is not None:
-            if h_tocol is not None:
-                add(nt, mul(gp, h_tocol) & tab.p_tocol)
-            if h_unmarkcol is not None:
-                add(nt, mul(gp, h_unmarkcol) & tab.size_mask(size))
-            if h_fromcol is not None:
-                add(nt, mul(gp, h_fromcol) & tab.p_fromcol)
-        if hp is not None:
-            if g_fromrow is not None:
-                add(nt, mul(g_fromrow, hp) & tab.p_fromrow)
-            if g_torow is not None:
-                add(nt, mul(g_torow, hp) & tab.p_torow)
-            if g_unmarkrow is not None:
-                add(nt, mul(g_unmarkrow, hp) & tab.size_mask(size))
+        if stats is not None:
+            stats["muls"] = stats.get("muls", 0) + 1
+        bits = bool_multiply(gf, hf) & rule_mask(space, r, 1)
+        if not bits.any():
+            continue
+        have = acc.get(r.lhs)
+        if have is None:
+            acc[r.lhs] = bits
+        else:
+            np.bitwise_or(have.words, bits.words, out=have.words)
     return acc
 
 
 def product_via_boolean(T1: ProductMatrix, T2: ProductMatrix, g: Grammar,
-                        tables: EngineTables | None = None,
                         stats: dict | None = None) -> ProductMatrix:
     """Same result as the cell-by-cell product, via Boolean multiplications."""
     if T1.space is not T2.space:
         raise ValueError("operands live in different address spaces")
-    tab = tables or tables_for(g, T1.space)
-    acc = plane_product(symbol_planes(T1), symbol_planes(T2), g, tab, stats)
+    acc = plane_product(symbol_planes(T1), symbol_planes(T2), g, T1.space, stats)
     out = ProductMatrix(T1.space)
     scatter_planes(acc, out)
     return out

@@ -102,7 +102,9 @@ def _cmd_parse(args) -> int:
 
 
 def _dim_bound(n: int, d: int) -> int:
-    return sum(comb(n + L, L) * (L + 1) for L in range(1, d + 1))
+    """The dimension of ``enumerate_space(n, d)``: the multisets of 1..d
+    positions out of n + 1."""
+    return sum(comb(n + L, L) for L in range(1, d + 1))
 
 
 def _bench_sentence(name: str, n: int):
@@ -146,7 +148,7 @@ def _cmd_bench(args) -> int:
             dim = _dim_bound(len(tokens), space_rank(work))
             if dim > DIM_CAP:
                 print(
-                    "bench: skipping %s n=%d (address space ~%d rows)"
+                    "bench: skipping %s n=%d (address space %d rows)"
                     % (name, len(tokens), dim),
                     file=sys.stderr,
                 )

@@ -1,48 +1,15 @@
 """Seed matrices and the non-associative cell product.
 
-Matrices are square over an address space; each cell holds a set of symbols:
-nonterminal names plus six copy symbols that only ever appear in seeds.  The
-product of two cells applies binary rules (when the shared address carries
-exactly the combining endpoints) and relays nonterminals along copy-symbol
-cells, moving one position at a time between row and column addresses.
+Matrices are square over an address space; each cell holds a set of
+nonterminals.  The product of two cells applies the binary rules whose
+shared address carries exactly the combining endpoints.  ``pi_copy`` copies
+every fact to all cells that describe the same spans.
 """
 
 from __future__ import annotations
 
-import enum
-from functools import lru_cache
-
-from .addresses import (
-    Address,
-    AddressSpace,
-    insert as addr_insert,
-    remove as addr_remove,
-    sort_key,
-    splits_of_endpoints,
-)
+from .addresses import Address, AddressSpace, sort_key, splits_of_endpoints
 from .grammar import Grammar, configurations, is_single_initial
-
-
-class CopySym(enum.Enum):
-    FromRow = "FromRow"
-    ToCol = "ToCol"
-    UnmarkCol = "UnmarkCol"
-    ToRow = "ToRow"
-    FromCol = "FromCol"
-    UnmarkRow = "UnmarkRow"
-
-    def __str__(self):
-        return self.value
-
-
-# Members are singletons that compare by identity, so identity hashing is
-# sound, and it runs in C where ``Enum.__hash__`` runs in Python; chart cells
-# hash their copy symbols on every set operation.
-CopySym.__hash__ = object.__hash__
-
-
-def _symkey(sym):
-    return sym.value if isinstance(sym, CopySym) else sym
 
 
 class EngineUnsupported(ValueError):
@@ -92,9 +59,8 @@ class ProductMatrix:
         """Yield (row Address, col Address, frozenset of nonterminals)."""
         addrs = self.space.addresses
         for (r, c), syms in self.cells.items():
-            nts = frozenset(s for s in syms if not isinstance(s, CopySym))
-            if nts:
-                yield addrs[r], addrs[c], nts
+            if syms:
+                yield addrs[r], addrs[c], frozenset(syms)
 
     def dump(self) -> str:
         """One line per nonempty cell: ``row | col | sorted symbols``."""
@@ -106,50 +72,13 @@ class ProductMatrix:
                 continue
             lines.append(
                 "%s | %s | %s"
-                % (addrs[r], addrs[c], " ".join(sorted(map(_symkey, syms))))
+                % (addrs[r], addrs[c], " ".join(sorted(syms)))
             )
         return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # seeding
-
-@lru_cache(maxsize=64)
-def copy_symbol_cells(space: AddressSpace):
-    """The copy-symbol part of every seed over this space (grammar-free).
-
-    Candidate cells are generated constructively and kept only when they land
-    strictly above the diagonal; the order does the pruning, e.g. a position
-    can move row->col only from the tail end of the row address.
-    """
-    out = []
-    n, d = space.n, space.d
-    ids = space.ids
-    for a in space.addresses:
-        key_a = sort_key(a)
-        if a.mark >= 0:
-            u = a.unmarked()
-            if key_a < sort_key(u):
-                out.append((ids[a], ids[u], CopySym.UnmarkCol))
-            else:
-                out.append((ids[u], ids[a], CopySym.UnmarkRow))
-            continue
-        if len(a) < d:
-            for x in range(n + 1):
-                marked = addr_insert(a, x, marked=True)
-                if key_a < sort_key(marked):
-                    out.append((ids[a], ids[marked], CopySym.ToCol))
-                if sort_key(marked) < key_a:
-                    out.append((ids[marked], ids[a], CopySym.ToRow))
-        if len(a) >= 2:
-            for x in set(a.positions):
-                smaller = addr_remove(a, x)
-                if sort_key(smaller) < key_a:
-                    out.append((ids[smaller], ids[a], CopySym.FromRow))
-                if key_a < sort_key(smaller):
-                    out.append((ids[a], ids[smaller], CopySym.FromCol))
-    return tuple(out)
-
 
 def _placements(words, tokens, n):
     """All ways to lay a lexical rule's span sequences over the sentence."""
@@ -202,14 +131,11 @@ def lexical_cells(g: Grammar, sentence, space: AddressSpace) -> dict:
 
 
 def seed(g: Grammar, sentence, space: AddressSpace) -> ProductMatrix:
-    """Seed matrix: lexical facts at every split of their spans, plus the
-    copy symbols of the space."""
+    """Seed matrix: lexical facts at every split of their spans."""
     T = ProductMatrix(space)
     for nt, cells in lexical_cells(g, sentence, space).items():
         for row_id, col_id in cells:
             T.add(row_id, col_id, nt)
-    for row_id, col_id, sym in copy_symbol_cells(space):
-        T.add(row_id, col_id, sym)
     return T
 
 
@@ -232,42 +158,22 @@ def _role_fits(cfg, fo2, left: Address, right: Address, keep: Address) -> bool:
 
 
 def cell_product(R, S, i: Address, k: Address, j: Address, g: Grammar):
-    """Product of cell (i,k) by cell (k,j); emits only nonterminals."""
+    """Product of cell (i,k) by cell (k,j): the heads of the binary rules
+    whose children are in R and S and whose roles the three addresses fit."""
     out = set()
     if not R or not S:
         return out
-    r_nts = [s for s in R if not isinstance(s, CopySym)]
-    s_nts = [s for s in S if not isinstance(s, CopySym)]
-
-    if r_nts and s_nts and i.mark < 0 and k.mark < 0 and j.mark < 0:
-        for r in g.binary_rules():
-            b, c = r.rhs
-            if b not in R or c not in S:
-                continue
-            cfg1, cfg2, cfg3 = configurations(r)
-            if (
-                _role_fits(cfg2, 2 * r.fo[1], i, k, i)
-                and _role_fits(cfg3, 2 * r.fo[2], k, j, k)
-                and _role_fits(cfg1, 2 * r.fo[0], i, j, i)
-            ):
-                out.add(r.lhs)
-
-    if r_nts:
-        if CopySym.ToCol in S and i.mark < 0 and j.mark >= 0 and j.marked_value in i.positions:
-            out.update(r_nts)
-        if CopySym.FromCol in S and i.mark >= 0 and i.marked_value not in j.positions:
-            out.update(r_nts)
-        if CopySym.UnmarkCol in S:
-            size = len(i) + len(j)
-            out.update(a for a in r_nts if size == 2 * g.fanout[a])
-    if s_nts:
-        if CopySym.ToRow in R and j.mark < 0 and i.mark >= 0 and i.marked_value in j.positions:
-            out.update(s_nts)
-        if CopySym.FromRow in R and j.mark >= 0 and j.marked_value not in i.positions:
-            out.update(s_nts)
-        if CopySym.UnmarkRow in R:
-            size = len(i) + len(j)
-            out.update(a for a in s_nts if size == 2 * g.fanout[a])
+    for r in g.binary_rules():
+        b, c = r.rhs
+        if b not in R or c not in S:
+            continue
+        cfg1, cfg2, cfg3 = configurations(r)
+        if (
+            _role_fits(cfg2, 2 * r.fo[1], i, k, i)
+            and _role_fits(cfg3, 2 * r.fo[2], k, j, k)
+            and _role_fits(cfg1, 2 * r.fo[0], i, j, i)
+        ):
+            out.add(r.lhs)
     return out
 
 
@@ -305,25 +211,19 @@ def union(T1: ProductMatrix, T2: ProductMatrix) -> ProductMatrix:
 def pi_copy(T: ProductMatrix) -> ProductMatrix:
     """Copy every nonterminal to all cells describing the same spans.
 
-    Cells whose addresses carry a mark, or whose merge is undefined, are
-    left untouched, as are copy symbols.
+    Cells whose merge is undefined are left untouched.
     """
     space = T.space
     addrs = space.addresses
     groups = {}
     for (r, c), syms in T.cells.items():
         a, b = addrs[r], addrs[c]
-        if a.mark >= 0 or b.mark >= 0 or b.positions[0] <= a.positions[0]:
-            continue
-        if (len(a) + len(b)) % 2:
-            continue
-        nts = {s for s in syms if not isinstance(s, CopySym)}
-        if not nts:
+        if not syms or b.positions[0] <= a.positions[0] or (len(a) + len(b)) % 2:
             continue
         flat = tuple(sorted(a.positions + b.positions))
-        groups.setdefault(flat, set()).update(nts)
+        groups.setdefault(flat, set()).update(syms)
     out = T.copy()
-    ids = space.unmarked_ids
+    ids = space.ids
     for flat, nts in groups.items():
         for row, col in splits_of_endpoints(flat, space.d):
             cell = out.cells.setdefault((ids[row], ids[col]), set())

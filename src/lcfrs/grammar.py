@@ -408,9 +408,9 @@ def is_balanced(g: Grammar) -> bool:
 
     Such a nonterminal occupies cells whose row and column are both
     full-length for it, in more than one split, so its facts reach the
-    other splits only by pi-copy, not by the copy symbols in the matrix.
-    The paper alternates closure with copying for these grammars, which
-    costs the +1 in the predicted exponent.
+    other splits only by pi-copy.  The paper alternates closure with
+    copying for these grammars, which costs the +1 in the predicted
+    exponent.
     """
     for nt in g.nonterminals:
         full = {c for c in config_set(g, nt) if len(c) == g.fanout[nt]}

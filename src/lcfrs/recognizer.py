@@ -22,23 +22,9 @@ import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .addresses import AddressSpace, enumerate_space, splits_of_endpoints
-from .boolmat import (
-    BoolMatrix,
-    KERNEL_KIND,
-    copy_planes,
-    plane_product,
-    scatter_planes,
-    tables_for,
-)
-from .engine import (
-    CopySym,
-    EngineUnsupported,
-    ProductMatrix,
-    _role_fits,
-    engine_ready,
-    lexical_cells,
-)
+from .addresses import AddressSpace, cell_endpoints, enumerate_space, splits_of_endpoints
+from .boolmat import BoolMatrix, KERNEL_KIND, plane_product, scatter_planes
+from .engine import EngineUnsupported, ProductMatrix, _role_fits, engine_ready, lexical_cells
 from .grammar import (
     AnalysisReport,
     Grammar,
@@ -80,20 +66,23 @@ class Closure:
         return plane.nonzero_cells() if plane is not None else []
 
 
+def _endpoint_sets(cells, space) -> set:
+    """The sorted endpoint tuples of the (row id, col id) ``cells`` whose
+    merge is defined."""
+    addrs = space.addresses
+    flats = {cell_endpoints(addrs[r], addrs[c]) for r, c in cells}
+    flats.discard(None)
+    return flats
+
+
 def pi_copy(planes: dict, space) -> dict:
     """Plane form of ``engine.pi_copy``: each nonterminal plane with its
     facts also set on every cell whose addresses merge to the same
-    endpoints.  Cells with a mark or an undefined merge copy nowhere.  The
-    work grows with the facts given, not with the space."""
-    addrs = space.addresses
+    endpoints.  Cells with an undefined merge copy nowhere.  The work grows
+    with the facts given, not with the space."""
     out = {}
     for nt, bits in planes.items():
-        flats = set()
-        for r, c in bits.nonzero_cells():
-            a, b = addrs[r], addrs[c]
-            if (a.mark < 0 and b.mark < 0 and b.positions[0] > a.positions[0]
-                    and not (len(a) + len(b)) % 2):
-                flats.add(tuple(sorted(a.positions + b.positions)))
+        flats = _endpoint_sets(bits.nonzero_cells(), space)
         cells = [cell for flat in flats for cell in space.split_ids(flat)]
         out[nt] = bits | BoolMatrix.from_cells(space.dim, cells) if cells else bits
     return out
@@ -101,40 +90,34 @@ def pi_copy(planes: dict, space) -> dict:
 
 def seed_planes(g: Grammar, sentence, space: AddressSpace) -> dict:
     """Plane form of ``engine.seed``: one plane of lexical facts per
-    nonterminal, plus the space's shared copy-symbol planes."""
-    planes = {nt: BoolMatrix.from_cells(space.dim, cells)
-              for nt, cells in lexical_cells(g, sentence, space).items()}
-    planes.update(copy_planes(space))
-    return planes
+    nonterminal."""
+    return {nt: BoolMatrix.from_cells(space.dim, cells)
+            for nt, cells in lexical_cells(g, sentence, space).items()}
 
 
 def closure_fixpoint(T: dict, g: Grammar, space: AddressSpace) -> Closure:
     """Least fixpoint of X -> pi(X | X*X) above T, evaluated semi-naively on
-    bit planes.  T is the seed as symbol planes over ``space``
+    bit planes.  T is the seed as nonterminal planes over ``space``
     (``seed_planes``, or ``boolmat.symbol_planes`` of a chart).  It must be
     closed under pi-copy, as every seed is, and its planes are never
     written to.
 
-    The copy-symbol planes C never change, because products emit only
-    nonterminals.  Each round multiplies only the terms of (X | C) * (X | C)
-    that read a fact the round before added (D), then copies its new facts
-    to their equivalent cells.  Both steps distribute over OR, and X stays
-    closed under copying, so the terms that read no D fact and the copies of
-    older facts are in X already.  Round 1 takes all of X as D.  Round k
-    therefore holds exactly the facts of round k of naive iteration, and
-    ``iterations`` counts the same rounds, the last of which adds nothing."""
-    tab = tables_for(g, space)
+    Each round multiplies only the terms of X * X that read a fact the round
+    before added (D), then copies its new facts to their equivalent cells.
+    Both steps distribute over OR, and X stays closed under copying, so the
+    terms that read no D fact and the copies of older facts are in X
+    already.  Round 1 takes all of X as D.  Round k therefore holds exactly
+    the facts of round k of naive iteration, and ``iterations`` counts the
+    same rounds, the last of which adds nothing."""
     t0 = time.perf_counter()
-    copies = {s: p for s, p in T.items() if isinstance(s, CopySym)}
-    X = {s: p for s, p in T.items() if not isinstance(s, CopySym)}
+    X = dict(T)
     delta = X
     stats = {"muls": 0}
     rounds = []
     while True:
         before = stats["muls"]
-        chart = {**X, **copies}
         fresh = {}
-        for nt, bits in plane_product(chart, chart, g, tab, stats, delta).items():
+        for nt, bits in plane_product(X, X, g, space, stats, delta).items():
             if nt in X:
                 bits = bits - X[nt]
             if bits.any():
@@ -148,26 +131,21 @@ def closure_fixpoint(T: dict, g: Grammar, space: AddressSpace) -> Closure:
         for nt, bits in fresh.items():
             X[nt] = X[nt] | bits if nt in X else bits
         delta = fresh
-    return Closure({**X, **copies}, space, stats["muls"], len(rounds),
+    return Closure(X, space, stats["muls"], len(rounds),
                    time.perf_counter() - t0, rounds)
 
 
 def _top_cell(space, n):
-    return space.unmarked_ids[(0,)], space.unmarked_ids[(n,)]
+    return space.ids[(0,)], space.ids[(n,)]
 
 
 def _span_facts(cells_of, space, nts) -> dict:
     """``{nonterminal: set of sorted endpoint tuples}`` for the nonterminals
-    in ``nts``, read off the unmarked cells ``cells_of(nt)`` lists whose
-    merge is defined."""
-    addrs = space.addresses
+    in ``nts``, read off the cells ``cells_of(nt)`` lists whose merge is
+    defined."""
     out = {}
     for nt in nts:
-        flats = set()
-        for r, c in cells_of(nt):
-            a, b = addrs[r], addrs[c]
-            if a.mark < 0 and b.mark < 0 and b.positions[0] > a.positions[0]:
-                flats.add(tuple(sorted(a.positions + b.positions)))
+        flats = _endpoint_sets(cells_of(nt), space)
         if flats:
             out[nt] = flats
     return out
@@ -330,20 +308,16 @@ def extract_derivation(chart: ProductMatrix, g: Grammar, sentence):
     addrs = space.addresses
     i0, j0 = _top_cell(space, n)
 
-    nt_cells = {}
+    cells = chart.cells
     by_row: dict = {}
     by_col: dict = {}
     by_nt: dict = {}
-    for (r, c), syms in chart.cells.items():
-        if addrs[r].mark >= 0 or addrs[c].mark >= 0:
+    for (r, c), syms in cells.items():
+        if not syms:
             continue
-        nts = frozenset(s for s in syms if not isinstance(s, CopySym))
-        if not nts:
-            continue
-        nt_cells[(r, c)] = nts
         by_row.setdefault(r, set()).add(c)
         by_col.setdefault(c, set()).add(r)
-        for nt in nts:
+        for nt in syms:
             by_nt.setdefault(nt, []).append((r, c))
 
     witness = None
@@ -374,13 +348,13 @@ def extract_derivation(chart: ProductMatrix, g: Grammar, sentence):
             cfg1, cfg2, cfg3 = configurations(r)
             B, C = r.rhs
             for row, col in sorted(splits_of_endpoints(flat, space.d)):
-                i = space.unmarked_ids.get(row)
-                j = space.unmarked_ids.get(col)
+                i = space.ids.get(row)
+                j = space.ids.get(col)
                 if i is None or j is None:
                     continue
                 for k in sorted(by_row.get(i, set()) & by_col.get(j, set())):
                     ia, ka, ja = addrs[i], addrs[k], addrs[j]
-                    if B not in nt_cells.get((i, k), ()) or C not in nt_cells.get((k, j), ()):
+                    if B not in cells.get((i, k), ()) or C not in cells.get((k, j), ()):
                         continue
                     if not (
                         _role_fits(cfg2, 2 * r.fo[1], ia, ka, ia)
@@ -388,10 +362,10 @@ def extract_derivation(chart: ProductMatrix, g: Grammar, sentence):
                         and _role_fits(cfg1, 2 * r.fo[0], ia, ja, ia)
                     ):
                         continue
-                    left = justify(B, tuple(sorted(ia.positions + ka.positions)))
+                    left = justify(B, cell_endpoints(ia, ka))
                     if left is None:
                         continue
-                    right = justify(C, tuple(sorted(ka.positions + ja.positions)))
+                    right = justify(C, cell_endpoints(ka, ja))
                     if right is None:
                         continue
                     node = DerivationNode(nt, r.rid, spans, (left, right))

@@ -133,11 +133,6 @@ def _chart_violations(chart) -> list:
     out = []
     if not chart.is_upper_triangular():
         out.append("not upper-triangular")
-    addrs = chart.space.addresses
-    for (r, c), syms in chart.cells.items():
-        if syms and (addrs[r].mark >= 0) + (addrs[c].mark >= 0) > 1:
-            out.append("two marks at cell (%s, %s)" % (addrs[r], addrs[c]))
-            break
     if pi_copy(chart) != chart:
         out.append("not copy-complete at fixpoint")
     return out

@@ -7,16 +7,14 @@ from lcfrs.addresses import (
     Address,
     compare,
     enumerate_space,
-    insert,
     merge_m,
-    remove,
     sort_key,
     splits_of_endpoints,
 )
 
 
-def A(*positions, mark=-1):
-    return Address(positions, mark)
+def A(*positions):
+    return Address(positions)
 
 
 class TestAddress:
@@ -31,18 +29,6 @@ class TestAddress:
     def test_duplicates_allowed(self):
         assert A(3, 3).positions == (3, 3)
 
-    def test_mark_normalizes_to_last_of_run(self):
-        # (2, 7^, 7) and (2, 7, 7^) denote the same address
-        assert Address((2, 7, 7), 1) == Address((2, 7, 7), 2)
-        assert Address((2, 7, 7), 1).mark == 2
-
-    def test_str_shows_mark(self):
-        assert str(A(4, 5, 8, mark=2)) == "4,5,8^"
-        assert str(A(2, 7)) == "2,7"
-
-    def test_unmarked_drops_mark(self):
-        assert A(1, 8, mark=1).unmarked() == A(1, 8)
-
 
 class TestOrdering:
     def test_lexicographic(self):
@@ -52,15 +38,10 @@ class TestOrdering:
         assert compare(A(1), A(2, 7)) == -1
 
     def test_prefix_sorts_first(self):
-        assert compare(A(4, 5), A(4, 5, 8, mark=2)) == -1
+        assert compare(A(4, 5), A(4, 5, 8)) == -1
 
     def test_equal(self):
         assert compare(A(3, 9), A(3, 9)) == 0
-
-    def test_mark_on_last_sorts_before_unmarked_twin(self):
-        # needed so the corresponding unmark cell is above the diagonal
-        assert sort_key(A(2, 7, 8, mark=2)) < sort_key(A(2, 7, 8))
-        assert sort_key(A(1, 8, mark=0)) > sort_key(A(1, 8))
 
     @given(
         st.lists(
@@ -87,9 +68,6 @@ class TestMerge:
         assert merge_m(A(4, 5), A(1, 8)) is None
         assert merge_m(A(3), A(3)) is None
 
-    def test_undefined_with_mark(self):
-        assert merge_m(A(1, 8), A(4, 5, mark=1)) is None
-
     def test_undefined_for_odd_total(self):
         assert merge_m(A(1), A(4, 5)) is None
 
@@ -97,60 +75,25 @@ class TestMerge:
         assert merge_m(A(2, 2), A(5, 5)) == ((2, 2), (5, 5))
 
 
-class TestInsertRemove:
-    def test_insert_marked(self):
-        assert insert(A(4, 5), 8, marked=True) == A(4, 5, 8, mark=2)
-
-    def test_remove_unmarked(self):
-        assert remove(A(1, 8), 8) == A(1)
-
-    def test_mark_replacement_chain(self):
-        got = insert(remove(A(2, 7, 8, mark=2), 8, marked=True), 8)
-        assert got == A(2, 7, 8)
-
-    def test_remove_absent_raises(self):
-        with pytest.raises(ValueError):
-            remove(A(1, 8), 3)
-
-    def test_remove_marked_needs_mark(self):
-        with pytest.raises(ValueError):
-            remove(A(1, 8), 8, marked=True)
-
-    def test_second_mark_rejected(self):
-        with pytest.raises(ValueError):
-            insert(A(1, 8, mark=1), 3, marked=True)
-
-    @given(
-        st.lists(st.integers(0, 8), min_size=1, max_size=3),
-        st.integers(0, 8),
-        st.booleans(),
-    )
-    def test_remove_undoes_insert(self, base, x, marked):
-        v = Address(sorted(base))
-        assert remove(insert(v, x, marked=marked), x, marked=marked) == v
-
-
 class TestSpace:
     def test_tiny_space_contents(self):
         sp = enumerate_space(1, 1)
-        got = set(sp.addresses)
-        assert got == {A(0), A(1), A(0, mark=0), A(1, mark=0)}
-        assert sp.ids[A(0)] < sp.ids[A(1)]
+        assert sp.addresses == [A(0), A(1)]
+        assert sp.ids == {(0,): 0, (1,): 1}
 
     def test_unmarked_count_for_singletons(self):
         for n in range(5):
-            sp = enumerate_space(n, 1)
-            assert sum(a.mark < 0 for a in sp.addresses) == n + 1
+            assert enumerate_space(n, 1).dim == n + 1
 
     def test_interleaved_pair_order(self):
         sp = enumerate_space(8, 2)
-        assert sp.ids[A(1, 8)] < sp.ids[A(2, 7)]
+        assert sp.ids[(1, 8)] < sp.ids[(2, 7)]
 
     def test_ids_are_sorted_ranks(self):
         sp = enumerate_space(4, 2)
         keys = [sort_key(a) for a in sp.addresses]
         assert keys == sorted(keys)
-        assert all(sp.ids[a] == t for t, a in enumerate(sp.addresses))
+        assert all(sp.ids[a.positions] == t for t, a in enumerate(sp.addresses))
 
     def test_enumeration_is_deterministic(self):
         a = enumerate_space(3, 2)
@@ -159,13 +102,6 @@ class TestSpace:
             sort_key(x) for x in b.addresses
         ]
         assert a.ids == b.ids
-
-    def test_at_most_one_mark_per_address(self):
-        sp = enumerate_space(3, 3)
-        assert all(a.mark == -1 or a.mark < len(a) for a in sp.addresses)
-        # one marked variant per run of equal values
-        marked = [a for a in sp.addresses if a.mark >= 0]
-        assert len(marked) == len({(a.positions, a.mark) for a in marked})
 
 
 class TestEquivalentCells:
@@ -187,8 +123,7 @@ class TestEquivalentCells:
 
     def test_merge_defined_implies_row_before_col(self):
         sp = enumerate_space(4, 2)
-        unmarked = [a for a in sp.addresses if a.mark < 0]
-        for i, j in itertools.product(unmarked, repeat=2):
+        for i, j in itertools.product(sp.addresses, repeat=2):
             if merge_m(i, j) is not None:
                 assert compare(i, j) == -1
 

@@ -14,12 +14,12 @@ from lcfrs.boolmat import (
     pack_rows,
     plane_product,
     product_via_boolean,
+    rule_mask,
     scatter_planes,
     symbol_planes,
-    tables_for,
     unpack_rows,
 )
-from lcfrs.engine import CopySym, ProductMatrix, _role_fits, matrix_product, seed, union
+from lcfrs.engine import ProductMatrix, _role_fits, matrix_product, seed, union
 from lcfrs.grammar import configurations, is_single_initial, parse_grammar, to_single_initial
 
 from conftest import BOTH_CHILDREN_GROW, full_rank
@@ -256,13 +256,12 @@ class TestScatter:
         got = symbol_planes(T)
         assert set(got) == set(want)
         assert all(got[s] == want[s] for s in want)
-        assert any(isinstance(s, CopySym) for s in got)
 
 
 def _planes_after_one_product(g, toks):
     sp = enumerate_space(len(toks), full_rank(g))
     T = seed(g, toks, sp)
-    return T, union(T, matrix_product(T, T, g)), tables_for(g, sp)
+    return T, union(T, matrix_product(T, T, g)), sp
 
 
 def _or_planes(*plane_dicts):
@@ -276,31 +275,30 @@ def _or_planes(*plane_dicts):
 class TestFactors:
     def test_lexical_rules_contribute_nothing(self, grammars):
         g = grammars["cfg_anbn"]
-        T, T2, tab = _planes_after_one_product(g, ["a", "a", "b", "b"])
+        T, T2, sp = _planes_after_one_product(g, ["a", "a", "b", "b"])
         lexical = dataclasses.replace(g, rules=tuple(g.lexical_rules()))
         binary = dataclasses.replace(g, rules=tuple(g.binary_rules()))
         planes = symbol_planes(T)
-        lex_only = {s: p for s, p in planes.items() if not isinstance(s, CopySym)}
-        assert lex_only
+        assert planes
         stats = {}
-        assert plane_product(lex_only, lex_only, lexical, tab, stats=stats) == {}
+        assert plane_product(planes, planes, lexical, sp, stats=stats) == {}
         assert stats.get("muls", 0) == 0
         for chart in (planes, symbol_planes(T2)):
-            assert plane_product(chart, chart, g, tab) == plane_product(chart, chart, binary, tab)
+            assert plane_product(chart, chart, g, sp) == plane_product(chart, chart, binary, sp)
 
     def test_empty_left_operand(self, grammars):
         g = grammars["cfg_anbn"]
-        _, T2, tab = _planes_after_one_product(g, ["a", "a", "b", "b"])
+        _, T2, sp = _planes_after_one_product(g, ["a", "a", "b", "b"])
         stats = {}
-        assert plane_product({}, symbol_planes(T2), g, tab, stats=stats) == {}
+        assert plane_product({}, symbol_planes(T2), g, sp, stats=stats) == {}
         assert stats.get("muls", 0) == 0
 
     def test_factors_stay_above_diagonal(self, grammars):
         g = grammars["count4"]
-        _, T2, tab = _planes_after_one_product(g, ["a", "b", "c", "d"])
+        _, T2, sp = _planes_after_one_product(g, ["a", "b", "c", "d"])
         chart = symbol_planes(T2)
         for _ in range(3):
-            got = plane_product(chart, chart, g, tab)
+            got = plane_product(chart, chart, g, sp)
             assert got
             for nt, bits in got.items():
                 assert all(r < c for r, c in bits.nonzero_cells()), nt
@@ -313,18 +311,17 @@ class TestFactors:
         with pytest.raises(ValueError):
             product_via_boolean(a, b, g)
         small = seed(g, ["a", "b"], enumerate_space(2, 1))
-        big_tables = tables_for(g, enumerate_space(3, 1))
         with pytest.raises(ValueError):
-            plane_product(symbol_planes(small), {}, g, big_tables)
+            plane_product(symbol_planes(small), {}, g, enumerate_space(3, 1))
 
     def test_plane_product_matches_product_via_boolean(self, grammars):
         for name, sentence in (("count4", "a b c d"), ("itg_sep", "x y # y x")):
             g = grammars[name]
-            T, T2, tab = _planes_after_one_product(g, sentence.split())
+            T, T2, sp = _planes_after_one_product(g, sentence.split())
             for left, right in ((T, T2), (T2, T), (T2, T2)):
                 got = ProductMatrix(T.space)
-                scatter_planes(plane_product(symbol_planes(left), symbol_planes(right), g, tab), got)
-                assert got == product_via_boolean(left, right, g, tables=tab)
+                scatter_planes(plane_product(symbol_planes(left), symbol_planes(right), g, sp), got)
+                assert got == product_via_boolean(left, right, g)
                 assert got == matrix_product(left, right, g), name
 
     def test_delta_terms_complete_the_old_product(self, grammars):
@@ -338,22 +335,20 @@ class TestFactors:
         ):
             toks = sentence.split()
             sp = enumerate_space(len(toks), full_rank(g))
-            tab = tables_for(g, sp)
             T = seed(g, toks, sp)
             for step in range(3):
                 grown = union(T, matrix_product(T, T, g))
                 old, new = symbol_planes(T), symbol_planes(grown)
-                delta = {s: new[s] - old[s] if s in old else new[s]
-                         for s in new if not isinstance(s, CopySym)}
+                delta = {s: new[s] - old[s] if s in old else new[s] for s in new}
                 delta = {s: bits for s, bits in delta.items() if bits.any()}
-                full = plane_product(new, new, g, tab)
-                part = plane_product(new, new, g, tab, delta=delta)
+                full = plane_product(new, new, g, sp)
+                part = plane_product(new, new, g, sp, delta=delta)
                 label = (name, step)
-                assert _or_planes(plane_product(old, old, g, tab), part) == full, label
+                assert _or_planes(plane_product(old, old, g, sp), part) == full, label
                 assert all((bits - full[s]).count() == 0 for s, bits in part.items()), label
                 T = grown
             stats = {}
-            plane_product(new, new, g, tab, stats=stats, delta={})
+            plane_product(new, new, g, sp, stats=stats, delta={})
             assert stats.get("muls", 0) == 0
 
 
@@ -364,19 +359,17 @@ class TestRoleMask:
             d = full_rank(g if is_single_initial(g) else to_single_initial(g))
             for n in range(7):
                 sp = enumerate_space(n, d)
-                tab = tables_for(g, sp)
-                unmarked = [a for a in sp.addresses if a.mark < 0]
                 for r in g.binary_rules():
                     for role, cfg in zip((1, 2, 3), configurations(r)):
                         fo2 = 2 * r.fo[role - 1]
                         want = BoolMatrix(sp.dim)
-                        for i in unmarked:
+                        for i in sp.addresses:
                             if len(i) != len(cfg):
                                 continue
-                            for j in unmarked:
+                            for j in sp.addresses:
                                 if len(i) + len(j) == fo2 and _role_fits(cfg, fo2, i, j, i):
-                                    want.set(sp.ids[i], sp.ids[j])
-                        assert tab.rule_mask(r, role) == want, (name, n, r.rid, role)
+                                    want.set(sp.ids[i.positions], sp.ids[j.positions])
+                        assert rule_mask(sp, r, role) == want, (name, n, r.rid, role)
                         checked += want.any()
         assert checked
 
@@ -408,26 +401,7 @@ class TestReduction:
         toks = "a b c d".split()
         sp = enumerate_space(len(toks), full_rank(g))
         T = seed(g, toks, sp)
-        tab = tables_for(g, sp)
         for _ in range(3):
             ref = matrix_product(T, T, g)
-            assert product_via_boolean(T, T, g, tables=tab) == ref
+            assert product_via_boolean(T, T, g) == ref
             T = union(T, ref)
-
-    def test_copy_moves_survive_reduction(self, grammars):
-        # the three-product move of a two-span fact works bit-sliced too
-        g = grammars["count4"]
-        sp = enumerate_space(8, 3)
-        from lcfrs.addresses import Address
-        from lcfrs.engine import ProductMatrix, copy_symbol_cells
-
-        T = ProductMatrix(sp)
-        for r, c, sym in copy_symbol_cells(sp):
-            T.add(r, c, sym)
-        T.add(sp.ids[Address((1, 8))], sp.ids[Address((2, 7))], "B")
-        X = T
-        for _ in range(3):
-            X = union(X, product_via_boolean(X, X, g))
-        assert "B" in X.get(
-            sp.ids[Address((1,))], sp.ids[Address((2, 7, 8))]
-        )

@@ -8,7 +8,8 @@ import sys
 import pytest
 
 from lcfrs import KERNEL_KIND
-from lcfrs.cli import main
+from lcfrs.addresses import enumerate_space
+from lcfrs.cli import _dim_bound, main
 
 
 def run(capsys, *argv):
@@ -100,14 +101,14 @@ class TestRecognize:
         assert data["stats"].pop("phases")
         assert data["stats"].pop("rounds") == [
             {"muls": m, "new_facts": f}
-            for m, f in ((14, 3), (8, 0))
+            for m, f in ((2, 3), (2, 0))
         ]
         assert data == {
             "sentence": ["x", "y", "#", "y", "x"],
             "accepted": True,
             "stats": {
-                "n": 5, "rank": 2, "dim": 69, "kernel": KERNEL_KIND,
-                "muls": 22, "iterations": 2, "facts": 128, "converted": False,
+                "n": 5, "rank": 2, "dim": 27, "kernel": KERNEL_KIND,
+                "muls": 4, "iterations": 2, "facts": 14, "converted": False,
                 "engine": "matmul",
             },
         }
@@ -176,16 +177,21 @@ class TestBench:
         for row in rows:
             assert float(row.pop(3)) >= 0
         assert rows == [
-            ["cfg_anbn", "4", "matmul", "12", "9"],
+            ["cfg_anbn", "4", "matmul", "7", "4"],
             ["cfg_anbn", "4", "tabular", "7", "0"],
         ]
 
     def test_guard_uses_the_runtime_rank(self, capsys):
-        # count4 runs at rank 2: about 1,749 rows at n=32, under DIM_CAP
+        # count4 runs at rank 2: 594 rows at n=32, under DIM_CAP
         code, out, err = run(capsys, "bench", "--grammar", "count4", "--max-len", "32")
         assert code == 0 and err == ""
         rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
         assert ["count4", "32", "matmul"] in [row[:3] for row in rows]
+
+    def test_guard_formula_is_the_space_dimension(self):
+        for n in range(17):
+            for d in (1, 2, 3):
+                assert _dim_bound(n, d) == enumerate_space(n, d).dim, (n, d)
 
 
 class TestErrors:

@@ -6,10 +6,8 @@ import pytest
 
 from lcfrs.addresses import Address, enumerate_space, merge_m, splits_of_endpoints
 from lcfrs.engine import (
-    CopySym,
     ProductMatrix,
     cell_product,
-    copy_symbol_cells,
     engine_ready,
     matrix_product,
     pi_copy,
@@ -21,8 +19,8 @@ from lcfrs.grammar import parse_grammar
 CFG_AB = "start S\nS -> A B : b1 g1\nA -> : 'a'\nB -> : 'b'\n"
 
 
-def A(*positions, mark=-1):
-    return Address(positions, mark)
+def A(*positions):
+    return Address(positions)
 
 
 def facts(matrix):
@@ -44,12 +42,10 @@ class TestSeed:
         want = ((0, 1), (2, 3))
         for i in sp.addresses:
             for j in sp.addresses:
-                if i.mark >= 0 or j.mark >= 0:
-                    continue
                 spans = merge_m(i, j)
                 if spans is None:
                     continue
-                has = "X" in T.get(sp.ids[i], sp.ids[j])
+                has = "X" in T.get(sp.ids[i.positions], sp.ids[j.positions])
                 assert has == (spans == want), (i, j)
 
     def test_empty_span_words_anchor_anywhere_rightward(self, grammars):
@@ -68,46 +64,12 @@ class TestSeed:
         T = seed(g, ["a", "a"], sp)
         assert not [f for f in facts(T) if f[2] == "B"]
 
-    def test_includes_grammar_free_copy_scaffold(self, grammars):
-        g = grammars["cfg_anbn"]
-        sp = enumerate_space(2, 1)
-        T = seed(g, ["a", "b"], sp)
-        for r, c, sym in copy_symbol_cells(sp):
-            assert sym in T.get(r, c)
-
     def test_strictly_upper_triangular(self, grammars):
         g = grammars["count4"]
         sp = enumerate_space(3, 3)
         T = seed(g, ["a", "b", "c"], sp)
         assert T.is_upper_triangular()
         assert all((r, c) for (r, c) in T.cells if r < c)
-
-
-class TestCopyCells:
-    def test_expected_members(self):
-        sp = enumerate_space(8, 3)
-        table = {}
-        for r, c, sym in copy_symbol_cells(sp):
-            table.setdefault((sp.addresses[r], sp.addresses[c]), set()).add(sym)
-        assert CopySym.ToCol in table[(A(4, 5), A(4, 5, 8, mark=2))]
-        assert CopySym.FromRow in table[(A(1), A(1, 8))]
-        assert CopySym.UnmarkCol in table[(A(2, 7, 8, mark=2), A(2, 7, 8))]
-        assert CopySym.UnmarkRow in table[(A(1, 8), A(1, 8, mark=0))]
-        assert CopySym.ToRow in table[(A(2, 7, mark=0), A(7))]
-        assert CopySym.FromCol in table[(A(1, 8), A(8))]
-
-    def test_all_above_diagonal(self):
-        sp = enumerate_space(4, 2)
-        assert all(r < c for r, c, _ in copy_symbol_cells(sp))
-
-    def test_unmark_cells_pair_marked_with_unmarked_twin(self):
-        sp = enumerate_space(3, 2)
-        for r, c, sym in copy_symbol_cells(sp):
-            i, j = sp.addresses[r], sp.addresses[c]
-            if sym is CopySym.UnmarkCol:
-                assert i.unmarked() == j
-            if sym is CopySym.UnmarkRow:
-                assert j.unmarked() == i
 
 
 class TestCellProduct:
@@ -123,37 +85,6 @@ class TestCellProduct:
         assert cell_product(set(), {"S"}, A(0), A(1), A(2), g) == set()
         assert cell_product({"A"}, set(), A(0), A(1), A(2), g) == set()
 
-    def test_no_rule_on_marked_addresses(self, grammars):
-        g = grammars["cfg_anbn"]
-        got = cell_product({"A"}, {"B"}, A(0), A(1, mark=0), A(2), g)
-        assert got == set()
-
-    def test_wrap_chain_step_by_step(self, grammars):
-        """Move one position of a two-span fact from the row side to the
-        column side: attach it marked, detach the row copy, drop the mark."""
-        g = grammars["count4"]
-        j1 = A(2, 7, 8, mark=2)
-        step1 = cell_product({"B"}, {CopySym.ToCol}, A(1, 8), A(2, 7), j1, g)
-        assert step1 == {"B"}
-        step2 = cell_product({CopySym.FromRow}, {"B"}, A(1), A(1, 8), j1, g)
-        assert step2 == {"B"}
-        step3 = cell_product({"B"}, {CopySym.UnmarkCol}, A(1), j1, A(2, 7, 8), g)
-        assert step3 == {"B"}
-
-    def test_move_requires_membership(self, grammars):
-        g = grammars["count4"]
-        # 9 is not an endpoint of the fact at ((1,8),(2,7))
-        got = cell_product(
-            {"B"}, {CopySym.ToCol}, A(1, 8), A(2, 7), A(2, 7, 9, mark=2), g
-        )
-        assert got == set()
-
-    def test_unmark_checks_fanout_size(self, grammars):
-        g = grammars["count4"]
-        # S has fan-out 1, so a 4-endpoint cell cannot hold it after unmark
-        got = cell_product({"S"}, {CopySym.UnmarkCol}, A(1), A(2, 7, 8, mark=2), A(2, 7, 8), g)
-        assert got == set()
-
 
 class TestMatrixProduct:
     def test_cfg_sentence(self, grammars):
@@ -161,7 +92,7 @@ class TestMatrixProduct:
         sp = enumerate_space(2, 1)
         T = seed(g, ["a", "b"], sp)
         P = matrix_product(T, T, g)
-        assert "S" in P.get(sp.ids[A(0)], sp.ids[A(2)])
+        assert "S" in P.get(sp.ids[(0,)], sp.ids[(2,)])
 
     def test_space_mismatch_raises(self, grammars):
         g = grammars["cfg_anbn"]
@@ -216,29 +147,17 @@ class TestPiCopy:
     def test_fact_reaches_every_equivalent_split(self):
         sp = enumerate_space(8, 3)
         T = ProductMatrix(sp)
-        T.add(sp.ids[A(1, 8)], sp.ids[A(2, 7)], "B")
+        T.add(sp.ids[(1, 8)], sp.ids[(2, 7)], "B")
         pi = pi_copy(T)
         for row, col in splits_of_endpoints((1, 2, 7, 8), 3):
-            assert "B" in pi.get(sp.ids[Address(row)], sp.ids[Address(col)])
+            assert "B" in pi.get(sp.ids[row], sp.ids[col])
 
     def test_idempotent(self):
         sp = enumerate_space(6, 2)
         T = ProductMatrix(sp)
-        T.add(sp.ids[A(0, 3)], sp.ids[A(1, 2)], "Z")
+        T.add(sp.ids[(0, 3)], sp.ids[(1, 2)], "Z")
         once = pi_copy(T)
         assert pi_copy(once) == once
-
-    def test_copy_symbols_not_duplicated(self):
-        sp = enumerate_space(4, 2)
-        T = ProductMatrix(sp)
-        T.add(sp.ids[A(0)], sp.ids[A(0, 1, mark=1)], CopySym.ToCol)
-        assert pi_copy(T) == T
-
-    def test_marked_cells_left_alone(self):
-        sp = enumerate_space(4, 2)
-        T = ProductMatrix(sp)
-        T.add(sp.ids[A(0, 1, mark=1)], sp.ids[A(2, 3)], "Q")
-        assert pi_copy(T) == T
 
 
 class TestEngineReady:
@@ -268,8 +187,7 @@ class TestDump:
         lines = T.dump().splitlines()
         assert lines
         assert all(re.fullmatch(r"[^|]+ \| [^|]+ \| .+", ln) for ln in lines)
-        assert "0 | 1 | A" in lines
-        assert "0^ | 0 | UnmarkCol" in lines
+        assert lines == ["0 | 1 | A", "1 | 2 | B"]
         by_str = {str(a): t for t, a in enumerate(sp.addresses)}
         cells = [
             (by_str[ln.split(" | ")[0]], by_str[ln.split(" | ")[1]])
@@ -279,20 +197,16 @@ class TestDump:
 
     def test_bundled_charts_unchanged(self, grammars):
         # the published charts, dumped, are fixed figures: they must not
-        # depend on how symbols hash (copy symbols hash by identity)
+        # depend on how symbols hash
         from lcfrs.recognizer import run_recognition
 
         want = {
             ("count4", "a b c d"): (
-                86, "c4f992ed5bf514f3b368397023b08e8da88a9d333018b7749857f4fcdaacaba3"),
+                6, "acf8c066708dc1fa40e17a016a1ad5ee496737c01df99741cc3f92b2ce812581"),
             ("itg_sep", "x y # y x"): (
-                128, "edf0453afe0b61fc1f7b404b5d7d968cc54863577e19aff166bff416ccdd6a4d"),
+                14, "018f5e171d8b700a276c0aeb4055097e38ece1614aa666b02f1fbf1bff07ab70"),
         }
         for (name, sentence), (lines, digest) in want.items():
             text = run_recognition(grammars[name], sentence.split()).chart.dump()
             assert len(text.splitlines()) == lines, name
             assert hashlib.sha256(text.encode()).hexdigest() == digest, name
-
-    def test_copy_symbols_hash_by_identity(self):
-        assert CopySym.__hash__ is object.__hash__
-        assert {CopySym.ToCol: 1}[CopySym("ToCol")] == 1

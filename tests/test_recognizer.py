@@ -6,10 +6,10 @@ import numpy as np
 
 import pytest
 
-from lcfrs.addresses import Address, enumerate_space
-from lcfrs.boolmat import KERNEL_KIND, copy_planes, product_via_boolean, scatter_planes
+from lcfrs.addresses import enumerate_space
+from lcfrs.boolmat import KERNEL_KIND, product_via_boolean, scatter_planes
 from lcfrs.engine import (
-    CopySym, EngineUnsupported, ProductMatrix, engine_ready, pi_copy, seed, union,
+    EngineUnsupported, ProductMatrix, engine_ready, pi_copy, seed, union,
 )
 from lcfrs.grammar import (
     Grammar, GrammarError, Rule, Var, is_single_initial, parse_grammar, to_single_initial,
@@ -49,13 +49,13 @@ class TestClosure:
     def test_cfg_closure_reaches_top(self, grammars):
         g = grammars["cfg_anbn"]
         clo, sp = _closed(g, "a b")
-        top = clo.matrix.get(sp.ids[Address((0,))], sp.ids[Address((2,))])
+        top = clo.matrix.get(sp.ids[(0,)], sp.ids[(2,)])
         assert "S" in top
 
     def test_count4_closure_reaches_top(self, grammars):
         g = grammars["count4"]
         clo, sp = _closed(g, "a b c d")
-        top = clo.matrix.get(sp.ids[Address((0,))], sp.ids[Address((4,))])
+        top = clo.matrix.get(sp.ids[(0,)], sp.ids[(4,)])
         assert "S" in top
 
     def test_closure_is_idempotent(self, grammars):
@@ -289,7 +289,7 @@ class TestRunRecognition:
         assert res.stats["n"] == 4
         assert res.stats["kernel"] == KERNEL_KIND
         assert (res.stats["rank"], res.stats["dim"], res.stats["muls"],
-                res.stats["iterations"], res.stats["facts"]) == (2, 50, 26, 1, 92)
+                res.stats["iterations"], res.stats["facts"]) == (2, 20, 2, 1, 12)
 
     def test_balanced_grammar_runs_one_closure(self, grammars, monkeypatch):
         # one closure publishes the chart; every copy step runs inside it
@@ -316,28 +316,15 @@ class TestPlanePath:
     caller reads it."""
 
     def test_seed_planes_match_the_seed(self, grammars):
-        # the whole seed once per space; after that the copy-symbol planes
-        # are the space's shared ones, and only the lexical facts differ
         for name in SWEEP_NAMES:
             g = grammars[name]
             if not is_single_initial(g):
                 g = to_single_initial(g)
-            spaces = set()
             for toks in sweep_sentences(name):
                 sp = enumerate_space(len(toks), space_rank(g))
-                planes = seed_planes(g, toks, sp)
-                want = seed(g, toks, sp)
-                if sp not in spaces:
-                    spaces.add(sp)
-                    got = ProductMatrix(sp)
-                    scatter_planes(planes, got)
-                    assert got == want, (name, toks)
-                    continue
-                assert all(planes[s] is p for s, p in copy_planes(sp).items())
-                assert ({(cell, nt) for nt, p in planes.items() if not isinstance(nt, CopySym)
-                         for cell in p.nonzero_cells()}
-                        == {(cell, s) for cell, syms in want.cells.items() for s in syms
-                            if not isinstance(s, CopySym)}), (name, toks)
+                got = ProductMatrix(sp)
+                scatter_planes(seed_planes(g, toks, sp), got)
+                assert got == seed(g, toks, sp), (name, toks)
 
     def test_facts_count_the_chart(self, grammars):
         for name, sentence in (("count4", "a a b c c d"), ("itg_sep", "x y # y x"),
@@ -362,8 +349,7 @@ class TestPlanePath:
         assert res.chart is chart and len(calls) == 1
 
     def test_kernel_operands_fit_the_compiled_kernel(self, grammars, monkeypatch):
-        # the compiled kernel takes writable C-contiguous uint64 buffers only;
-        # the shared copy-symbol planes are operands too
+        # the compiled kernel takes writable C-contiguous uint64 buffers only
         seen = []
         real = boolmat._kernel.multiply_packed
 
@@ -375,7 +361,7 @@ class TestPlanePath:
             return real(a, b, out)
         monkeypatch.setattr(boolmat._kernel, "multiply_packed", spy)
         for name, sentence in (("count4", "a a b c c d"), ("itg_sep", "x y # y x")):
-            for _ in range(2):  # the second run meets the cached copy planes
+            for _ in range(2):  # the second run meets the cached masks
                 assert run_recognition(grammars[name], sentence.split()).accepted
         assert seen
 
