@@ -2,9 +2,14 @@
 
 Rows and columns of every matrix in this package are addresses — short
 non-decreasing sequences of string positions.  This module defines their
-total order, merging of a row/column pair into the span list it denotes,
-and the enumerated, totally ordered index space for a given sentence length
-and maximum address length.
+total order, the merge of a row/column pair into the sorted endpoints of
+the spans it denotes, and the enumerated, totally ordered index space for a
+given sentence length and maximum address length.
+
+A merge is defined when the column sorts after the row.  The column's
+minimum is then not below the row's, so the row holds the minimum of the
+merged endpoints; the two minima may tie, as they do for a fact whose
+first span is empty.
 """
 
 from __future__ import annotations
@@ -50,38 +55,22 @@ def sort_key(addr: Address):
     return addr.positions
 
 
-def compare(a: Address, b: Address) -> int:
-    """-1, 0, or 1 as ``a`` sorts before, equal to, or after ``b``."""
-    ka, kb = sort_key(a), sort_key(b)
-    return -1 if ka < kb else (0 if ka == kb else 1)
-
-
 def cell_endpoints(i: Address, j: Address):
     """The sorted endpoints of the spans a row and a column address denote,
     or None when their merge is undefined: an odd combined length, or the
-    column's minimum not exceeding the row's."""
-    if j.positions[0] <= i.positions[0] or (len(i) + len(j)) % 2:
+    column not sorting after the row."""
+    a, b = i.positions, j.positions
+    if b <= a or (len(a) + len(b)) % 2:
         return None
-    return tuple(sorted(i.positions + j.positions))
-
-
-def merge_m(i: Address, j: Address):
-    """Merge a row and a column address into the ordered span list they denote.
-
-    Returns a tuple of (left, right) pairs, or None when undefined.
-    """
-    merged = cell_endpoints(i, j)
-    if merged is None:
-        return None
-    return tuple((merged[t], merged[t + 1]) for t in range(0, len(merged), 2))
+    return tuple(sorted(a + b))
 
 
 def splits_of_endpoints(endpoints, d):
     """All (row, col) position-tuple pairs that merge back to ``endpoints``.
 
     ``endpoints`` must be sorted.  The row keeps the global minimum; both
-    sides are nonempty, at most ``d`` long, and the column's minimum must be
-    strictly larger than the row's (otherwise the merge is undefined).
+    sides are nonempty, at most ``d`` long, and the column must sort after
+    the row (otherwise the merge is undefined).
     """
     e = tuple(endpoints)
     L = len(e)
@@ -92,7 +81,7 @@ def splits_of_endpoints(endpoints, d):
             chosen = set(picked)
             row = (e[0],) + tuple(e[t] for t in picked)
             col = tuple(e[t] for t in rest if t not in chosen)
-            if col[0] > row[0]:
+            if col > row:
                 out.add((row, col))
     return out
 
@@ -129,16 +118,6 @@ class AddressSpace:
             got = self._split_ids[endpoints] = tuple(
                 (ids[row], ids[col]) for row, col in splits_of_endpoints(endpoints, self.d))
         return got
-
-    def equivalent_cells(self, i: Address, j: Address):
-        """All (row, col) address pairs merging to the same spans."""
-        flat = cell_endpoints(i, j)
-        if flat is None:
-            raise ValueError("merge undefined for (%s, %s)" % (i, j))
-        return {
-            (Address(row), Address(col))
-            for row, col in splits_of_endpoints(flat, self.d)
-        }
 
     def __repr__(self):
         return "AddressSpace(n=%d, d=%d, dim=%d)" % (self.n, self.d, self.dim)

@@ -51,6 +51,27 @@ def unpack_rows(words, c: int) -> np.ndarray:
     return np.unpackbits(by, axis=1, bitorder="little")[:, :c]
 
 
+def planes_from_cells(dim: int, cells_by_sym: dict) -> dict:
+    """``{symbol: BoolMatrix}`` with the (row, col) cells that
+    ``cells_by_sym`` lists for each symbol set (repeats allowed).  The
+    planes are views of one (symbol, row, word) array, filled by a single
+    scatter."""
+    if not cells_by_sym:
+        return {}
+    rows, cols, sizes = [], [], []
+    for cells in cells_by_sym.values():
+        for r, c in cells:
+            rows.append(r)
+            cols.append(c)
+        sizes.append(len(cells))
+    stack = np.zeros((len(sizes), dim, _nwords(dim)), dtype=np.uint64)
+    layers = np.repeat(np.arange(len(sizes)), sizes)
+    cols = np.array(cols, dtype=np.intp)
+    bits = np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64))
+    np.bitwise_or.at(stack, (layers, np.array(rows, dtype=np.intp), cols >> 6), bits)
+    return {s: BoolMatrix(dim, stack[t]) for t, s in enumerate(cells_by_sym)}
+
+
 class BoolMatrix:
     """Square Boolean matrix, rows packed into uint64 words."""
 
@@ -72,12 +93,7 @@ class BoolMatrix:
     @classmethod
     def from_cells(cls, dim: int, cells) -> "BoolMatrix":
         """The matrix whose set bits are the (row, col) pairs in ``cells``."""
-        m = cls(dim)
-        rc = np.array(cells, dtype=np.intp).reshape(-1, 2)
-        rows, cols = rc[:, 0], rc[:, 1]
-        bits = np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64))
-        np.bitwise_or.at(m.words, (rows, cols >> 6), bits)
-        return m
+        return planes_from_cells(dim, {None: cells})[None]
 
     @classmethod
     def identity(cls, dim: int) -> "BoolMatrix":
@@ -124,9 +140,11 @@ class BoolMatrix:
     def __hash__(self):  # pragma: no cover
         raise TypeError("BoolMatrix is unhashable")
 
-    def nonzero_cells(self):
-        """Set cells as (row, col) int pairs in row-major order."""
-        rows, cols = set_bits(self.words, *np.nonzero(self.words))
+    def nonzero_cells(self, stop: int | None = None):
+        """Set cells as (row, col) int pairs in row-major order, from the
+        rows below ``stop`` only when it is given."""
+        words = self.words if stop is None else self.words[:stop]
+        rows, cols = set_bits(words, *np.nonzero(words))
         return list(zip(rows.tolist(), cols.tolist()))
 
 
@@ -175,7 +193,7 @@ def _role_mask(space: AddressSpace, cfg: frozenset, fo: int) -> BoolMatrix:
     for e in combinations_with_replacement(range(space.n + 1), 2 * fo):
         row = tuple([e[t] for t in picked])
         col = tuple([e[t] for t in rest])
-        if col[0] > row[0]:
+        if col > row:
             cells.append((ids[row], ids[col]))
     return BoolMatrix.from_cells(space.dim, cells)
 
@@ -199,8 +217,7 @@ def symbol_planes(T: ProductMatrix) -> dict:
                 cells[s] = [key]
             else:
                 got.append(key)
-    dim = T.space.dim
-    return {s: BoolMatrix.from_cells(dim, keys) for s, keys in cells.items()}
+    return planes_from_cells(T.space.dim, cells)
 
 
 def scatter_planes(planes: dict, M: ProductMatrix) -> None:
@@ -229,8 +246,18 @@ def _delta_factors(gf, hf, db, dc):
     return (db, hf) if new_b else None
 
 
+def _mask(masks: dict, space: AddressSpace, r: Rule, role: int) -> BoolMatrix:
+    """``rule_mask(space, r, role)``, fetched into ``masks`` on first use."""
+    key = (r.rid, role)
+    got = masks.get(key)
+    if got is None:
+        got = masks[key] = rule_mask(space, r, role)
+    return got
+
+
 def plane_product(G: dict, H: dict, g: Grammar, space: AddressSpace,
-                  stats: dict | None = None, delta: dict | None = None) -> dict:
+                  stats: dict | None = None, delta: dict | None = None,
+                  masks: dict | None = None) -> dict:
     """The cell product of two charts held as nonterminal planes
     (``{nonterminal: BoolMatrix}`` over ``space``), returned as nonterminal
     planes.  One masked multiply per binary rule.
@@ -241,10 +268,16 @@ def plane_product(G: dict, H: dict, g: Grammar, space: AddressSpace,
     child has delta facts multiplies that child's delta plane by the other's
     full plane, and a rule whose two children both have them multiplies the
     full planes.  The result then holds every term of G x H that reads a
-    delta fact, and nothing outside G x H."""
+    delta fact, and nothing outside G x H.
+
+    ``masks`` is a dict a caller keeps across products of one grammar over
+    one space: each rule's masks are fetched into it the first time the
+    rule needs them, and read from it after that."""
     dim = space.dim
     if any(p.dim != dim for p in G.values()) or any(p.dim != dim for p in H.values()):
         raise ValueError("planes live in a different address space")
+    if masks is None:
+        masks = {}
 
     acc: dict = {}
     for r in g.binary_rules():
@@ -255,11 +288,11 @@ def plane_product(G: dict, H: dict, g: Grammar, space: AddressSpace,
             continue
         if delta is not None and b not in delta and c not in delta:
             continue
-        q2 = rule_mask(space, r, 2)
+        q2 = _mask(masks, space, r, 2)
         gf = gb & q2
         if not gf.any():
             continue
-        q3 = rule_mask(space, r, 3)
+        q3 = _mask(masks, space, r, 3)
         hf = hc & q3
         if not hf.any():
             continue
@@ -273,7 +306,7 @@ def plane_product(G: dict, H: dict, g: Grammar, space: AddressSpace,
             gf, hf = pair
         if stats is not None:
             stats["muls"] = stats.get("muls", 0) + 1
-        bits = bool_multiply(gf, hf) & rule_mask(space, r, 1)
+        bits = bool_multiply(gf, hf) & _mask(masks, space, r, 1)
         if not bits.any():
             continue
         have = acc.get(r.lhs)

@@ -34,6 +34,15 @@ class ProductMatrix:
     def fact_count(self) -> int:
         return sum(len(s) for s in self.cells.values())
 
+    def cells_of(self, sym, stop: int | None = None) -> list:
+        """The (row id, col id) cells holding ``sym``, in row-major order;
+        only those with a row id below ``stop`` when it is given."""
+        return sorted(cell for cell, syms in self.cells.items()
+                      if sym in syms and (stop is None or cell[0] < stop))
+
+    def holds(self, sym, row_id: int, col_id: int) -> bool:
+        return sym in self.cells.get((row_id, col_id), ())
+
     def copy(self) -> "ProductMatrix":
         return ProductMatrix(self.space, {k: set(v) for k, v in self.cells.items()})
 
@@ -80,33 +89,24 @@ class ProductMatrix:
 # ---------------------------------------------------------------------------
 # seeding
 
-def _placements(words, tokens, n):
-    """All ways to lay a lexical rule's span sequences over the sentence."""
-    per_span = []
+def _placements(words, tokens, at):
+    """All ways to lay a lexical rule's span sequences over the sentence, in
+    order and without overlap, each as its sorted endpoint tuple.  ``at``
+    maps each token to its positions, so a span is matched only where its
+    first token stands.  An empty span is a zero-width (p, p) anywhere at or
+    after the previous span's end."""
+    layouts = [()]
     for span in words:
         L = len(span)
-        if L == 0:
-            per_span.append([(p, p) for p in range(n + 1)])
+        if L:
+            hits = [(s, s + L) for s in at.get(span[0], ()) if tokens[s:s + L] == span]
         else:
-            per_span.append(
-                [
-                    (s, s + L)
-                    for s in range(n - L + 1)
-                    if tuple(tokens[s:s + L]) == span
-                ]
-            )
-    out = []
-
-    def walk(k, acc, floor):
-        if k == len(per_span):
-            out.append(tuple(acc))
-            return
-        for (l, r) in per_span[k]:
-            if l >= floor:
-                walk(k + 1, acc + [(l, r)], r)
-
-    walk(0, [], 0)
-    return out
+            hits = [(p, p) for p in range(len(tokens) + 1)]
+        layouts = [flat + hit for flat in layouts for hit in hits
+                   if not flat or hit[0] >= flat[-1]]
+        if not layouts:
+            break
+    return layouts
 
 
 def lexical_cells(g: Grammar, sentence, space: AddressSpace) -> dict:
@@ -115,15 +115,18 @@ def lexical_cells(g: Grammar, sentence, space: AddressSpace) -> dict:
     tokens = tuple(sentence)
     if space.n != len(tokens):
         raise ValueError("space built for n=%d, sentence has %d tokens" % (space.n, len(tokens)))
-    need = max((g.fanout[r.lhs] for r in g.lexical_rules()), default=1)
+    lexical = g.lexical_rules()
+    need = max((g.fanout[r.lhs] for r in lexical), default=1)
     if space.d < need:
         raise ValueError(
             "address length cap %d cannot hold fan-out-%d lexical facts" % (space.d, need)
         )
+    at = {}
+    for p, tok in enumerate(tokens):
+        at.setdefault(tok, []).append(p)
     out = {}
-    for r in g.lexical_rules():
-        for spans in _placements(r.words, tokens, space.n):
-            flat = tuple(sorted(p for span in spans for p in span))
+    for r in lexical:
+        for flat in _placements(r.words, tokens, at):
             cells = space.split_ids(flat)
             if cells:  # a fact no split of the space can hold adds no plane
                 out.setdefault(r.lhs, []).extend(cells)
@@ -149,7 +152,7 @@ def _select(endpoints, cfg):
 def _role_fits(cfg, fo2, left: Address, right: Address, keep: Address) -> bool:
     """Does the (left, right) cell describe the child's spans with ``keep``
     carrying exactly the endpoints selected by ``cfg``?"""
-    if right.positions[0] <= left.positions[0]:
+    if right.positions <= left.positions:
         return False
     merged = sorted(left.positions + right.positions)
     if len(merged) != fo2:
@@ -198,16 +201,6 @@ def matrix_product(T1: ProductMatrix, T2: ProductMatrix, g: Grammar) -> ProductM
     return out
 
 
-def union(T1: ProductMatrix, T2: ProductMatrix) -> ProductMatrix:
-    if T1.space is not T2.space:
-        raise ValueError("operands live in different address spaces")
-    out = T1.copy()
-    for cell, syms in T2.cells.items():
-        if syms:
-            out.cells.setdefault(cell, set()).update(syms)
-    return out
-
-
 def pi_copy(T: ProductMatrix) -> ProductMatrix:
     """Copy every nonterminal to all cells describing the same spans.
 
@@ -218,7 +211,7 @@ def pi_copy(T: ProductMatrix) -> ProductMatrix:
     groups = {}
     for (r, c), syms in T.cells.items():
         a, b = addrs[r], addrs[c]
-        if not syms or b.positions[0] <= a.positions[0] or (len(a) + len(b)) % 2:
+        if not syms or b.positions <= a.positions or (len(a) + len(b)) % 2:
             continue
         flat = tuple(sorted(a.positions + b.positions))
         groups.setdefault(flat, set()).update(syms)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .addresses import AddressSpace, cell_endpoints, enumerate_space, splits_of_endpoints
-from .boolmat import BoolMatrix, KERNEL_KIND, plane_product, scatter_planes
+from .boolmat import BoolMatrix, KERNEL_KIND, plane_product, planes_from_cells, scatter_planes
 from .engine import EngineUnsupported, ProductMatrix, _role_fits, engine_ready, lexical_cells
 from .grammar import (
     AnalysisReport,
@@ -60,10 +60,15 @@ class Closure:
     def fact_count(self) -> int:
         return sum(p.count() for p in self.planes.values())
 
-    def cells_of(self, sym) -> list:
-        """The (row id, col id) cells holding ``sym``, in row-major order."""
+    def cells_of(self, sym, stop: int | None = None) -> list:
+        """The (row id, col id) cells holding ``sym``, in row-major order;
+        only those with a row id below ``stop`` when it is given."""
         plane = self.planes.get(sym)
-        return plane.nonzero_cells() if plane is not None else []
+        return plane.nonzero_cells(stop) if plane is not None else []
+
+    def holds(self, sym, row: int, col: int) -> bool:
+        plane = self.planes.get(sym)
+        return plane is not None and plane.test(row, col)
 
 
 def _endpoint_sets(cells, space) -> set:
@@ -90,9 +95,8 @@ def pi_copy(planes: dict, space) -> dict:
 
 def seed_planes(g: Grammar, sentence, space: AddressSpace) -> dict:
     """Plane form of ``engine.seed``: one plane of lexical facts per
-    nonterminal."""
-    return {nt: BoolMatrix.from_cells(space.dim, cells)
-            for nt, cells in lexical_cells(g, sentence, space).items()}
+    nonterminal, all set by one scatter."""
+    return planes_from_cells(space.dim, lexical_cells(g, sentence, space))
 
 
 def closure_fixpoint(T: dict, g: Grammar, space: AddressSpace) -> Closure:
@@ -106,18 +110,20 @@ def closure_fixpoint(T: dict, g: Grammar, space: AddressSpace) -> Closure:
     before added (D), then copies its new facts to their equivalent cells.
     Both steps distribute over OR, and X stays closed under copying, so the
     terms that read no D fact and the copies of older facts are in X
-    already.  Round 1 takes all of X as D.  Round k therefore holds exactly
-    the facts of round k of naive iteration, and ``iterations`` counts the
-    same rounds, the last of which adds nothing."""
+    already.  Round 1 takes all of X as D, that is, multiplies every term.
+    Round k therefore holds exactly the facts of round k of naive
+    iteration, and ``iterations`` counts the same rounds, the last of which
+    adds nothing.  Each rule's masks are fetched once per run."""
     t0 = time.perf_counter()
     X = dict(T)
-    delta = X
+    delta = None
+    masks = {}
     stats = {"muls": 0}
     rounds = []
     while True:
         before = stats["muls"]
         fresh = {}
-        for nt, bits in plane_product(X, X, g, space, stats, delta).items():
+        for nt, bits in plane_product(X, X, g, space, stats, delta, masks).items():
             if nt in X:
                 bits = bits - X[nt]
             if bits.any():
@@ -151,31 +157,32 @@ def _span_facts(cells_of, space, nts) -> dict:
     return out
 
 
-def _start_witness(cells_of, space, g: Grammar, n: int):
+def _start_witness(chart, g: Grammar, n: int):
     """The first ``(rule, left endpoints, right endpoints)``, in rule-id and
     then endpoint order, by which a binary start rule derives (0, n) from two
-    facts of a closed chart; None when there is none.  ``cells_of(nt)``
-    lists the chart's cells holding ``nt``, and is asked only for the start
-    rules' children.
+    facts of a closed chart; None when there is none.  ``chart`` is a
+    ``Closure`` or a ``ProductMatrix``; it is read through its ``cells_of``
+    and ``holds``, and only about the start rules' children.
 
     The start symbol has fan-out 1, so the rule's one template lays the
     children's spans end to end over (0, n): a first-child fact beginning at
     0 fixes every span of the second child, the gaps between its own spans
-    and after its last one.  Each such fact costs one set lookup."""
+    and after its last one.  A fact beginning at 0 has a row address
+    beginning at 0, and those are the ids below that of (1,).  Each such
+    fact then costs a test of the second child's bit on the splits of the
+    spans it fixes."""
+    space = chart.space
     rules = sorted((r for r in g.binary_rules() if r.lhs == g.start), key=lambda r: r.rid)
-    if not rules:
-        return None
-    facts = _span_facts(cells_of, space, {nt for r in rules for nt in r.rhs})
+    stop = space.ids[(1,)]
+    lefts_of: dict = {}
     for r in rules:
         B, C = r.rhs
-        right_facts = facts.get(C)
-        if not right_facts:
-            continue
+        lefts = lefts_of.get(B)
+        if lefts is None:
+            lefts = lefts_of[B] = sorted(_endpoint_sets(chart.cells_of(B, stop), space))
         (template,) = r.comp
         ends_with_b = template[-1].side == "b"
-        for left in sorted(facts.get(B, ())):
-            if left[0] != 0:
-                break
+        for left in lefts:
             if ends_with_b and left[-1] != n:
                 continue
             spans = _spans_of(left)
@@ -186,7 +193,7 @@ def _start_witness(cells_of, space, g: Grammar, n: int):
                     end = spans[template[t + 1].index - 1][0] if t + 1 < len(template) else n
                     right += (start, end)
             right = tuple(right)
-            if right in right_facts:
+            if any(chart.holds(C, i, j) for i, j in space.split_ids(right)):
                 return r, left, right
     return None
 
@@ -243,11 +250,9 @@ def run_recognition(g: Grammar, sentence) -> RunResult:
     t2 = time.perf_counter()
     clo = closure_fixpoint(seeded, work, space)
     t3 = time.perf_counter()
-    i, j = _top_cell(space, n)
-    start = clo.planes.get(work.start)
-    accepted = n > 0 and ((start is not None and start.test(i, j))
-                          or _start_witness(clo.cells_of, space, work, n) is not None)
-    facts = clo.fact_count()
+    accepted = n > 0 and (clo.holds(work.start, *_top_cell(space, n))
+                          or _start_witness(clo, work, n) is not None)
+    facts = sum(p.count() for p in seeded.values()) + sum(r["new_facts"] for r in clo.rounds)
     t4 = time.perf_counter()
     stats = {
         "n": n,
@@ -311,18 +316,15 @@ def extract_derivation(chart: ProductMatrix, g: Grammar, sentence):
     cells = chart.cells
     by_row: dict = {}
     by_col: dict = {}
-    by_nt: dict = {}
     for (r, c), syms in cells.items():
         if not syms:
             continue
         by_row.setdefault(r, set()).add(c)
         by_col.setdefault(c, set()).add(r)
-        for nt in syms:
-            by_nt.setdefault(nt, []).append((r, c))
 
     witness = None
-    if g.start not in chart.get(i0, j0):
-        witness = _start_witness(lambda nt: by_nt.get(nt, ()), space, g, n)
+    if not chart.holds(g.start, i0, j0):
+        witness = _start_witness(chart, g, n)
         if witness is None:
             return None
 

@@ -5,15 +5,23 @@ acceptance checks share."""
 from __future__ import annotations
 
 import itertools
+import os
 import random
 
 import pytest
 
+import lcfrs
 from lcfrs import bundled
-from lcfrs.engine import pi_copy
+from lcfrs.engine import ProductMatrix, pi_copy
 from lcfrs.grammar import Grammar, Rule, Var, contact_rank, per_rule_d, validate
 from lcfrs.oracle import enumerate_language, tabular_recognize
 from lcfrs.recognizer import run_recognition, space_rank
+
+
+# subprocesses import the package these tests import, also when pytest found
+# it through the ``pythonpath`` setting in pyproject.toml
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (os.path.dirname(os.path.dirname(lcfrs.__file__)), os.environ.get("PYTHONPATH")) if p)
 
 
 def full_rank(g: Grammar) -> int:
@@ -34,6 +42,18 @@ BOTH_CHILDREN_GROW = (
     "start S\nS -> C B : b1 g1\nC -> C B : b1 g1\nB -> C C : b1 g1\n"
     "C -> : 'a'\nB -> : 'b'\n"
 )
+
+
+def union(T1: ProductMatrix, T2: ProductMatrix) -> ProductMatrix:
+    """The cell-wise union of two symbol-set charts: the step the naive
+    closure references take between products and copies."""
+    if T1.space is not T2.space:
+        raise ValueError("operands live in different address spaces")
+    out = T1.copy()
+    for cell, syms in T2.cells.items():
+        if syms:
+            out.cells.setdefault(cell, set()).update(syms)
+    return out
 
 
 # ---------------------------------------------------------------------------

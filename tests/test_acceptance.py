@@ -12,7 +12,7 @@ import numpy as np
 
 from lcfrs.addresses import enumerate_space
 from lcfrs.boolmat import BoolMatrix, bool_multiply, product_via_boolean
-from lcfrs.engine import ProductMatrix, matrix_product, pi_copy, seed, union
+from lcfrs.engine import ProductMatrix, matrix_product, pi_copy, seed
 from lcfrs.grammar import (
     configurations,
     contact_rank,
@@ -27,7 +27,7 @@ from lcfrs.grammar import (
 from lcfrs.oracle import tabular_recognize
 from lcfrs.recognizer import closure_fixpoint, extract_derivation, seed_planes
 
-from conftest import _chart_violations, full_rank, random_grammar
+from conftest import _chart_violations, full_rank, random_grammar, union
 
 # matrices produced by checks 3-6, re-examined by check 7
 MATERIALIZED = []

@@ -5,9 +5,8 @@ from hypothesis import given, strategies as st
 
 from lcfrs.addresses import (
     Address,
-    compare,
+    cell_endpoints,
     enumerate_space,
-    merge_m,
     sort_key,
     splits_of_endpoints,
 )
@@ -32,16 +31,17 @@ class TestAddress:
 
 class TestOrdering:
     def test_lexicographic(self):
-        assert compare(A(1, 4), A(1, 8)) == -1
+        assert A(1, 4) < A(1, 8)
 
     def test_min_decides(self):
-        assert compare(A(1), A(2, 7)) == -1
+        assert A(1) < A(2, 7)
 
     def test_prefix_sorts_first(self):
-        assert compare(A(4, 5), A(4, 5, 8)) == -1
+        assert A(4, 5) < A(4, 5, 8)
 
     def test_equal(self):
-        assert compare(A(3, 9), A(3, 9)) == 0
+        assert sort_key(A(3, 9)) == sort_key(A(3, 9))
+        assert not A(3, 9) < A(3, 9)
 
     @given(
         st.lists(
@@ -54,25 +54,31 @@ class TestOrdering:
         addrs = [Address(sorted(p)) for (p,) in raw]
         ranked = sorted(addrs, key=sort_key)
         for x, y in zip(ranked, ranked[1:]):
-            assert compare(x, y) <= 0
+            assert not y < x
 
 
 class TestMerge:
     def test_two_span_merge(self):
-        assert merge_m(A(1, 8), A(4, 5)) == ((1, 4), (5, 8))
+        assert cell_endpoints(A(1, 8), A(4, 5)) == (1, 4, 5, 8)
 
     def test_whole_string(self):
-        assert merge_m(A(0), A(9)) == ((0, 9),)
+        assert cell_endpoints(A(0), A(9)) == (0, 9)
 
-    def test_undefined_when_col_min_not_larger(self):
-        assert merge_m(A(4, 5), A(1, 8)) is None
-        assert merge_m(A(3), A(3)) is None
+    def test_undefined_unless_col_sorts_after_row(self):
+        assert cell_endpoints(A(4, 5), A(1, 8)) is None
+        assert cell_endpoints(A(3), A(3)) is None
+        assert cell_endpoints(A(2, 4), A(2, 3)) is None
+
+    def test_tied_minimum_is_defined(self):
+        # a first span that is empty puts the minimum on both sides
+        assert cell_endpoints(A(0, 0), A(0, 1)) == (0, 0, 0, 1)
+        assert cell_endpoints(A(2), A(2, 2, 5)) == (2, 2, 2, 5)
 
     def test_undefined_for_odd_total(self):
-        assert merge_m(A(1), A(4, 5)) is None
+        assert cell_endpoints(A(1), A(4, 5)) is None
 
     def test_zero_width_spans(self):
-        assert merge_m(A(2, 2), A(5, 5)) == ((2, 2), (5, 5))
+        assert cell_endpoints(A(2, 2), A(5, 5)) == (2, 2, 5, 5)
 
 
 class TestSpace:
@@ -106,31 +112,38 @@ class TestSpace:
 
 class TestEquivalentCells:
     def test_contains_alternate_split(self):
-        sp = enumerate_space(8, 2)
-        cells = sp.equivalent_cells(A(1, 8), A(4, 5))
-        assert (A(1, 4), A(5, 8)) in cells
-        assert (A(1, 8), A(4, 5)) in cells
+        cells = splits_of_endpoints(cell_endpoints(A(1, 8), A(4, 5)), 2)
+        assert ((1, 4), (5, 8)) in cells
+        assert ((1, 8), (4, 5)) in cells
 
     def test_top_cell_is_singleton_for_d1(self):
-        sp = enumerate_space(6, 1)
-        assert sp.equivalent_cells(A(0), A(6)) == {(A(0), A(6))}
+        assert splits_of_endpoints(cell_endpoints(A(0), A(6)), 1) == {((0,), (6,))}
 
     def test_minimum_stays_in_row(self):
-        sp = enumerate_space(8, 2)
-        for row, col in sp.equivalent_cells(A(1, 8), A(4, 5)):
-            assert 1 in row.positions
-            assert merge_m(row, col) == ((1, 4), (5, 8))
+        for row, col in splits_of_endpoints((1, 4, 5, 8), 2):
+            assert 1 in row
+            assert cell_endpoints(A(*row), A(*col)) == (1, 4, 5, 8)
 
     def test_merge_defined_implies_row_before_col(self):
         sp = enumerate_space(4, 2)
         for i, j in itertools.product(sp.addresses, repeat=2):
-            if merge_m(i, j) is not None:
-                assert compare(i, j) == -1
+            if cell_endpoints(i, j) is not None:
+                assert i < j
 
-    def test_undefined_merge_raises(self):
-        sp = enumerate_space(8, 2)
-        with pytest.raises(ValueError):
-            sp.equivalent_cells(A(4, 5), A(1, 8))
+    def test_undefined_merge_has_no_split(self):
+        assert cell_endpoints(A(4, 5), A(1, 8)) is None
+        assert ((4, 5), (1, 8)) not in splits_of_endpoints((1, 4, 5, 8), 2)
+
+    def test_tied_minimum_splits(self):
+        assert splits_of_endpoints((0, 0, 0, 1), 2) == {((0, 0), (0, 1))}
+        assert splits_of_endpoints((0, 0, 0, 1), 3) == {
+            ((0,), (0, 0, 1)),
+            ((0, 0), (0, 1)),
+            ((0, 0, 0), (1,)),
+        }
+        for d in (2, 3):
+            for row, col in splits_of_endpoints((0, 0, 0, 1), d):
+                assert cell_endpoints(A(*row), A(*col)) == (0, 0, 0, 1)
 
     def test_splits_cover_all_row_col_partitions(self):
         got = splits_of_endpoints((1, 4, 5, 8), 2)

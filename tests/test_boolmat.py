@@ -19,10 +19,10 @@ from lcfrs.boolmat import (
     symbol_planes,
     unpack_rows,
 )
-from lcfrs.engine import ProductMatrix, _role_fits, matrix_product, seed, union
+from lcfrs.engine import ProductMatrix, _role_fits, matrix_product, seed
 from lcfrs.grammar import configurations, is_single_initial, parse_grammar, to_single_initial
 
-from conftest import BOTH_CHILDREN_GROW, full_rank
+from conftest import BOTH_CHILDREN_GROW, full_rank, union
 
 BACKENDS = ("naive", "bitset")
 

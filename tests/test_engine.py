@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from lcfrs.addresses import Address, enumerate_space, merge_m, splits_of_endpoints
+from lcfrs.addresses import Address, cell_endpoints, enumerate_space, splits_of_endpoints
 from lcfrs.engine import (
     ProductMatrix,
     cell_product,
@@ -12,15 +12,23 @@ from lcfrs.engine import (
     matrix_product,
     pi_copy,
     seed,
-    union,
 )
 from lcfrs.grammar import parse_grammar
+
+from conftest import union
 
 CFG_AB = "start S\nS -> A B : b1 g1\nA -> : 'a'\nB -> : 'b'\n"
 
 
 def A(*positions):
     return Address(positions)
+
+
+def spans_of(i, j):
+    """The (left, right) spans a row and a column address denote, or None
+    when their merge is undefined."""
+    flat = cell_endpoints(i, j)
+    return None if flat is None else tuple(zip(flat[::2], flat[1::2]))
 
 
 def facts(matrix):
@@ -42,7 +50,7 @@ class TestSeed:
         want = ((0, 1), (2, 3))
         for i in sp.addresses:
             for j in sp.addresses:
-                spans = merge_m(i, j)
+                spans = spans_of(i, j)
                 if spans is None:
                     continue
                 has = "X" in T.get(sp.ids[i.positions], sp.ids[j.positions])
@@ -53,7 +61,7 @@ class TestSeed:
         sp = enumerate_space(3, 3)
         T = seed(g, ["x", "#", "y"], sp)
         got = {(i, j) for i, j, s in facts(T) if s == "M"}
-        spans_seen = {merge_m(i, j) for i, j in got}
+        spans_seen = {spans_of(i, j) for i, j in got}
         assert ((1, 2), (2, 2)) in spans_seen
         assert ((1, 2), (3, 3)) in spans_seen
         assert all(s[0] == (1, 2) for s in spans_seen)
