@@ -1,10 +1,11 @@
 """Matrix index machinery: sorted position sequences.
 
-Rows and columns of every matrix in this package are addresses — short
-non-decreasing sequences of string positions.  This module defines their
-total order, the merge of a row/column pair into the sorted endpoints of
-the spans it denotes, and the enumerated, totally ordered index space for a
-given sentence length and maximum address length.
+Rows and columns of every matrix in this package are addresses — short,
+nonempty, non-decreasing tuples of string positions, ordered as tuples are:
+lexicographically, shorter prefixes first.  This module defines the merge
+of a row/column pair into the sorted endpoints of the spans it denotes, and
+the enumerated, totally ordered index space for a given sentence length and
+maximum address length.
 
 A merge is defined when the column sorts after the row.  The column's
 minimum is then not below the row's, so the row holds the minimum of the
@@ -18,51 +19,13 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
 
-class Address:
-    """A non-decreasing, nonempty tuple of positions."""
-
-    __slots__ = ("positions",)
-
-    def __init__(self, positions):
-        positions = tuple(positions)
-        if not positions:
-            raise ValueError("empty address")
-        if any(b < a for a, b in zip(positions, positions[1:])):
-            raise ValueError("positions must be non-decreasing: %r" % (positions,))
-        self.positions = positions
-
-    def __len__(self):
-        return len(self.positions)
-
-    def __eq__(self, other):
-        return isinstance(other, Address) and self.positions == other.positions
-
-    def __hash__(self):
-        return hash(self.positions)
-
-    def __repr__(self):
-        return "Address(%s)" % str(self)
-
-    def __str__(self):
-        return ",".join(map(str, self.positions))
-
-    def __lt__(self, other):
-        return sort_key(self) < sort_key(other)
-
-
-def sort_key(addr: Address):
-    """Total-order key: positions lexicographically, shorter prefixes first."""
-    return addr.positions
-
-
-def cell_endpoints(i: Address, j: Address):
+def cell_endpoints(row: tuple, col: tuple):
     """The sorted endpoints of the spans a row and a column address denote,
     or None when their merge is undefined: an odd combined length, or the
     column not sorting after the row."""
-    a, b = i.positions, j.positions
-    if b <= a or (len(a) + len(b)) % 2:
+    if col <= row or (len(row) + len(col)) % 2:
         return None
-    return tuple(sorted(a + b))
+    return tuple(sorted(row + col))
 
 
 def splits_of_endpoints(endpoints, d):
@@ -89,9 +52,9 @@ def splits_of_endpoints(endpoints, d):
 class AddressSpace:
     """The full ordered index set for sentence length ``n`` and max length ``d``.
 
-    ``addresses`` is sorted by the total order; ``ids`` maps the positions
-    tuple of an address to its rank, which doubles as its row/column index in
-    every matrix.  There are ``sum(comb(n + L, L) for L in 1..d)`` of them.
+    ``addresses`` is the sorted list of position tuples; ``ids`` maps each
+    to its rank, which doubles as its row/column index in every matrix.
+    There are ``sum(comb(n + L, L) for L in 1..d)`` of them.
     """
 
     def __init__(self, n: int, d: int):
@@ -99,13 +62,12 @@ class AddressSpace:
             raise ValueError("need n >= 0 and d >= 1")
         self.n = n
         self.d = d
-        self.addresses = [
-            Address(pos)
+        self.addresses = sorted(
+            pos
             for length in range(1, d + 1)
             for pos in combinations_with_replacement(range(n + 1), length)
-        ]
-        self.addresses.sort(key=sort_key)
-        self.ids = {a.positions: t for t, a in enumerate(self.addresses)}
+        )
+        self.ids = {a: t for t, a in enumerate(self.addresses)}
         self.dim = len(self.addresses)
         self._split_ids = {}
 

@@ -140,6 +140,16 @@ class BoolMatrix:
     def __hash__(self):  # pragma: no cover
         raise TypeError("BoolMatrix is unhashable")
 
+    def row(self, i: int) -> list:
+        """The set columns of row ``i``, ascending."""
+        out = []
+        for base, word in enumerate(self.words[i].tolist()):
+            while word:
+                low = word & -word
+                out.append(64 * base + low.bit_length() - 1)
+                word ^= low
+        return out
+
     def nonzero_cells(self, stop: int | None = None):
         """Set cells as (row, col) int pairs in row-major order, from the
         rows below ``stop`` only when it is given."""
@@ -206,6 +216,10 @@ def rule_mask(space: AddressSpace, r: Rule, role: int) -> BoolMatrix:
 
 # ---------------------------------------------------------------------------
 # symbol planes and the rendered product
+#
+# ``symbol_planes`` and ``scatter_planes`` convert between the symbol-set
+# chart of the cell-by-cell oracle (``engine.ProductMatrix``) and planes.  A
+# run never calls them; they let the oracle check the plane path.
 
 def symbol_planes(T: ProductMatrix) -> dict:
     """One Boolean matrix per symbol occurring in T."""
@@ -316,13 +330,3 @@ def plane_product(G: dict, H: dict, g: Grammar, space: AddressSpace,
             np.bitwise_or(have.words, bits.words, out=have.words)
     return acc
 
-
-def product_via_boolean(T1: ProductMatrix, T2: ProductMatrix, g: Grammar,
-                        stats: dict | None = None) -> ProductMatrix:
-    """Same result as the cell-by-cell product, via Boolean multiplications."""
-    if T1.space is not T2.space:
-        raise ValueError("operands live in different address spaces")
-    acc = plane_product(symbol_planes(T1), symbol_planes(T2), g, T1.space, stats)
-    out = ProductMatrix(T1.space)
-    scatter_planes(acc, out)
-    return out

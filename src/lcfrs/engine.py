@@ -8,7 +8,7 @@ every fact to all cells that describe the same spans.
 
 from __future__ import annotations
 
-from .addresses import Address, AddressSpace, sort_key, splits_of_endpoints
+from .addresses import AddressSpace, cell_endpoints, splits_of_endpoints
 from .grammar import Grammar, configurations, is_single_initial
 
 
@@ -34,15 +34,6 @@ class ProductMatrix:
     def fact_count(self) -> int:
         return sum(len(s) for s in self.cells.values())
 
-    def cells_of(self, sym, stop: int | None = None) -> list:
-        """The (row id, col id) cells holding ``sym``, in row-major order;
-        only those with a row id below ``stop`` when it is given."""
-        return sorted(cell for cell, syms in self.cells.items()
-                      if sym in syms and (stop is None or cell[0] < stop))
-
-    def holds(self, sym, row_id: int, col_id: int) -> bool:
-        return sym in self.cells.get((row_id, col_id), ())
-
     def copy(self) -> "ProductMatrix":
         return ProductMatrix(self.space, {k: set(v) for k, v in self.cells.items()})
 
@@ -60,12 +51,12 @@ class ProductMatrix:
     def is_upper_triangular(self) -> bool:
         addrs = self.space.addresses
         return all(
-            not syms or sort_key(addrs[r]) < sort_key(addrs[c])
+            not syms or addrs[r] < addrs[c]
             for (r, c), syms in self.cells.items()
         )
 
     def nonterminal_facts(self):
-        """Yield (row Address, col Address, frozenset of nonterminals)."""
+        """Yield (row address, col address, frozenset of nonterminals)."""
         addrs = self.space.addresses
         for (r, c), syms in self.cells.items():
             if syms:
@@ -79,10 +70,9 @@ class ProductMatrix:
             syms = self.cells[(r, c)]
             if not syms:
                 continue
-            lines.append(
-                "%s | %s | %s"
-                % (addrs[r], addrs[c], " ".join(sorted(syms)))
-            )
+            lines.append(" | ".join((",".join(map(str, addrs[r])),
+                                     ",".join(map(str, addrs[c])),
+                                     " ".join(sorted(syms)))))
         return "\n".join(lines)
 
 
@@ -149,18 +139,14 @@ def _select(endpoints, cfg):
     return tuple(endpoints[t - 1] for t in sorted(cfg))
 
 
-def _role_fits(cfg, fo2, left: Address, right: Address, keep: Address) -> bool:
+def _role_fits(cfg, fo2, left: tuple, right: tuple, keep: tuple) -> bool:
     """Does the (left, right) cell describe the child's spans with ``keep``
     carrying exactly the endpoints selected by ``cfg``?"""
-    if right.positions <= left.positions:
-        return False
-    merged = sorted(left.positions + right.positions)
-    if len(merged) != fo2:
-        return False
-    return _select(merged, cfg) == keep.positions
+    merged = cell_endpoints(left, right)
+    return merged is not None and len(merged) == fo2 and _select(merged, cfg) == keep
 
 
-def cell_product(R, S, i: Address, k: Address, j: Address, g: Grammar):
+def cell_product(R, S, i: tuple, k: tuple, j: tuple, g: Grammar):
     """Product of cell (i,k) by cell (k,j): the heads of the binary rules
     whose children are in R and S and whose roles the three addresses fit."""
     out = set()
@@ -210,11 +196,9 @@ def pi_copy(T: ProductMatrix) -> ProductMatrix:
     addrs = space.addresses
     groups = {}
     for (r, c), syms in T.cells.items():
-        a, b = addrs[r], addrs[c]
-        if not syms or b.positions <= a.positions or (len(a) + len(b)) % 2:
-            continue
-        flat = tuple(sorted(a.positions + b.positions))
-        groups.setdefault(flat, set()).update(syms)
+        flat = cell_endpoints(addrs[r], addrs[c])
+        if syms and flat is not None:
+            groups.setdefault(flat, set()).update(syms)
     out = T.copy()
     ids = space.ids
     for flat, nts in groups.items():

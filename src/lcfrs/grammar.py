@@ -68,9 +68,6 @@ class Grammar:
     nonterminals: frozenset
     terminals: frozenset
 
-    def fo(self, nt: str) -> int:
-        return self.fanout[nt]
-
     def binary_rules(self):
         return [r for r in self.rules if r.is_binary]
 

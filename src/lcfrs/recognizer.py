@@ -10,21 +10,18 @@ The closure runs at ``space_rank``, which leaves out the start rules when
 the start symbol is on no right-hand side; those rules are then applied to
 the closed chart by a join over their children's span facts.
 
-A run stays on bit planes from the seed to the verdict.  The symbol-set
-chart (``ProductMatrix``) is built from the closed planes only when a caller
-reads ``RunResult.chart`` or ``Closure.matrix``, as derivation extraction
-and chart dumps do.
+A run stays on bit planes from the seed to the verdict, and derivation
+extraction reads the same closed planes.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 
-from .addresses import AddressSpace, cell_endpoints, enumerate_space, splits_of_endpoints
-from .boolmat import BoolMatrix, KERNEL_KIND, plane_product, planes_from_cells, scatter_planes
-from .engine import EngineUnsupported, ProductMatrix, _role_fits, engine_ready, lexical_cells
+from .addresses import AddressSpace, cell_endpoints, enumerate_space
+from .boolmat import BoolMatrix, KERNEL_KIND, plane_product, planes_from_cells
+from .engine import EngineUnsupported, _role_fits, engine_ready, lexical_cells
 from .grammar import (
     AnalysisReport,
     Grammar,
@@ -49,13 +46,6 @@ class Closure:
     # one {"muls", "new_facts"} record per iteration: the multiplies it made
     # and the nonterminal facts it added
     rounds: list = field(default_factory=list)
-
-    @cached_property
-    def matrix(self) -> ProductMatrix:
-        """The planes scattered into a symbol-set chart, on first access."""
-        out = ProductMatrix(self.space)
-        scatter_planes(self.planes, out)
-        return out
 
     def fact_count(self) -> int:
         return sum(p.count() for p in self.planes.values())
@@ -145,24 +135,22 @@ def _top_cell(space, n):
     return space.ids[(0,)], space.ids[(n,)]
 
 
-def _span_facts(cells_of, space, nts) -> dict:
+def _span_facts(clo: Closure, nts) -> dict:
     """``{nonterminal: set of sorted endpoint tuples}`` for the nonterminals
-    in ``nts``, read off the cells ``cells_of(nt)`` lists whose merge is
-    defined."""
+    in ``nts``, read off the cells of their planes whose merge is defined."""
     out = {}
     for nt in nts:
-        flats = _endpoint_sets(cells_of(nt), space)
+        flats = _endpoint_sets(clo.cells_of(nt), clo.space)
         if flats:
             out[nt] = flats
     return out
 
 
-def _start_witness(chart, g: Grammar, n: int):
+def _start_witness(clo: Closure, g: Grammar, n: int):
     """The first ``(rule, left endpoints, right endpoints)``, in rule-id and
     then endpoint order, by which a binary start rule derives (0, n) from two
-    facts of a closed chart; None when there is none.  ``chart`` is a
-    ``Closure`` or a ``ProductMatrix``; it is read through its ``cells_of``
-    and ``holds``, and only about the start rules' children.
+    facts of a closed chart; None when there is none.  Only the planes of
+    the start rules' children are read.
 
     The start symbol has fan-out 1, so the rule's one template lays the
     children's spans end to end over (0, n): a first-child fact beginning at
@@ -171,7 +159,7 @@ def _start_witness(chart, g: Grammar, n: int):
     beginning at 0, and those are the ids below that of (1,).  Each such
     fact then costs a test of the second child's bit on the splits of the
     spans it fixes."""
-    space = chart.space
+    space = clo.space
     rules = sorted((r for r in g.binary_rules() if r.lhs == g.start), key=lambda r: r.rid)
     stop = space.ids[(1,)]
     lefts_of: dict = {}
@@ -179,7 +167,7 @@ def _start_witness(chart, g: Grammar, n: int):
         B, C = r.rhs
         lefts = lefts_of.get(B)
         if lefts is None:
-            lefts = lefts_of[B] = sorted(_endpoint_sets(chart.cells_of(B, stop), space))
+            lefts = lefts_of[B] = sorted(_endpoint_sets(clo.cells_of(B, stop), space))
         (template,) = r.comp
         ends_with_b = template[-1].side == "b"
         for left in lefts:
@@ -193,7 +181,7 @@ def _start_witness(chart, g: Grammar, n: int):
                     end = spans[template[t + 1].index - 1][0] if t + 1 < len(template) else n
                     right += (start, end)
             right = tuple(right)
-            if any(chart.holds(C, i, j) for i, j in space.split_ids(right)):
+            if any(clo.holds(C, i, j) for i, j in space.split_ids(right)):
                 return r, left, right
     return None
 
@@ -205,11 +193,6 @@ class RunResult:
     report: AnalysisReport
     stats: dict
     closure: Closure = field(repr=False)
-
-    @property
-    def chart(self) -> ProductMatrix:
-        """The closed chart as a ``ProductMatrix``, built on first access."""
-        return self.closure.matrix
 
 
 # grammar-only preparation, keyed by id(g) and checked by identity
@@ -294,8 +277,8 @@ def _spans_of(flat):
     return tuple((flat[t], flat[t + 1]) for t in range(0, len(flat), 2))
 
 
-def extract_derivation(chart: ProductMatrix, g: Grammar, sentence):
-    """Backtrack a derivation tree out of a recognition chart.
+def extract_derivation(clo: Closure, g: Grammar, sentence):
+    """Backtrack a derivation tree out of a closed chart (``RunResult.closure``).
 
     When the top cell ((0),(n)) holds the start symbol, the tree is rebuilt
     from that fact.  Otherwise its top node comes from ``_start_witness``,
@@ -304,27 +287,25 @@ def extract_derivation(chart: ProductMatrix, g: Grammar, sentence):
     rebuilt from the chart.  Returns None when neither exists.  A start fact
     or witness that cannot be rebuilt from the chart is a hard error: the
     chart lied.
+
+    A fact is rebuilt by the first rule, in id order, that derives it.  For
+    a binary rule the splits (i, j) of its spans are tried in id order, and
+    for each the middle addresses k in ascending order among the set bits
+    of row i of the first child's plane; k is taken when the second child's
+    bit at (k, j) is set, the rule's roles fit the three addresses, and both
+    child facts rebuild in turn.
     """
     tokens = tuple(sentence)
     n = len(tokens)
     if n == 0:
         return None
-    space = chart.space
+    space = clo.space
     addrs = space.addresses
-    i0, j0 = _top_cell(space, n)
-
-    cells = chart.cells
-    by_row: dict = {}
-    by_col: dict = {}
-    for (r, c), syms in cells.items():
-        if not syms:
-            continue
-        by_row.setdefault(r, set()).add(c)
-        by_col.setdefault(c, set()).add(r)
+    planes = clo.planes
 
     witness = None
-    if not chart.holds(g.start, i0, j0):
-        witness = _start_witness(chart, g, n)
+    if not clo.holds(g.start, *_top_cell(space, n)):
+        witness = _start_witness(clo, g, n)
         if witness is None:
             return None
 
@@ -347,17 +328,17 @@ def extract_derivation(chart: ProductMatrix, g: Grammar, sentence):
                     node = DerivationNode(nt, r.rid, spans)
                     break
                 continue
-            cfg1, cfg2, cfg3 = configurations(r)
             B, C = r.rhs
-            for row, col in sorted(splits_of_endpoints(flat, space.d)):
-                i = space.ids.get(row)
-                j = space.ids.get(col)
-                if i is None or j is None:
-                    continue
-                for k in sorted(by_row.get(i, set()) & by_col.get(j, set())):
-                    ia, ka, ja = addrs[i], addrs[k], addrs[j]
-                    if B not in cells.get((i, k), ()) or C not in cells.get((k, j), ()):
+            left_bits, right_bits = planes.get(B), planes.get(C)
+            if left_bits is None or right_bits is None:
+                continue
+            cfg1, cfg2, cfg3 = configurations(r)
+            for i, j in sorted(space.split_ids(flat)):
+                ia, ja = addrs[i], addrs[j]
+                for k in left_bits.row(i):
+                    if not right_bits.test(k, j):
                         continue
+                    ka = addrs[k]
                     if not (
                         _role_fits(cfg2, 2 * r.fo[1], ia, ka, ia)
                         and _role_fits(cfg3, 2 * r.fo[2], ka, ja, ka)

@@ -12,6 +12,7 @@ import pytest
 
 import lcfrs
 from lcfrs import bundled
+from lcfrs.boolmat import scatter_planes
 from lcfrs.engine import ProductMatrix, pi_copy
 from lcfrs.grammar import Grammar, Rule, Var, contact_rank, per_rule_d, validate
 from lcfrs.oracle import enumerate_language, tabular_recognize
@@ -53,6 +54,15 @@ def union(T1: ProductMatrix, T2: ProductMatrix) -> ProductMatrix:
     for cell, syms in T2.cells.items():
         if syms:
             out.cells.setdefault(cell, set()).update(syms)
+    return out
+
+
+def chart_of(planes: dict, space) -> ProductMatrix:
+    """The symbol-set chart holding the set bits of ``planes`` (a closure's
+    ``planes``, or any ``{symbol: BoolMatrix}`` over ``space``), for checks
+    against the cell-by-cell oracle."""
+    out = ProductMatrix(space)
+    scatter_planes(planes, out)
     return out
 
 
@@ -182,9 +192,9 @@ def sweep(grammars):
                     (name, " ".join(toks), res.accepted, by_oracle, by_enum)
                 )
             if res.accepted:
-                # keep the chart so derivations can be rebuilt later
-                accepted[tuple(toks)] = (res.chart, res.grammar)
-            bad = _chart_violations(res.chart)
+                # keep the closure so derivations can be rebuilt later
+                accepted[tuple(toks)] = (res.closure, res.grammar)
+            bad = _chart_violations(chart_of(res.closure.planes, res.closure.space))
             if bad:
                 violations.append((name, " ".join(toks), bad))
         results[name] = {

@@ -11,7 +11,7 @@ import random
 import numpy as np
 
 from lcfrs.addresses import enumerate_space
-from lcfrs.boolmat import BoolMatrix, bool_multiply, product_via_boolean
+from lcfrs.boolmat import BoolMatrix, bool_multiply, plane_product, symbol_planes
 from lcfrs.engine import ProductMatrix, matrix_product, pi_copy, seed
 from lcfrs.grammar import (
     configurations,
@@ -27,7 +27,7 @@ from lcfrs.grammar import (
 from lcfrs.oracle import tabular_recognize
 from lcfrs.recognizer import closure_fixpoint, extract_derivation, seed_planes
 
-from conftest import _chart_violations, full_rank, random_grammar, union
+from conftest import chart_of, full_rank, random_grammar, union
 
 # matrices produced by checks 3-6, re-examined by check 7
 MATERIALIZED = []
@@ -107,19 +107,17 @@ def test_03_worked_wrap_example():
     T.add(sp.ids[(2, 7)], sp.ids[(4, 5)], "C")
     P = matrix_product(T, T, g)
     direct = "A" in P.get(sp.ids[(1, 8)], sp.ids[(4, 5)])
-    bool_P = product_via_boolean(T, T, g)
+    planes = symbol_planes(T)
+    bool_ok = plane_product(planes, planes, g, sp) == symbol_planes(P)
     pi = pi_copy(union(T, P))
     copied = "A" in pi.get(sp.ids[(1, 4)], sp.ids[(5, 8)])
-    only = {
-        (i.positions, j.positions)
-        for i, j, syms in P.nonterminal_facts()
-    }
+    only = {(i, j) for i, j, syms in P.nonterminal_facts()}
     MATERIALIZED.extend([P, pi])
     _gate(
         "check 3 (wrap rule: one product then a pi-copy)",
-        direct and copied and bool_P == P and only == {((1, 8), (4, 5))},
+        direct and copied and bool_ok and only == {((1, 8), (4, 5))},
         "direct=%s copied=%s bool==ref:%s cells=%s"
-        % (direct, copied, bool_P == P, sorted(only)),
+        % (direct, copied, bool_ok, sorted(only)),
     )
 
 
@@ -135,8 +133,8 @@ def test_04_reduction_equivalence():
         for _ in range(rng.choice((0, 0, 1, 2))):
             T = union(T, matrix_product(T, T, g))
         want = matrix_product(T, T, g)
-        got = product_via_boolean(T, T, g)
-        if got != want:
+        planes = symbol_planes(T)
+        if plane_product(planes, planes, g, sp) != symbol_planes(want):
             mismatches.append(case)
         if case % 10 == 0:
             MATERIALIZED.append(union(T, want))
@@ -194,10 +192,11 @@ def test_06_closure_equivalence(grammars):
         sp = enumerate_space(len(toks), full_rank(g))
         T = seed(g, toks, sp)
         fix = closure_fixpoint(seed_planes(g, toks, sp), g, sp)
-        if fix.matrix != _cell_by_cell_closure(T, g):
+        got = chart_of(fix.planes, sp)
+        if got != _cell_by_cell_closure(T, g):
             bad.append(label)
         if t % 6 == 0:
-            MATERIALIZED.append(fix.matrix)
+            MATERIALIZED.append(got)
     _gate(
         "check 6 (bit-plane closure = cell-by-cell fixpoint, %d cases)" % len(cases),
         not bad,
@@ -225,8 +224,8 @@ def test_08_derivation_soundness(sweep):
     problems = []
     trees = 0
     for name, r in sweep.items():
-        for toks, (chart, run_g) in r["accepted"].items():
-            tree = extract_derivation(chart, run_g, toks)
+        for toks, (clo, run_g) in r["accepted"].items():
+            tree = extract_derivation(clo, run_g, toks)
             if tree is None:
                 problems.append((name, toks, "no derivation"))
                 continue

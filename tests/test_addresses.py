@@ -1,47 +1,37 @@
 import itertools
 
-import pytest
 from hypothesis import given, strategies as st
 
 from lcfrs.addresses import (
-    Address,
     cell_endpoints,
     enumerate_space,
-    sort_key,
     splits_of_endpoints,
 )
 
+# large enough for every address these tests rank
+SPACE = enumerate_space(9, 3)
 
-def A(*positions):
-    return Address(positions)
 
-
-class TestAddress:
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Address(())
-
-    def test_rejects_decreasing(self):
-        with pytest.raises(ValueError):
-            Address((2, 1))
-
-    def test_duplicates_allowed(self):
-        assert A(3, 3).positions == (3, 3)
+def rank(*positions):
+    return SPACE.ids[positions]
 
 
 class TestOrdering:
+    """Ids rank addresses as tuples: lexicographically, shorter prefixes
+    first."""
+
     def test_lexicographic(self):
-        assert A(1, 4) < A(1, 8)
+        assert rank(1, 4) < rank(1, 8)
 
     def test_min_decides(self):
-        assert A(1) < A(2, 7)
+        assert rank(1) < rank(2, 7)
 
     def test_prefix_sorts_first(self):
-        assert A(4, 5) < A(4, 5, 8)
+        assert rank(4, 5) < rank(4, 5, 8)
 
     def test_equal(self):
-        assert sort_key(A(3, 9)) == sort_key(A(3, 9))
-        assert not A(3, 9) < A(3, 9)
+        assert SPACE.addresses[rank(3, 9)] == (3, 9)
+        assert rank(3, 3) != rank(3)
 
     @given(
         st.lists(
@@ -51,40 +41,39 @@ class TestOrdering:
         )
     )
     def test_total_order_is_transitive(self, raw):
-        addrs = [Address(sorted(p)) for (p,) in raw]
-        ranked = sorted(addrs, key=sort_key)
-        for x, y in zip(ranked, ranked[1:]):
-            assert not y < x
+        addrs = [tuple(sorted(p)) for (p,) in raw]
+        ranked = sorted(addrs, key=SPACE.ids.get)
+        assert ranked == sorted(addrs)
 
 
 class TestMerge:
     def test_two_span_merge(self):
-        assert cell_endpoints(A(1, 8), A(4, 5)) == (1, 4, 5, 8)
+        assert cell_endpoints((1, 8), (4, 5)) == (1, 4, 5, 8)
 
     def test_whole_string(self):
-        assert cell_endpoints(A(0), A(9)) == (0, 9)
+        assert cell_endpoints((0,), (9,)) == (0, 9)
 
     def test_undefined_unless_col_sorts_after_row(self):
-        assert cell_endpoints(A(4, 5), A(1, 8)) is None
-        assert cell_endpoints(A(3), A(3)) is None
-        assert cell_endpoints(A(2, 4), A(2, 3)) is None
+        assert cell_endpoints((4, 5), (1, 8)) is None
+        assert cell_endpoints((3,), (3,)) is None
+        assert cell_endpoints((2, 4), (2, 3)) is None
 
     def test_tied_minimum_is_defined(self):
         # a first span that is empty puts the minimum on both sides
-        assert cell_endpoints(A(0, 0), A(0, 1)) == (0, 0, 0, 1)
-        assert cell_endpoints(A(2), A(2, 2, 5)) == (2, 2, 2, 5)
+        assert cell_endpoints((0, 0), (0, 1)) == (0, 0, 0, 1)
+        assert cell_endpoints((2,), (2, 2, 5)) == (2, 2, 2, 5)
 
     def test_undefined_for_odd_total(self):
-        assert cell_endpoints(A(1), A(4, 5)) is None
+        assert cell_endpoints((1,), (4, 5)) is None
 
     def test_zero_width_spans(self):
-        assert cell_endpoints(A(2, 2), A(5, 5)) == (2, 2, 5, 5)
+        assert cell_endpoints((2, 2), (5, 5)) == (2, 2, 5, 5)
 
 
 class TestSpace:
     def test_tiny_space_contents(self):
         sp = enumerate_space(1, 1)
-        assert sp.addresses == [A(0), A(1)]
+        assert sp.addresses == [(0,), (1,)]
         assert sp.ids == {(0,): 0, (1,): 1}
 
     def test_unmarked_count_for_singletons(self):
@@ -97,32 +86,35 @@ class TestSpace:
 
     def test_ids_are_sorted_ranks(self):
         sp = enumerate_space(4, 2)
-        keys = [sort_key(a) for a in sp.addresses]
-        assert keys == sorted(keys)
-        assert all(sp.ids[a.positions] == t for t, a in enumerate(sp.addresses))
+        assert sp.addresses == sorted(sp.addresses)
+        assert all(sp.ids[a] == t for t, a in enumerate(sp.addresses))
+
+    def test_addresses_are_nonempty_and_non_decreasing(self):
+        sp = enumerate_space(3, 3)
+        assert all(a and list(a) == sorted(a) for a in sp.addresses)
+        assert (3, 3) in sp.ids and (2, 1) not in sp.ids
+        assert len(set(sp.addresses)) == sp.dim
 
     def test_enumeration_is_deterministic(self):
         a = enumerate_space(3, 2)
         b = enumerate_space.__wrapped__(3, 2)  # bypass the cache
-        assert [sort_key(x) for x in a.addresses] == [
-            sort_key(x) for x in b.addresses
-        ]
+        assert a.addresses == b.addresses
         assert a.ids == b.ids
 
 
 class TestEquivalentCells:
     def test_contains_alternate_split(self):
-        cells = splits_of_endpoints(cell_endpoints(A(1, 8), A(4, 5)), 2)
+        cells = splits_of_endpoints(cell_endpoints((1, 8), (4, 5)), 2)
         assert ((1, 4), (5, 8)) in cells
         assert ((1, 8), (4, 5)) in cells
 
     def test_top_cell_is_singleton_for_d1(self):
-        assert splits_of_endpoints(cell_endpoints(A(0), A(6)), 1) == {((0,), (6,))}
+        assert splits_of_endpoints(cell_endpoints((0,), (6,)), 1) == {((0,), (6,))}
 
     def test_minimum_stays_in_row(self):
         for row, col in splits_of_endpoints((1, 4, 5, 8), 2):
             assert 1 in row
-            assert cell_endpoints(A(*row), A(*col)) == (1, 4, 5, 8)
+            assert cell_endpoints(row, col) == (1, 4, 5, 8)
 
     def test_merge_defined_implies_row_before_col(self):
         sp = enumerate_space(4, 2)
@@ -131,7 +123,7 @@ class TestEquivalentCells:
                 assert i < j
 
     def test_undefined_merge_has_no_split(self):
-        assert cell_endpoints(A(4, 5), A(1, 8)) is None
+        assert cell_endpoints((4, 5), (1, 8)) is None
         assert ((4, 5), (1, 8)) not in splits_of_endpoints((1, 4, 5, 8), 2)
 
     def test_tied_minimum_splits(self):
@@ -143,7 +135,7 @@ class TestEquivalentCells:
         }
         for d in (2, 3):
             for row, col in splits_of_endpoints((0, 0, 0, 1), d):
-                assert cell_endpoints(A(*row), A(*col)) == (0, 0, 0, 1)
+                assert cell_endpoints(row, col) == (0, 0, 0, 1)
 
     def test_splits_cover_all_row_col_partitions(self):
         got = splits_of_endpoints((1, 4, 5, 8), 2)

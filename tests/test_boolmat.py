@@ -13,13 +13,11 @@ from lcfrs.boolmat import (
     bool_multiply,
     pack_rows,
     plane_product,
-    product_via_boolean,
     rule_mask,
-    scatter_planes,
     symbol_planes,
     unpack_rows,
 )
-from lcfrs.engine import ProductMatrix, _role_fits, matrix_product, seed
+from lcfrs.engine import _role_fits, matrix_product, seed
 from lcfrs.grammar import configurations, is_single_initial, parse_grammar, to_single_initial
 
 from conftest import BOTH_CHILDREN_GROW, full_rank, union
@@ -238,6 +236,15 @@ class TestScatter:
             assert m.nonzero_cells() == want, label
             assert m.count() == int(da.sum()), label
 
+    @pytest.mark.parametrize("dim", KERNEL_DIMS)
+    def test_row_matches_nonzero_cells(self, dim):
+        for label, da, _ in _kernel_operands(dim):
+            m = BoolMatrix.from_dense(da)
+            want = [[] for _ in range(dim)]
+            for r, c in m.nonzero_cells():
+                want[r].append(c)
+            assert [m.row(i) for i in range(dim)] == want, label
+
     def test_from_cells_with_duplicates(self):
         m = BoolMatrix.from_cells(70, [(3, 64), (3, 64), (3, 0), (69, 69)])
         assert m.nonzero_cells() == [(3, 0), (3, 64), (69, 69)]
@@ -306,23 +313,17 @@ class TestFactors:
 
     def test_space_mismatch_raises(self, grammars):
         g = grammars["cfg_anbn"]
-        a = ProductMatrix(enumerate_space(2, 1))
-        b = ProductMatrix(enumerate_space(3, 1))
-        with pytest.raises(ValueError):
-            product_via_boolean(a, b, g)
         small = seed(g, ["a", "b"], enumerate_space(2, 1))
         with pytest.raises(ValueError):
             plane_product(symbol_planes(small), {}, g, enumerate_space(3, 1))
 
-    def test_plane_product_matches_product_via_boolean(self, grammars):
+    def test_plane_product_matches_cell_by_cell(self, grammars):
         for name, sentence in (("count4", "a b c d"), ("itg_sep", "x y # y x")):
             g = grammars[name]
             T, T2, sp = _planes_after_one_product(g, sentence.split())
             for left, right in ((T, T2), (T2, T), (T2, T2)):
-                got = ProductMatrix(T.space)
-                scatter_planes(plane_product(symbol_planes(left), symbol_planes(right), g, sp), got)
-                assert got == product_via_boolean(left, right, g)
-                assert got == matrix_product(left, right, g), name
+                got = plane_product(symbol_planes(left), symbol_planes(right), g, sp)
+                assert got == symbol_planes(matrix_product(left, right, g)), name
 
     def test_delta_terms_complete_the_old_product(self, grammars):
         # semi-naive step: the terms reading a new fact, together with the
@@ -368,7 +369,7 @@ class TestRoleMask:
                                 continue
                             for j in sp.addresses:
                                 if len(i) + len(j) == fo2 and _role_fits(cfg, fo2, i, j, i):
-                                    want.set(sp.ids[i.positions], sp.ids[j.positions])
+                                    want.set(sp.ids[i], sp.ids[j])
                         assert rule_mask(sp, r, role) == want, (name, n, r.rid, role)
                         checked += want.any()
         assert checked
@@ -392,8 +393,8 @@ class TestReduction:
         T = seed(g, toks, sp)
         ref = matrix_product(T, T, g)
         stats = {}
-        got = product_via_boolean(T, T, g, stats=stats)
-        assert got == ref
+        planes = symbol_planes(T)
+        assert plane_product(planes, planes, g, sp, stats=stats) == symbol_planes(ref)
         assert stats["muls"] > 0
 
     def test_agrees_on_powers(self, grammars):
@@ -403,5 +404,6 @@ class TestReduction:
         T = seed(g, toks, sp)
         for _ in range(3):
             ref = matrix_product(T, T, g)
-            assert product_via_boolean(T, T, g) == ref
+            planes = symbol_planes(T)
+            assert plane_product(planes, planes, g, sp) == symbol_planes(ref)
             T = union(T, ref)

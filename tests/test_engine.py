@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from lcfrs.addresses import Address, cell_endpoints, enumerate_space, splits_of_endpoints
+from lcfrs.addresses import cell_endpoints, enumerate_space, splits_of_endpoints
 from lcfrs.engine import (
     ProductMatrix,
     cell_product,
@@ -15,13 +15,9 @@ from lcfrs.engine import (
 )
 from lcfrs.grammar import parse_grammar
 
-from conftest import union
+from conftest import chart_of, union
 
 CFG_AB = "start S\nS -> A B : b1 g1\nA -> : 'a'\nB -> : 'b'\n"
-
-
-def A(*positions):
-    return Address(positions)
 
 
 def spans_of(i, j):
@@ -32,7 +28,7 @@ def spans_of(i, j):
 
 
 def facts(matrix):
-    """{(row Address, col Address, symbol)} over nonempty cells."""
+    """{(row address, col address, symbol)} over nonempty cells."""
     addrs = matrix.space.addresses
     return {
         (addrs[r], addrs[c], s)
@@ -53,7 +49,7 @@ class TestSeed:
                 spans = spans_of(i, j)
                 if spans is None:
                     continue
-                has = "X" in T.get(sp.ids[i.positions], sp.ids[j.positions])
+                has = "X" in T.get(sp.ids[i], sp.ids[j])
                 assert has == (spans == want), (i, j)
 
     def test_empty_span_words_anchor_anywhere_rightward(self, grammars):
@@ -83,15 +79,15 @@ class TestSeed:
 class TestCellProduct:
     def test_binary_rule_fires(self, grammars):
         g = grammars["cfg_anbn"]
-        got = cell_product({"A"}, {"B"}, A(0), A(1), A(2), g)
+        got = cell_product({"A"}, {"B"}, (0,), (1,), (2,), g)
         assert got == {"S"}
         # no rule combines A with S
-        assert cell_product({"A"}, {"S"}, A(0), A(1), A(3), g) == set()
+        assert cell_product({"A"}, {"S"}, (0,), (1,), (3,), g) == set()
 
     def test_empty_operands(self, grammars):
         g = grammars["cfg_anbn"]
-        assert cell_product(set(), {"S"}, A(0), A(1), A(2), g) == set()
-        assert cell_product({"A"}, set(), A(0), A(1), A(2), g) == set()
+        assert cell_product(set(), {"S"}, (0,), (1,), (2,), g) == set()
+        assert cell_product({"A"}, set(), (0,), (1,), (2,), g) == set()
 
 
 class TestMatrixProduct:
@@ -196,7 +192,7 @@ class TestDump:
         assert lines
         assert all(re.fullmatch(r"[^|]+ \| [^|]+ \| .+", ln) for ln in lines)
         assert lines == ["0 | 1 | A", "1 | 2 | B"]
-        by_str = {str(a): t for t, a in enumerate(sp.addresses)}
+        by_str = {",".join(map(str, a)): t for t, a in enumerate(sp.addresses)}
         cells = [
             (by_str[ln.split(" | ")[0]], by_str[ln.split(" | ")[1]])
             for ln in lines
@@ -215,6 +211,7 @@ class TestDump:
                 14, "018f5e171d8b700a276c0aeb4055097e38ece1614aa666b02f1fbf1bff07ab70"),
         }
         for (name, sentence), (lines, digest) in want.items():
-            text = run_recognition(grammars[name], sentence.split()).chart.dump()
+            clo = run_recognition(grammars[name], sentence.split()).closure
+            text = chart_of(clo.planes, clo.space).dump()
             assert len(text.splitlines()) == lines, name
             assert hashlib.sha256(text.encode()).hexdigest() == digest, name

@@ -28,11 +28,21 @@ class TestPublicSurface:
 
     def test_benchmark_worker_names_resolve_in_a_fresh_process(self):
         # perfbench/worker.py imports the package and its CLI, then reaches
-        # these through the package object
+        # these through the package object; its self-test and its traces
+        # wrap the dotted names, and a name that no longer resolves fails
+        # every benchmark run
         code = (
             "import lcfrs, lcfrs.cli\n"
             "for name in ('run_recognition', 'KERNEL_KIND', 'cli', 'bundled', 'oracle'):\n"
             "    getattr(lcfrs, name)\n"
+            "import lcfrs._matmul_fallback\n"
+            "for path in ('recognizer.pi_copy', 'cli.extract_derivation',\n"
+            "             'boolmat.bool_multiply', 'boolmat._kernel.multiply_packed',\n"
+            "             '_matmul_fallback.multiply_packed', 'boolmat.BoolMatrix'):\n"
+            "    obj = lcfrs\n"
+            "    for part in path.split('.'):\n"
+            "        obj = getattr(obj, part)\n"
+            "    assert callable(obj), path\n"
             "g = lcfrs.bundled.load('cfg_anbn')\n"
             "assert lcfrs.run_recognition(g, 'a b'.split()).accepted\n"
             "assert lcfrs.oracle.tabular_recognize(g, 'a b'.split())[0]\n"

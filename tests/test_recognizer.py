@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -7,16 +8,15 @@ import numpy as np
 import pytest
 
 from lcfrs.addresses import enumerate_space
-from lcfrs.boolmat import KERNEL_KIND, product_via_boolean, scatter_planes
-from lcfrs.engine import (
-    EngineUnsupported, ProductMatrix, engine_ready, pi_copy, seed,
-)
+from lcfrs.boolmat import KERNEL_KIND, plane_product, symbol_planes
+from lcfrs.engine import EngineUnsupported, ProductMatrix, engine_ready, pi_copy, seed
 from lcfrs.grammar import (
     Grammar, GrammarError, Rule, Var, is_single_initial, parse_grammar, to_single_initial,
 )
 from lcfrs.oracle import _word_placements, enumerate_language, tabular_recognize
 from lcfrs import boolmat, bundled, recognizer
 from lcfrs.recognizer import (
+    Closure,
     _span_facts,
     _spans_of,
     _start_witness,
@@ -29,7 +29,8 @@ from lcfrs.recognizer import (
 )
 
 from conftest import (
-    BOTH_CHILDREN_GROW, SWEEP_NAMES, full_rank, random_grammar, sweep_sentences, union,
+    BOTH_CHILDREN_GROW, SWEEP_NAMES, chart_of, full_rank, random_grammar, sweep_sentences,
+    union,
 )
 
 
@@ -44,27 +45,25 @@ class TestClosure:
         g = grammars["cfg_anbn"]
         sp = enumerate_space(3, 1)
         clo = closure_fixpoint({}, g, sp)
-        assert clo.matrix.fact_count() == 0
+        assert clo.fact_count() == 0
         assert clo.iterations == 1
         assert clo.seconds >= 0.0
 
     def test_cfg_closure_reaches_top(self, grammars):
         g = grammars["cfg_anbn"]
         clo, sp = _closed(g, "a b")
-        top = clo.matrix.get(sp.ids[(0,)], sp.ids[(2,)])
-        assert "S" in top
+        assert clo.holds("S", sp.ids[(0,)], sp.ids[(2,)])
 
     def test_count4_closure_reaches_top(self, grammars):
         g = grammars["count4"]
         clo, sp = _closed(g, "a b c d")
-        top = clo.matrix.get(sp.ids[(0,)], sp.ids[(4,)])
-        assert "S" in top
+        assert clo.holds("S", sp.ids[(0,)], sp.ids[(4,)])
 
     def test_closure_is_idempotent(self, grammars):
         g = grammars["cfg_anbn"]
         clo, sp = _closed(g, "a b")
         again = closure_fixpoint(clo.planes, g, sp)
-        assert again.matrix == clo.matrix
+        assert again.planes == clo.planes
         assert again.iterations == 1
 
 
@@ -75,7 +74,9 @@ def _naive_closure(T, g):
     X, iterations = T, 0
     while True:
         iterations += 1
-        grown = pi_copy(union(X, product_via_boolean(X, X, g, stats=stats)))
+        planes = symbol_planes(X)
+        product = chart_of(plane_product(planes, planes, g, X.space, stats), X.space)
+        grown = pi_copy(union(X, product))
         if grown == X:
             return X, iterations, stats.get("muls", 0)
         X = grown
@@ -107,7 +108,7 @@ class TestSemiNaiveClosure:
         assert pi_copy(T) == T, label     # the closure's precondition
         want, iterations, muls = _naive_closure(T, g)
         got = closure_fixpoint(seed_planes(g, toks, sp), g, sp)
-        assert got.matrix == want, label
+        assert chart_of(got.planes, sp) == want, label
         assert got.iterations == iterations, label
         assert got.muls <= muls, label
         return got.muls, muls
@@ -140,7 +141,7 @@ class TestSemiNaiveClosure:
         clo = closure_fixpoint(seed_planes(g, toks, sp), g, sp)
         assert len(clo.rounds) == clo.iterations
         assert sum(r["muls"] for r in clo.rounds) == clo.muls
-        assert T.fact_count() + sum(r["new_facts"] for r in clo.rounds) == clo.matrix.fact_count()
+        assert T.fact_count() + sum(r["new_facts"] for r in clo.rounds) == clo.fact_count()
         assert clo.rounds[-1]["new_facts"] == 0
 
     def test_run_reports_rounds(self, grammars):
@@ -168,27 +169,26 @@ class TestStartRulesOutsideMatrix:
                 full, _ = _closed(g, " ".join(toks))
                 sp = enumerate_space(len(toks), space_rank(g))
                 runtime = closure_fixpoint(seed_planes(g, toks, sp), g, sp)
-                assert (_span_facts(runtime.cells_of, sp, nts)
-                        == _span_facts(full.cells_of, full.space, nts)), (name, toks)
+                assert _span_facts(runtime, nts) == _span_facts(full, nts), (name, toks)
 
     def test_start_fact_comes_from_the_join(self, grammars):
         g = grammars["count4"]
         toks = "a a b c c d".split()
         res = run_recognition(g, toks)
         assert res.accepted and res.stats["rank"] == 2
-        assert g.start not in res.chart.get(*_top_cell(res.chart.space, len(toks)))
-        tree = extract_derivation(res.chart, g, toks)
+        assert not res.closure.holds(g.start, *_top_cell(res.closure.space, len(toks)))
+        tree = extract_derivation(res.closure, g, toks)
         assert (tree.rule, tree.spans) == (0, ((0, 6),))
         assert [c.spans for c in tree.children] == [((0, 2), (3, 5)), ((2, 3), (5, 6))]
 
 
-def _brute_witness(chart, g, n):
+def _brute_witness(clo, g, n):
     """Reference for ``_start_witness``: join every pair of the start rules'
-    child facts, read off all of the chart's cells by ``_span_facts``, and
+    child facts, read off all of the closure's cells by ``_span_facts``, and
     keep the first pair, in rule-id and then endpoint order, whose spans the
     rule's template lays end to end over (0, n)."""
     rules = sorted((r for r in g.binary_rules() if r.lhs == g.start), key=lambda r: r.rid)
-    facts = _span_facts(chart.cells_of, chart.space, {nt for r in rules for nt in r.rhs})
+    facts = _span_facts(clo, {nt for r in rules for nt in r.rhs})
     for r in rules:
         B, C = r.rhs
         (template,) = r.comp
@@ -213,8 +213,7 @@ def _runnable_random_grammars():
 class TestStartWitness:
     """The witness search reads first-child facts from the rows that begin
     at 0 and tests the second child's bit on the computed spans; it must
-    find what a join over every fact of both children finds, on the closed
-    planes and on the symbol-set chart."""
+    find what a join over every fact of both children finds."""
 
     def _check(self, g, toks, label):
         res = run_recognition(g, toks)
@@ -222,7 +221,6 @@ class TestStartWitness:
         work, clo = res.grammar, res.closure
         want = _brute_witness(clo, work, n)
         assert _start_witness(clo, work, n) == want, label
-        assert _start_witness(clo.matrix, work, n) == want, label
         assert res.accepted == (clo.holds(work.start, *_top_cell(clo.space, n))
                                 or want is not None), label
         return res, want
@@ -238,7 +236,7 @@ class TestStartWitness:
                 if want is None or res.closure.holds(res.grammar.start, *top):
                     continue
                 # extraction takes its top node from the same search
-                tree = extract_derivation(res.chart, res.grammar, toks)
+                tree = extract_derivation(res.closure, res.grammar, toks)
                 assert tree.rule == want[0].rid, (name, toks)
                 assert [c.spans for c in tree.children] == [_spans_of(want[1]),
                                                              _spans_of(want[2])], (name, toks)
@@ -412,8 +410,7 @@ class TestPlanePath:
                 g = to_single_initial(g)
             for toks in sweep_sentences(name):
                 sp = enumerate_space(len(toks), space_rank(g))
-                got = ProductMatrix(sp)
-                scatter_planes(seed_planes(g, toks, sp), got)
+                got = chart_of(seed_planes(g, toks, sp), sp)
                 assert got == seed(g, toks, sp), (name, toks)
 
     def test_seed_and_facts_on_random_grammars(self):
@@ -426,16 +423,15 @@ class TestPlanePath:
                 sp = enumerate_space(n, space_rank(work))
                 for toks in itertools.product("ab", repeat=n):
                     label = (case, toks)
-                    got = ProductMatrix(sp)
-                    scatter_planes(seed_planes(work, toks, sp), got)
-                    assert got == seed(work, toks, sp), label
+                    planes = seed_planes(work, toks, sp)
+                    assert chart_of(planes, sp) == seed(work, toks, sp), label
                     want = {}
                     for r in lexical:
                         for spans in _word_placements(r.words, toks, n):
                             flat = tuple(p for span in spans for p in span)
                             if sp.split_ids(flat):
                                 want.setdefault(r.lhs, set()).add(flat)
-                    assert _span_facts(got.cells_of, sp, work.nonterminals) == want, label
+                    assert _span_facts(Closure(planes, sp), work.nonterminals) == want, label
                     res = run_recognition(g, toks)
                     assert res.stats["facts"] == res.closure.fact_count(), label
 
@@ -444,22 +440,27 @@ class TestPlanePath:
                                ("dual_initial_demo", "a b a a b a"),
                                ("cfg_anbn", "a a b")):
             res = run_recognition(grammars[name], sentence.split())
-            assert res.stats["facts"] == res.chart.fact_count(), name
+            chart = chart_of(res.closure.planes, res.closure.space)
+            assert res.stats["facts"] == chart.fact_count(), name
 
     def test_recognition_builds_no_chart(self, grammars, monkeypatch):
+        # neither a run nor a derivation builds a symbol-set chart
         calls = []
-        real = recognizer.scatter_planes
+        real = ProductMatrix.__init__
 
-        def spy(planes, M):
-            calls.append(len(planes))
-            real(planes, M)
-        monkeypatch.setattr(recognizer, "scatter_planes", spy)
+        def spy(self, *args, **kwargs):
+            calls.append(args)
+            real(self, *args, **kwargs)
+        monkeypatch.setattr(ProductMatrix, "__init__", spy)
         for name, sentence in (("count4", "a a b c c d"), ("count4", "a b d c"),
                                ("itg_sep", "x y # y x")):
-            res = run_recognition(grammars[name], sentence.split())
+            toks = sentence.split()
+            res = run_recognition(grammars[name], toks)
+            if res.accepted:
+                assert extract_derivation(res.closure, res.grammar, toks) is not None
         assert calls == []
-        chart = res.chart
-        assert res.chart is chart and len(calls) == 1
+        chart_of(res.closure.planes, res.closure.space)
+        assert len(calls) == 1
 
     def test_kernel_operands_fit_the_compiled_kernel(self, grammars, monkeypatch):
         # the compiled kernel takes writable C-contiguous uint64 buffers only
@@ -512,7 +513,7 @@ class TestExtraction:
     def test_cfg_tree(self, grammars):
         g = grammars["cfg_anbn"]
         res = run_recognition(g, "a a b b".split())
-        tree = extract_derivation(res.chart, g, "a a b b".split())
+        tree = extract_derivation(res.closure, g, "a a b b".split())
         assert tree is not None
         assert tree.nonterminal == "S"
         assert tree.spans == ((0, 4),)
@@ -523,7 +524,7 @@ class TestExtraction:
         g = grammars["count4"]
         toks = "a a b b c c d d".split()
         res = run_recognition(g, toks)
-        tree = extract_derivation(res.chart, g, toks)
+        tree = extract_derivation(res.closure, g, toks)
         assert tree.spans == ((0, 8),)
         a_child, b_child = tree.children
         assert a_child.nonterminal == "A"
@@ -535,7 +536,7 @@ class TestExtraction:
         g = grammars["count4"]
         toks = "a b c d".split()
         res = run_recognition(g, toks)
-        tree = extract_derivation(res.chart, g, toks)
+        tree = extract_derivation(res.closure, g, toks)
         got = {}
 
         def walk(node):
@@ -554,17 +555,37 @@ class TestExtraction:
     def test_rejected_sentence_gives_none(self, grammars):
         g = grammars["cfg_anbn"]
         res = run_recognition(g, "a b b".split())
-        assert extract_derivation(res.chart, g, "a b b".split()) is None
+        assert extract_derivation(res.closure, g, "a b b".split()) is None
 
     def test_empty_sentence_gives_none(self, grammars):
         g = grammars["cfg_anbn"]
         sp = enumerate_space(0, space_rank(g))
-        assert extract_derivation(ProductMatrix(sp), g, []) is None
+        assert extract_derivation(Closure({}, sp), g, []) is None
 
     def test_deterministic(self, grammars):
         g = grammars["itg_sep"]
         toks = "x y # y x".split()
         res = run_recognition(g, toks)
-        t1 = extract_derivation(res.chart, g, toks)
-        t2 = extract_derivation(res.chart, g, toks)
+        t1 = extract_derivation(res.closure, g, toks)
+        t2 = extract_derivation(res.closure, g, toks)
         assert json.dumps(t1.to_json()) == json.dumps(t2.to_json())
+
+    def test_trees_unchanged(self, grammars, sweep):
+        # which tree extraction returns is a fixed figure: the first split,
+        # middle address and rule in id order that rebuild each fact
+        runs = [(run_g, toks, clo) for name in SWEEP_NAMES
+                for toks, (clo, run_g) in sweep[name]["accepted"].items()]
+        extra = [("count4", ["a"] * m + ["b"] * k + ["c"] * m + ["d"] * k)
+                 for m in range(1, 4) for k in range(1, 4)]
+        extra += [("cfg_anbn", ["a"] * m + ["b"] * m) for m in range(1, 7)]
+        for name, toks in extra:
+            res = run_recognition(grammars[name], toks)
+            assert res.accepted, (name, toks)
+            runs.append((res.grammar, tuple(toks), res.closure))
+        digest = hashlib.sha256()
+        for run_g, toks, clo in runs:
+            tree = extract_derivation(clo, run_g, toks)
+            digest.update(json.dumps([toks, tree.to_json()], sort_keys=True).encode())
+        assert len(runs) == 52
+        assert digest.hexdigest() == (
+            "8c82f243b32c812c4d918a1b7aba52fe7e5daf537938d2659a8f543072ffa42f")
