@@ -15,12 +15,10 @@ import time
 from math import comb
 
 from . import bundled
-from .engine import EngineUnsupported, engine_ready
-from .grammar import (
-    DEFAULT_OMEGA, GrammarError, analyze, is_single_initial, parse_grammar, to_single_initial,
-)
+from .engine import EngineUnsupported
+from .grammar import DEFAULT_OMEGA, GrammarError, analyze, parse_grammar
 from .oracle import tabular_recognize
-from .recognizer import extract_derivation, run_recognition, space_rank
+from .recognizer import _prepare, extract_derivation, run_recognition
 
 # benchmark guard: rows of the address space beyond which a run is skipped
 DIM_CAP = 8000
@@ -138,23 +136,25 @@ def _cmd_bench(args) -> int:
         except (GrammarError, OSError) as exc:
             print("bench: skipping %s: %s" % (name, exc), file=sys.stderr)
             continue
+        try:
+            rank = _prepare(g)[2]
+        except EngineUnsupported:
+            rank = None
         for n in sweep:
             tokens = _bench_sentence(name, n)
             key = (name, len(tokens))
             if key in done:
                 continue
             done.add(key)
-            work = g if is_single_initial(g) else to_single_initial(g)
-            dim = _dim_bound(len(tokens), space_rank(work))
-            if dim > DIM_CAP:
+            if rank is None:
+                print(
+                    "bench: %s not runnable on the matrix engine" % name,
+                    file=sys.stderr,
+                )
+            elif (dim := _dim_bound(len(tokens), rank)) > DIM_CAP:
                 print(
                     "bench: skipping %s n=%d (address space %d rows)"
                     % (name, len(tokens), dim),
-                    file=sys.stderr,
-                )
-            elif engine_ready(work):
-                print(
-                    "bench: %s not runnable on the matrix engine" % name,
                     file=sys.stderr,
                 )
             else:

@@ -99,9 +99,9 @@ def _placements(words, tokens, at):
     return layouts
 
 
-def lexical_cells(g: Grammar, sentence, space: AddressSpace) -> dict:
-    """``{nonterminal: [(row id, col id), ...]}``: the cells of the seed's
-    lexical facts, each at every split of its spans (repeats allowed)."""
+def lexical_facts(g: Grammar, sentence, space: AddressSpace) -> dict:
+    """``{nonterminal: set of sorted endpoint tuples}``: the seed's lexical
+    facts, for a sentence of ``space``'s length."""
     tokens = tuple(sentence)
     if space.n != len(tokens):
         raise ValueError("space built for n=%d, sentence has %d tokens" % (space.n, len(tokens)))
@@ -117,18 +117,17 @@ def lexical_cells(g: Grammar, sentence, space: AddressSpace) -> dict:
     out = {}
     for r in lexical:
         for flat in _placements(r.words, tokens, at):
-            cells = space.split_ids(flat)
-            if cells:  # a fact no split of the space can hold adds no plane
-                out.setdefault(r.lhs, []).extend(cells)
+            out.setdefault(r.lhs, set()).add(flat)
     return out
 
 
 def seed(g: Grammar, sentence, space: AddressSpace) -> ProductMatrix:
     """Seed matrix: lexical facts at every split of their spans."""
     T = ProductMatrix(space)
-    for nt, cells in lexical_cells(g, sentence, space).items():
-        for row_id, col_id in cells:
-            T.add(row_id, col_id, nt)
+    for nt, flats in lexical_facts(g, sentence, space).items():
+        for flat in flats:
+            for row_id, col_id in space.split_ids(flat):
+                T.add(row_id, col_id, nt)
     return T
 
 

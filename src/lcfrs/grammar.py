@@ -425,10 +425,6 @@ def is_single_initial(g: Grammar) -> bool:
     return True
 
 
-def multi_config_nonterminals(g: Grammar) -> frozenset:
-    return frozenset(nt for nt in g.nonterminals if len(config_set(g, nt)) > 1)
-
-
 # ---------------------------------------------------------------------------
 # dual-initial -> single-initial rewrite
 

@@ -11,7 +11,9 @@ the start symbol is on no right-hand side; those rules are then applied to
 the closed chart by a join over their children's span facts.
 
 A run stays on bit planes from the seed to the verdict, and derivation
-extraction reads the same closed planes.
+extraction reads the same closed planes.  ``facts_of`` and ``planes_of`` are
+the one conversion between plane bits and facts (sorted endpoint tuples):
+the seed, pi-copy and the start-rule join all go through them.
 """
 
 from __future__ import annotations
@@ -20,14 +22,11 @@ import time
 from dataclasses import dataclass, field
 
 from .addresses import AddressSpace, cell_endpoints, enumerate_space
-from .boolmat import BoolMatrix, KERNEL_KIND, plane_product, planes_from_cells
-from .engine import EngineUnsupported, _role_fits, engine_ready, lexical_cells
+from .boolmat import KERNEL_KIND, _mask, plane_product, planes_from_cells
+from .engine import EngineUnsupported, engine_ready, lexical_facts
 from .grammar import (
-    AnalysisReport,
     Grammar,
     GrammarError,
-    analyze,
-    configurations,
     is_single_initial,
     space_rank,
     to_single_initial,
@@ -50,24 +49,39 @@ class Closure:
     def fact_count(self) -> int:
         return sum(p.count() for p in self.planes.values())
 
-    def cells_of(self, sym, stop: int | None = None) -> list:
-        """The (row id, col id) cells holding ``sym``, in row-major order;
-        only those with a row id below ``stop`` when it is given."""
+    def holds(self, sym, endpoints: tuple) -> bool:
+        """Does the chart hold ``sym`` over the spans of ``endpoints``?  The
+        chart is closed under pi-copy, so one split of the endpoints tells;
+        endpoints with no split in the space are never held."""
         plane = self.planes.get(sym)
-        return plane.nonzero_cells(stop) if plane is not None else []
-
-    def holds(self, sym, row: int, col: int) -> bool:
-        plane = self.planes.get(sym)
-        return plane is not None and plane.test(row, col)
+        splits = self.space.split_ids(endpoints)
+        return plane is not None and bool(splits) and plane.test(*splits[0])
 
 
-def _endpoint_sets(cells, space) -> set:
-    """The sorted endpoint tuples of the (row id, col id) ``cells`` whose
-    merge is defined."""
+def facts_of(planes: dict, space: AddressSpace, stop: int | None = None) -> dict:
+    """``{nonterminal: set of sorted endpoint tuples}`` read off the set bits
+    of ``planes`` whose merge is defined, from the rows below ``stop`` only
+    when it is given.  A plane with no such bit gives no entry."""
     addrs = space.addresses
-    flats = {cell_endpoints(addrs[r], addrs[c]) for r, c in cells}
-    flats.discard(None)
-    return flats
+    out = {}
+    for nt, bits in planes.items():
+        flats = {cell_endpoints(addrs[r], addrs[c]) for r, c in bits.nonzero_cells(stop)}
+        flats.discard(None)
+        if flats:
+            out[nt] = flats
+    return out
+
+
+def planes_of(facts: dict, space: AddressSpace) -> dict:
+    """Nonterminal planes with every fact of ``facts`` set on every split of
+    its endpoints, all set by one scatter.  A nonterminal none of whose
+    facts has a split in the space gets no plane."""
+    cells = {}
+    for nt, flats in facts.items():
+        got = [cell for flat in flats for cell in space.split_ids(flat)]
+        if got:
+            cells[nt] = got
+    return planes_from_cells(space.dim, cells)
 
 
 def pi_copy(planes: dict, space) -> dict:
@@ -75,18 +89,14 @@ def pi_copy(planes: dict, space) -> dict:
     facts also set on every cell whose addresses merge to the same
     endpoints.  Cells with an undefined merge copy nowhere.  The work grows
     with the facts given, not with the space."""
-    out = {}
-    for nt, bits in planes.items():
-        flats = _endpoint_sets(bits.nonzero_cells(), space)
-        cells = [cell for flat in flats for cell in space.split_ids(flat)]
-        out[nt] = bits | BoolMatrix.from_cells(space.dim, cells) if cells else bits
-    return out
+    copies = planes_of(facts_of(planes, space), space)
+    return {nt: bits | copies[nt] if nt in copies else bits for nt, bits in planes.items()}
 
 
 def seed_planes(g: Grammar, sentence, space: AddressSpace) -> dict:
     """Plane form of ``engine.seed``: one plane of lexical facts per
     nonterminal, all set by one scatter."""
-    return planes_from_cells(space.dim, lexical_cells(g, sentence, space))
+    return planes_of(lexical_facts(g, sentence, space), space)
 
 
 def closure_fixpoint(T: dict, g: Grammar, space: AddressSpace) -> Closure:
@@ -131,21 +141,6 @@ def closure_fixpoint(T: dict, g: Grammar, space: AddressSpace) -> Closure:
                    time.perf_counter() - t0, rounds)
 
 
-def _top_cell(space, n):
-    return space.ids[(0,)], space.ids[(n,)]
-
-
-def _span_facts(clo: Closure, nts) -> dict:
-    """``{nonterminal: set of sorted endpoint tuples}`` for the nonterminals
-    in ``nts``, read off the cells of their planes whose merge is defined."""
-    out = {}
-    for nt in nts:
-        flats = _endpoint_sets(clo.cells_of(nt), clo.space)
-        if flats:
-            out[nt] = flats
-    return out
-
-
 def _start_witness(clo: Closure, g: Grammar, n: int):
     """The first ``(rule, left endpoints, right endpoints)``, in rule-id and
     then endpoint order, by which a binary start rule derives (0, n) from two
@@ -157,20 +152,17 @@ def _start_witness(clo: Closure, g: Grammar, n: int):
     0 fixes every span of the second child, the gaps between its own spans
     and after its last one.  A fact beginning at 0 has a row address
     beginning at 0, and those are the ids below that of (1,).  Each such
-    fact then costs a test of the second child's bit on the splits of the
+    fact then costs a test of the second child's bit on one split of the
     spans it fixes."""
-    space = clo.space
     rules = sorted((r for r in g.binary_rules() if r.lhs == g.start), key=lambda r: r.rid)
-    stop = space.ids[(1,)]
-    lefts_of: dict = {}
+    firsts = {r.rhs[0] for r in rules}
+    lefts_of = facts_of({B: p for B, p in clo.planes.items() if B in firsts},
+                        clo.space, clo.space.ids[(1,)])
     for r in rules:
         B, C = r.rhs
-        lefts = lefts_of.get(B)
-        if lefts is None:
-            lefts = lefts_of[B] = sorted(_endpoint_sets(clo.cells_of(B, stop), space))
         (template,) = r.comp
         ends_with_b = template[-1].side == "b"
-        for left in lefts:
+        for left in sorted(lefts_of.get(B, ())):
             if ends_with_b and left[-1] != n:
                 continue
             spans = _spans_of(left)
@@ -181,7 +173,7 @@ def _start_witness(clo: Closure, g: Grammar, n: int):
                     end = spans[template[t + 1].index - 1][0] if t + 1 < len(template) else n
                     right += (start, end)
             right = tuple(right)
-            if any(clo.holds(C, i, j) for i, j in space.split_ids(right)):
+            if clo.holds(C, right):
                 return r, left, right
     return None
 
@@ -190,7 +182,6 @@ def _start_witness(clo: Closure, g: Grammar, n: int):
 class RunResult:
     accepted: bool
     grammar: Grammar            # the grammar actually run (post-conversion)
-    report: AnalysisReport
     stats: dict
     closure: Closure = field(repr=False)
 
@@ -200,7 +191,7 @@ _prepared_cache: dict = {}
 
 
 def _prepare(g: Grammar):
-    """``(grammar to run, converted, report, rank)`` for ``g``, computed once
+    """``(grammar to run, converted, rank)`` for ``g``, computed once
     per grammar object.  A grammar that fails a check is not cached, so it
     raises on every call."""
     hit = _prepared_cache.get(id(g))
@@ -214,7 +205,7 @@ def _prepare(g: Grammar):
     problems = engine_ready(work)
     if problems:
         raise EngineUnsupported("; ".join(problems))
-    prepared = (work, converted, analyze(work), space_rank(work))
+    prepared = (work, converted, space_rank(work))
     if len(_prepared_cache) >= 64:
         _prepared_cache.clear()
     _prepared_cache[id(g)] = (g, prepared)
@@ -223,7 +214,7 @@ def _prepare(g: Grammar):
 
 def run_recognition(g: Grammar, sentence) -> RunResult:
     """Validate, convert to single-initial if needed, and close the seed."""
-    work, converted, report, rank = _prepare(g)
+    work, converted, rank = _prepare(g)
     tokens = tuple(sentence)
     n = len(tokens)
     t0 = time.perf_counter()
@@ -233,7 +224,7 @@ def run_recognition(g: Grammar, sentence) -> RunResult:
     t2 = time.perf_counter()
     clo = closure_fixpoint(seeded, work, space)
     t3 = time.perf_counter()
-    accepted = n > 0 and (clo.holds(work.start, *_top_cell(space, n))
+    accepted = n > 0 and (clo.holds(work.start, (0, n))
                           or _start_witness(clo, work, n) is not None)
     facts = sum(p.count() for p in seeded.values()) + sum(r["new_facts"] for r in clo.rounds)
     t4 = time.perf_counter()
@@ -251,7 +242,7 @@ def run_recognition(g: Grammar, sentence) -> RunResult:
         "phases": {name: (b - a) * 1000 for name, a, b in (
             ("space", t0, t1), ("seed", t1, t2), ("closure", t2, t3), ("readout", t3, t4))},
     }
-    return RunResult(accepted, work, report, stats, clo)
+    return RunResult(accepted, work, stats, clo)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +271,7 @@ def _spans_of(flat):
 def extract_derivation(clo: Closure, g: Grammar, sentence):
     """Backtrack a derivation tree out of a closed chart (``RunResult.closure``).
 
-    When the top cell ((0),(n)) holds the start symbol, the tree is rebuilt
+    When the chart holds the start symbol over (0, n), the tree is rebuilt
     from that fact.  Otherwise its top node comes from ``_start_witness``,
     the start rule joined over two child facts of the chart, as
     ``run_recognition`` accepts it, and everything below that node is
@@ -292,8 +283,10 @@ def extract_derivation(clo: Closure, g: Grammar, sentence):
     a binary rule the splits (i, j) of its spans are tried in id order, and
     for each the middle addresses k in ascending order among the set bits
     of row i of the first child's plane; k is taken when the second child's
-    bit at (k, j) is set, the rule's roles fit the three addresses, and both
-    child facts rebuild in turn.
+    bit at (k, j) is set, the rule's masks q2, q3 and q1 (the closure's)
+    hold (i, k), (k, j) and (i, j), and both child facts rebuild in turn.
+    The masks are tested in that order, so a mask is fetched only where the
+    closure fetched it too.
     """
     tokens = tuple(sentence)
     n = len(tokens)
@@ -304,12 +297,13 @@ def extract_derivation(clo: Closure, g: Grammar, sentence):
     planes = clo.planes
 
     witness = None
-    if not clo.holds(g.start, *_top_cell(space, n)):
+    if not clo.holds(g.start, (0, n)):
         witness = _start_witness(clo, g, n)
         if witness is None:
             return None
 
     rules = sorted(g.rules, key=lambda r: r.rid)
+    masks: dict = {}
     memo: dict = {}
 
     def justify(nt, flat):
@@ -332,23 +326,19 @@ def extract_derivation(clo: Closure, g: Grammar, sentence):
             left_bits, right_bits = planes.get(B), planes.get(C)
             if left_bits is None or right_bits is None:
                 continue
-            cfg1, cfg2, cfg3 = configurations(r)
             for i, j in sorted(space.split_ids(flat)):
-                ia, ja = addrs[i], addrs[j]
                 for k in left_bits.row(i):
-                    if not right_bits.test(k, j):
-                        continue
-                    ka = addrs[k]
                     if not (
-                        _role_fits(cfg2, 2 * r.fo[1], ia, ka, ia)
-                        and _role_fits(cfg3, 2 * r.fo[2], ka, ja, ka)
-                        and _role_fits(cfg1, 2 * r.fo[0], ia, ja, ia)
+                        right_bits.test(k, j)
+                        and _mask(masks, space, r, 2).test(i, k)
+                        and _mask(masks, space, r, 3).test(k, j)
+                        and _mask(masks, space, r, 1).test(i, j)
                     ):
                         continue
-                    left = justify(B, cell_endpoints(ia, ka))
+                    left = justify(B, cell_endpoints(addrs[i], addrs[k]))
                     if left is None:
                         continue
-                    right = justify(C, cell_endpoints(ka, ja))
+                    right = justify(C, cell_endpoints(addrs[k], addrs[j]))
                     if right is None:
                         continue
                     node = DerivationNode(nt, r.rid, spans, (left, right))

@@ -15,7 +15,6 @@ from lcfrs.grammar import (
     delta,
     is_balanced,
     is_single_initial,
-    multi_config_nonterminals,
     parse_grammar,
     per_rule_d,
     structural_delta,
@@ -289,7 +288,6 @@ class TestConfigSets:
         assert config_set(g, "B") == frozenset(
             {frozenset({1, 3}), frozenset({1, 2, 3})}
         )
-        assert multi_config_nonterminals(g) == frozenset({"A", "B"})
 
     def test_balance_flags(self, grammars):
         flags = {name: is_balanced(g) for name, g in grammars.items()}

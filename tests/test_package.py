@@ -30,13 +30,16 @@ class TestPublicSurface:
         # perfbench/worker.py imports the package and its CLI, then reaches
         # these through the package object; its self-test and its traces
         # wrap the dotted names, and a name that no longer resolves fails
-        # every benchmark run
+        # every benchmark run or drops a traced layer without a word
         code = (
             "import lcfrs, lcfrs.cli\n"
             "for name in ('run_recognition', 'KERNEL_KIND', 'cli', 'bundled', 'oracle'):\n"
             "    getattr(lcfrs, name)\n"
             "import lcfrs._matmul_fallback\n"
-            "for path in ('recognizer.pi_copy', 'cli.extract_derivation',\n"
+            "for path in ('recognizer.pi_copy', 'recognizer.closure_fixpoint',\n"
+            "             'recognizer.enumerate_space', 'recognizer.to_single_initial',\n"
+            "             'grammar.parse_grammar', 'cli.extract_derivation', 'cli.main',\n"
+            "             'oracle.tabular_recognize', 'boolmat.symbol_planes',\n"
             "             'boolmat.bool_multiply', 'boolmat._kernel.multiply_packed',\n"
             "             '_matmul_fallback.multiply_packed', 'boolmat.BoolMatrix'):\n"
             "    obj = lcfrs\n"

@@ -14,15 +14,15 @@ from lcfrs.grammar import (
     Grammar, GrammarError, Rule, Var, is_single_initial, parse_grammar, to_single_initial,
 )
 from lcfrs.oracle import _word_placements, enumerate_language, tabular_recognize
-from lcfrs import boolmat, bundled, recognizer
+from lcfrs import boolmat, bundled, engine, recognizer
 from lcfrs.recognizer import (
     Closure,
-    _span_facts,
     _spans_of,
     _start_witness,
-    _top_cell,
     closure_fixpoint,
     extract_derivation,
+    facts_of,
+    planes_of,
     run_recognition,
     seed_planes,
     space_rank,
@@ -40,6 +40,11 @@ def _closed(g, sentence):
     return closure_fixpoint(seed_planes(g, toks, sp), g, sp), sp
 
 
+def _facts(clo, nts):
+    """``facts_of`` the closure's planes of the nonterminals in ``nts``."""
+    return facts_of({nt: p for nt, p in clo.planes.items() if nt in nts}, clo.space)
+
+
 class TestClosure:
     def test_empty_matrix_is_its_own_closure(self, grammars):
         g = grammars["cfg_anbn"]
@@ -52,12 +57,12 @@ class TestClosure:
     def test_cfg_closure_reaches_top(self, grammars):
         g = grammars["cfg_anbn"]
         clo, sp = _closed(g, "a b")
-        assert clo.holds("S", sp.ids[(0,)], sp.ids[(2,)])
+        assert clo.holds("S", (0, 2))
 
     def test_count4_closure_reaches_top(self, grammars):
         g = grammars["count4"]
         clo, sp = _closed(g, "a b c d")
-        assert clo.holds("S", sp.ids[(0,)], sp.ids[(4,)])
+        assert clo.holds("S", (0, 4))
 
     def test_closure_is_idempotent(self, grammars):
         g = grammars["cfg_anbn"]
@@ -169,14 +174,14 @@ class TestStartRulesOutsideMatrix:
                 full, _ = _closed(g, " ".join(toks))
                 sp = enumerate_space(len(toks), space_rank(g))
                 runtime = closure_fixpoint(seed_planes(g, toks, sp), g, sp)
-                assert _span_facts(runtime, nts) == _span_facts(full, nts), (name, toks)
+                assert _facts(runtime, nts) == _facts(full, nts), (name, toks)
 
     def test_start_fact_comes_from_the_join(self, grammars):
         g = grammars["count4"]
         toks = "a a b c c d".split()
         res = run_recognition(g, toks)
         assert res.accepted and res.stats["rank"] == 2
-        assert not res.closure.holds(g.start, *_top_cell(res.closure.space, len(toks)))
+        assert not res.closure.holds(g.start, (0, len(toks)))
         tree = extract_derivation(res.closure, g, toks)
         assert (tree.rule, tree.spans) == (0, ((0, 6),))
         assert [c.spans for c in tree.children] == [((0, 2), (3, 5)), ((2, 3), (5, 6))]
@@ -184,11 +189,11 @@ class TestStartRulesOutsideMatrix:
 
 def _brute_witness(clo, g, n):
     """Reference for ``_start_witness``: join every pair of the start rules'
-    child facts, read off all of the closure's cells by ``_span_facts``, and
+    child facts, read off all of the closure's cells by ``facts_of``, and
     keep the first pair, in rule-id and then endpoint order, whose spans the
     rule's template lays end to end over (0, n)."""
     rules = sorted((r for r in g.binary_rules() if r.lhs == g.start), key=lambda r: r.rid)
-    facts = _span_facts(clo, {nt for r in rules for nt in r.rhs})
+    facts = _facts(clo, {nt for r in rules for nt in r.rhs})
     for r in rules:
         B, C = r.rhs
         (template,) = r.comp
@@ -221,7 +226,7 @@ class TestStartWitness:
         work, clo = res.grammar, res.closure
         want = _brute_witness(clo, work, n)
         assert _start_witness(clo, work, n) == want, label
-        assert res.accepted == (clo.holds(work.start, *_top_cell(clo.space, n))
+        assert res.accepted == (clo.holds(work.start, (0, n))
                                 or want is not None), label
         return res, want
 
@@ -232,8 +237,7 @@ class TestStartWitness:
             for toks in itertools.chain.from_iterable(
                     itertools.product(alphabet, repeat=n) for n in range(1, 6)):
                 res, want = self._check(g, toks, (name, toks))
-                top = _top_cell(res.closure.space, len(toks))
-                if want is None or res.closure.holds(res.grammar.start, *top):
+                if want is None or res.closure.holds(res.grammar.start, (0, len(toks))):
                     continue
                 # extraction takes its top node from the same search
                 tree = extract_derivation(res.closure, res.grammar, toks)
@@ -431,7 +435,7 @@ class TestPlanePath:
                             flat = tuple(p for span in spans for p in span)
                             if sp.split_ids(flat):
                                 want.setdefault(r.lhs, set()).add(flat)
-                    assert _span_facts(Closure(planes, sp), work.nonterminals) == want, label
+                    assert facts_of(planes, sp) == want, label
                     res = run_recognition(g, toks)
                     assert res.stats["facts"] == res.closure.fact_count(), label
 
@@ -491,7 +495,7 @@ class TestPlanePath:
         first = run_recognition(g, "a b a a b a".split())
         second = run_recognition(g, "a b a".split())
         assert calls == [g]
-        assert second.grammar is first.grammar and second.report is first.report
+        assert second.grammar is first.grammar
         copy = parse_grammar(bundled.grammar_text("dual_initial_demo"))
         run_recognition(copy, "a b a".split())
         assert calls == [g, copy]
@@ -507,6 +511,70 @@ class TestPlanePath:
                 run_recognition(invalid, ["a", "a"])
             with pytest.raises(EngineUnsupported):
                 run_recognition(unsupported, ["x", "#", "x"])
+
+
+def _bridge_cases(grammars):
+    """(label, grammar run, sentence, space) over the runnable random
+    grammars at lengths 1-3 and the bundled sentences of ``_bundled_cases``."""
+    for case, g in _runnable_random_grammars():
+        work = g if is_single_initial(g) else to_single_initial(g)
+        for n in range(1, 4):
+            sp = enumerate_space(n, space_rank(work))
+            for toks in itertools.product("ab", repeat=n):
+                yield (case, toks), work, toks, sp
+    for name, work, toks in _bundled_cases(grammars):
+        yield (name, tuple(toks)), work, toks, enumerate_space(len(toks), space_rank(work))
+
+
+class TestFactPlaneBridge:
+    """``facts_of`` and ``planes_of`` are the one conversion between plane
+    bits and facts; plane pi-copy is built from them."""
+
+    def test_pi_copy_matches_the_cell_by_cell_copy(self, grammars):
+        # seed planes plus one product: the product's facts sit on one split
+        # only, and the copy must put them on all the others
+        grown = several = 0
+        for label, work, toks, sp in _bridge_cases(grammars):
+            seeded = seed_planes(work, toks, sp)
+            P = dict(seeded)
+            for nt, bits in plane_product(seeded, seeded, work, sp).items():
+                P[nt] = P[nt] | bits if nt in P else bits
+            got = recognizer.pi_copy(P, sp)
+            want = symbol_planes(pi_copy(chart_of(P, sp)))
+            assert got == want, label
+            grown += got != P
+            several += len(P) > 1
+        assert grown and several
+
+    def test_facts_round_trip(self, grammars):
+        for label, work, toks, sp in _bridge_cases(grammars):
+            F = {}      # the lexical facts that have a split
+            for nt, flats in engine.lexical_facts(work, toks, sp).items():
+                held = {f for f in flats if sp.split_ids(f)}
+                if held:
+                    F[nt] = held
+            assert facts_of(planes_of(F, sp), sp) == F, label
+            clo = closure_fixpoint(planes_of(F, sp), work, sp)
+            closed = facts_of(clo.planes, sp)
+            assert facts_of(planes_of(closed, sp), sp) == closed, label
+            # a closed chart is its facts on every split, and nothing else
+            assert planes_of(closed, sp) == {nt: p for nt, p in clo.planes.items() if p.any()}, label
+
+    def test_holds_reads_a_fact(self, grammars):
+        g = grammars["count4"]
+        toks = "a a b b c c d d".split()
+        clo = run_recognition(g, toks).closure
+        assert clo.space.d == 2
+        facts = facts_of(clo.planes, clo.space)
+        assert facts["A"] and facts["B"]
+        for nt, flats in facts.items():
+            for flat in flats:
+                assert clo.holds(nt, flat), (nt, flat)
+        assert not clo.holds("A", (0, 1, 4, 6))
+        assert not clo.holds("Z", (0, 1))
+        # more than 2d endpoints: no split of the space holds them
+        assert clo.space.split_ids((0, 2, 4, 6)) and not clo.space.split_ids((0, 1, 2, 3, 4, 5))
+        assert not clo.holds("A", (0, 1, 2, 3, 4, 5))
 
 
 class TestExtraction:
