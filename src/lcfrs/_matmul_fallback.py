@@ -1,11 +1,11 @@
-"""Pure-numpy stand-in for the compiled packed-row multiply kernel.
+"""The packed-row Boolean multiply kernel, in numpy.
 
-Same contract as the compiled module: packed uint64 rows, little-endian bit
-order inside each word.  The product is a row-sparse (Gustavson) product
-built from whole-array operations, so its cost tracks the set bits of the
-left operand that meet a nonempty row of the right one, not its dimension.  The compiled kernel is still several
-times faster per multiply; this one keeps the package usable without a C
-toolchain.
+Operands are packed uint64 rows, little-endian bit order inside each word.
+The product is a row-sparse (Gustavson) product built from whole-array
+operations, so its cost tracks the set bits of the left operand that meet
+a nonempty row of the right one, not its dimension.  The module keeps the
+name it had beside a compiled kernel, because the benchmark imports it by
+that name.
 """
 
 import numpy as np

@@ -14,17 +14,14 @@ import numpy as np
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
+from . import _matmul_fallback as _kernel
 from ._matmul_fallback import set_bits
 from .addresses import AddressSpace
 from .engine import ProductMatrix
 from .grammar import Grammar, Rule, configurations
 
-try:  # compiled kernel if the extension built, else the numpy fallback
-    from . import _matmul_kernel as _kernel
-    KERNEL_KIND = "compiled"
-except ImportError:  # pragma: no cover - depends on build environment
-    from . import _matmul_fallback as _kernel
-    KERNEL_KIND = "fallback"
+# the one multiply kernel, named in ``stats["kernel"]`` and by the benchmark
+KERNEL_KIND = "fallback"
 
 
 # per-word set-bit count, in numpy 2.0 and later

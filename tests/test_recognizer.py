@@ -52,7 +52,6 @@ class TestClosure:
         clo = closure_fixpoint({}, g, sp)
         assert clo.fact_count() == 0
         assert clo.iterations == 1
-        assert clo.seconds >= 0.0
 
     def test_cfg_closure_reaches_top(self, grammars):
         g = grammars["cfg_anbn"]
@@ -335,8 +334,15 @@ class TestRecognizeGeneral:
 # list is exact, so a fix shows up here too, and shortens it.  Seeds 103 and
 # 169 ("b b") left it when the start rules were joined over the chart's span
 # facts; seeds 45, 63, 173, 238 and (150, "a b b") left it when a merge
-# became defined for a column whose minimum ties the row's.
-RANDOM_FALSE_REJECTS = [(150, "a a b"), (288, "b b b")]
+# became defined for a column whose minimum ties the row's.  Sentences run
+# to length 4.
+RANDOM_FALSE_REJECTS = [
+    (50, "b a b b"),
+    (150, "a a b"),
+    (150, "a a a b"),
+    (150, "a a b b"),
+    (288, "b b b"),
+]
 
 
 class TestRandomThreeWay:
@@ -348,8 +354,8 @@ class TestRandomThreeWay:
             if engine_ready(g if is_single_initial(g) else to_single_initial(g)):
                 continue
             runnable += 1
-            language = enumerate_language(g, 3)
-            for n in range(1, 4):
+            language = enumerate_language(g, 4)
+            for n in range(1, 5):
                 for toks in itertools.product("ab", repeat=n):
                     engine = run_recognition(g, toks).accepted
                     tabular, _ = tabular_recognize(g, toks)
@@ -466,8 +472,9 @@ class TestPlanePath:
         chart_of(res.closure.planes, res.closure.space)
         assert len(calls) == 1
 
-    def test_kernel_operands_fit_the_compiled_kernel(self, grammars, monkeypatch):
-        # the compiled kernel takes writable C-contiguous uint64 buffers only
+    def test_runs_multiply_through_the_kernel_on_packed_rows(self, grammars, monkeypatch):
+        # every multiply of a run goes through boolmat._kernel, on writeable
+        # C-contiguous 2-D uint64 rows
         seen = []
         real = boolmat._kernel.multiply_packed
 
