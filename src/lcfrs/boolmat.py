@@ -17,7 +17,6 @@ from itertools import combinations_with_replacement
 from . import _matmul_fallback as _kernel
 from ._matmul_fallback import set_bits
 from .addresses import AddressSpace
-from .engine import ProductMatrix
 from .grammar import Grammar, Rule, configurations
 
 # the one multiply kernel, named in ``stats["kernel"]`` and by the benchmark
@@ -212,36 +211,7 @@ def rule_mask(space: AddressSpace, r: Rule, role: int) -> BoolMatrix:
 
 
 # ---------------------------------------------------------------------------
-# symbol planes and the rendered product
-#
-# ``symbol_planes`` and ``scatter_planes`` convert between the symbol-set
-# chart of the cell-by-cell oracle (``engine.ProductMatrix``) and planes.  A
-# run never calls them; they let the oracle check the plane path.
-
-def symbol_planes(T: ProductMatrix) -> dict:
-    """One Boolean matrix per symbol occurring in T."""
-    cells = {}
-    for key, syms in T.cells.items():
-        for s in syms:
-            got = cells.get(s)
-            if got is None:
-                cells[s] = [key]
-            else:
-                got.append(key)
-    return planes_from_cells(T.space.dim, cells)
-
-
-def scatter_planes(planes: dict, M: ProductMatrix) -> None:
-    """Add every set bit of every plane to ``M`` as a symbol fact."""
-    cells = M.cells
-    for sym, bits in planes.items():
-        for cell in bits.nonzero_cells():
-            got = cells.get(cell)
-            if got is None:
-                cells[cell] = {sym}
-            else:
-                got.add(sym)
-
+# the rendered product
 
 def _delta_factors(gf, hf, db, dc):
     """Operands of one rule's multiply that cover the terms reading a delta

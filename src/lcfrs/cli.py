@@ -1,27 +1,21 @@
-"""Command-line front end: analyze | recognize | parse | bench.
+"""Command-line front end: analyze | recognize | parse.
 
-Exit codes: 0 accept (or success for analyze/bench), 1 reject (or stdout
-closed by its reader), 2 error.
+Exit codes: 0 accept (or success for analyze), 1 reject (or stdout closed
+by its reader), 2 error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
-import time
-from math import comb
 
 from . import bundled
 from .engine import EngineUnsupported
 from .grammar import DEFAULT_OMEGA, GrammarError, analyze, parse_grammar
 from .oracle import tabular_recognize
-from .recognizer import _prepare, extract_derivation, run_recognition
-
-# benchmark guard: rows of the address space beyond which a run is skipped
-DIM_CAP = 8000
+from .recognizer import extract_derivation, run_recognition
 
 
 def _load_grammar(source: str):
@@ -99,83 +93,6 @@ def _cmd_parse(args) -> int:
     return 0
 
 
-def _dim_bound(n: int, d: int) -> int:
-    """The dimension of ``enumerate_space(n, d)``: the multisets of 1..d
-    positions out of n + 1."""
-    return sum(comb(n + L, L) for L in range(1, d + 1))
-
-
-def _bench_sentence(name: str, n: int):
-    if name == "cfg_anbn":
-        return ["a"] * (n // 2) + ["b"] * (n - n // 2)
-    if name == "count4":
-        if n % 4 == 0:
-            m = n // 4
-            return ["a"] * m + ["b"] * m + ["c"] * m + ["d"] * m
-        return ["a"] * n
-    if name == "itg_sep":
-        half = max(1, (n - 1) // 2)
-        u = [("x", "y")[t % 2] for t in range(half)]
-        return u + ["#"] + list(reversed(u))
-    if name == "tag_style":
-        return ["x"] + ["y"] * (n - 1)
-    if name == "dual_initial_demo":
-        return "a b a a b a".split()
-    return ["a"] * n
-
-
-def _cmd_bench(args) -> int:
-    names = [args.grammar] if args.grammar else list(bundled.NAMES)
-    sweep = [n for n in (4, 8, 16, 32) if n <= args.max_len]
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["grammar", "n", "engine", "ms", "facts", "muls"])
-    done = set()
-    for name in names:
-        try:
-            g = _load_grammar(name)
-        except (GrammarError, OSError) as exc:
-            print("bench: skipping %s: %s" % (name, exc), file=sys.stderr)
-            continue
-        try:
-            rank = _prepare(g)[2]
-        except EngineUnsupported:
-            rank = None
-        for n in sweep:
-            tokens = _bench_sentence(name, n)
-            key = (name, len(tokens))
-            if key in done:
-                continue
-            done.add(key)
-            if rank is None:
-                print(
-                    "bench: %s not runnable on the matrix engine" % name,
-                    file=sys.stderr,
-                )
-            elif (dim := _dim_bound(len(tokens), rank)) > DIM_CAP:
-                print(
-                    "bench: skipping %s n=%d (address space %d rows)"
-                    % (name, len(tokens), dim),
-                    file=sys.stderr,
-                )
-            else:
-                res = run_recognition(g, tokens)
-                writer.writerow(
-                    [
-                        name,
-                        len(tokens),
-                        "matmul",
-                        "%.3f" % (res.stats["seconds"] * 1000),
-                        res.stats["facts"],
-                        res.stats["muls"],
-                    ]
-                )
-            t0 = time.perf_counter()
-            _, chart = tabular_recognize(g, tokens)
-            ms = (time.perf_counter() - t0) * 1000
-            writer.writerow([name, len(tokens), "tabular", "%.3f" % ms, len(chart), 0])
-    return 0
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="lcfrs",
@@ -205,11 +122,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("parse", help="emit a derivation tree as JSON")
     common(p, sentence=True)
     p.set_defaults(fn=_cmd_parse)
-
-    p = sub.add_parser("bench", help="CSV timing sweep over bundled grammars")
-    p.add_argument("--grammar", help="bench a single grammar instead of all bundled ones")
-    p.add_argument("--max-len", type=int, default=16)
-    p.set_defaults(fn=_cmd_bench)
 
     args = ap.parse_args(argv)
     try:

@@ -107,9 +107,8 @@ def seed_planes(g: Grammar, sentence, space: AddressSpace) -> dict:
 def closure_fixpoint(T: dict, g: Grammar, space: AddressSpace) -> Closure:
     """Least fixpoint of X -> pi(X | X*X) above T, evaluated semi-naively on
     bit planes.  T is the seed as nonterminal planes over ``space``
-    (``seed_planes``, or ``boolmat.symbol_planes`` of a chart).  It must be
-    closed under pi-copy, as every seed is, and its planes are never
-    written to.
+    (``seed_planes``, or the planes of any chart).  It must be closed
+    under pi-copy, as every seed is, and its planes are never written to.
 
     Each round multiplies only the terms of X * X that read a fact the round
     before added (D), then copies its new facts to their equivalent cells.
@@ -240,7 +239,6 @@ def run_recognition(g: Grammar, sentence) -> RunResult:
         "iterations": clo.iterations,
         "rounds": clo.rounds,
         "facts": facts,
-        "seconds": t3 - t2,
         "converted": converted,
         "phases": {name: (b - a) * 1000 for name, a, b in (
             ("space", t0, t1), ("seed", t1, t2), ("closure", t2, t3), ("readout", t3, t4))},

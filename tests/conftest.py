@@ -12,7 +12,7 @@ import pytest
 
 import lcfrs
 from lcfrs import bundled
-from lcfrs.boolmat import scatter_planes
+from lcfrs.boolmat import planes_from_cells
 from lcfrs.engine import ProductMatrix, pi_copy
 from lcfrs.grammar import Grammar, Rule, Var, contact_rank, per_rule_d, validate
 from lcfrs.oracle import enumerate_language, tabular_recognize
@@ -62,8 +62,19 @@ def chart_of(planes: dict, space) -> ProductMatrix:
     ``planes``, or any ``{symbol: BoolMatrix}`` over ``space``), for checks
     against the cell-by-cell oracle."""
     out = ProductMatrix(space)
-    scatter_planes(planes, out)
+    for sym, bits in planes.items():
+        for cell in bits.nonzero_cells():
+            out.cells.setdefault(cell, set()).add(sym)
     return out
+
+
+def symbol_planes(T: ProductMatrix) -> dict:
+    """The inverse of ``chart_of``: one plane per symbol occurring in T."""
+    cells = {}
+    for cell, syms in T.cells.items():
+        for s in syms:
+            cells.setdefault(s, []).append(cell)
+    return planes_from_cells(T.space.dim, cells)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import random
 import numpy as np
 
 from lcfrs.addresses import enumerate_space
-from lcfrs.boolmat import BoolMatrix, bool_multiply, plane_product, symbol_planes
+from lcfrs.boolmat import BoolMatrix, bool_multiply, plane_product
 from lcfrs.engine import ProductMatrix, matrix_product, pi_copy, seed
 from lcfrs.grammar import (
     configurations,
@@ -27,7 +27,7 @@ from lcfrs.grammar import (
 from lcfrs.oracle import tabular_recognize
 from lcfrs.recognizer import closure_fixpoint, extract_derivation, seed_planes
 
-from conftest import chart_of, full_rank, random_grammar, union
+from conftest import chart_of, full_rank, random_grammar, symbol_planes, union
 
 # matrices produced by checks 3-6, re-examined by check 7
 MATERIALIZED = []

@@ -14,13 +14,12 @@ from lcfrs.boolmat import (
     pack_rows,
     plane_product,
     rule_mask,
-    symbol_planes,
     unpack_rows,
 )
 from lcfrs.engine import _role_fits, matrix_product, seed
 from lcfrs.grammar import configurations, is_single_initial, parse_grammar, to_single_initial
 
-from conftest import BOTH_CHILDREN_GROW, full_rank, union
+from conftest import BOTH_CHILDREN_GROW, full_rank, symbol_planes, union
 
 BACKENDS = ("naive", "bitset")
 

@@ -39,8 +39,8 @@ class TestPublicSurface:
             "for path in ('recognizer.pi_copy', 'recognizer.closure_fixpoint',\n"
             "             'recognizer.enumerate_space', 'recognizer.to_single_initial',\n"
             "             'grammar.parse_grammar', 'cli.extract_derivation', 'cli.main',\n"
-            "             'oracle.tabular_recognize', 'boolmat.symbol_planes',\n"
-            "             'boolmat.bool_multiply', 'boolmat._kernel.multiply_packed',\n"
+            "             'oracle.tabular_recognize', 'boolmat.bool_multiply',\n"
+            "             'boolmat._kernel.multiply_packed',\n"
             "             '_matmul_fallback.multiply_packed', 'boolmat.BoolMatrix'):\n"
             "    obj = lcfrs\n"
             "    for part in path.split('.'):\n"
