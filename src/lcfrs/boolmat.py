@@ -13,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from operator import itemgetter
+from time import perf_counter
 
 from . import _matmul_fallback as _kernel
 from ._matmul_fallback import set_bits
@@ -47,6 +49,11 @@ def unpack_rows(words, c: int) -> np.ndarray:
     return np.unpackbits(by, axis=1, bitorder="little")[:, :c]
 
 
+def _bits(cols: np.ndarray) -> np.ndarray:
+    """The word bit of each column index."""
+    return np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64))
+
+
 def planes_from_cells(dim: int, cells_by_sym: dict) -> dict:
     """``{symbol: BoolMatrix}`` with the (row, col) cells that
     ``cells_by_sym`` lists for each symbol set (repeats allowed).  The
@@ -63,8 +70,7 @@ def planes_from_cells(dim: int, cells_by_sym: dict) -> dict:
     stack = np.zeros((len(sizes), dim, _nwords(dim)), dtype=np.uint64)
     layers = np.repeat(np.arange(len(sizes)), sizes)
     cols = np.array(cols, dtype=np.intp)
-    bits = np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64))
-    np.bitwise_or.at(stack, (layers, np.array(rows, dtype=np.intp), cols >> 6), bits)
+    np.bitwise_or.at(stack, (layers, np.array(rows, dtype=np.intp), cols >> 6), _bits(cols))
     return {s: BoolMatrix(dim, stack[t]) for t, s in enumerate(cells_by_sym)}
 
 
@@ -184,6 +190,13 @@ def bool_multiply(a: BoolMatrix, b: BoolMatrix, backend: str = "bitset") -> Bool
 # ---------------------------------------------------------------------------
 # address-indexed masks (string-independent, cached)
 
+def _picker(idx: list):
+    """``e -> tuple(e[t] for t in idx)``.  ``itemgetter`` returns a bare
+    item for a single index, so that case is wrapped in a 1-tuple."""
+    get = itemgetter(*idx)
+    return get if len(idx) > 1 else lambda e: (get(e),)
+
+
 @lru_cache(maxsize=64)
 def _role_mask(space: AddressSpace, cfg: frozenset, fo: int) -> BoolMatrix:
     """Cells (left, right) whose merged endpoints, selected by ``cfg``, equal
@@ -192,16 +205,21 @@ def _role_mask(space: AddressSpace, cfg: frozenset, fo: int) -> BoolMatrix:
     rules and by re-parsed grammars alike."""
     picked = [t - 1 for t in sorted(cfg)]
     rest = [t for t in range(2 * fo) if t + 1 not in cfg]
+    mask = BoolMatrix(space.dim)
     if not (1 <= len(picked) <= space.d and 1 <= len(rest) <= space.d):
-        return BoolMatrix(space.dim)
+        return mask
+    row_of, col_of = _picker(picked), _picker(rest)
     ids = space.ids
-    cells = []
+    rows, cols = [], []
     for e in combinations_with_replacement(range(space.n + 1), 2 * fo):
-        row = tuple([e[t] for t in picked])
-        col = tuple([e[t] for t in rest])
+        row = row_of(e)
+        col = col_of(e)
         if col > row:
-            cells.append((ids[row], ids[col]))
-    return BoolMatrix.from_cells(space.dim, cells)
+            rows.append(ids[row])
+            cols.append(ids[col])
+    cols = np.array(cols, dtype=np.intp)
+    np.bitwise_or.at(mask.words, (np.array(rows, dtype=np.intp), cols >> 6), _bits(cols))
+    return mask
 
 
 def rule_mask(space: AddressSpace, r: Rule, role: int) -> BoolMatrix:
@@ -227,12 +245,17 @@ def _delta_factors(gf, hf, db, dc):
     return (db, hf) if new_b else None
 
 
-def _mask(masks: dict, space: AddressSpace, r: Rule, role: int) -> BoolMatrix:
-    """``rule_mask(space, r, role)``, fetched into ``masks`` on first use."""
+def _mask(masks: dict, space: AddressSpace, r: Rule, role: int,
+          stats: dict | None = None) -> BoolMatrix:
+    """``rule_mask(space, r, role)``, fetched into ``masks`` on first use.
+    The fetch's milliseconds are added to ``stats["mask_ms"]`` when given."""
     key = (r.rid, role)
     got = masks.get(key)
     if got is None:
+        t0 = perf_counter()
         got = masks[key] = rule_mask(space, r, role)
+        if stats is not None:
+            stats["mask_ms"] = stats.get("mask_ms", 0.0) + (perf_counter() - t0) * 1000
     return got
 
 
@@ -253,7 +276,8 @@ def plane_product(G: dict, H: dict, g: Grammar, space: AddressSpace,
 
     ``masks`` is a dict a caller keeps across products of one grammar over
     one space: each rule's masks are fetched into it the first time the
-    rule needs them, and read from it after that."""
+    rule needs them, and read from it after that.  ``stats`` counts the
+    multiplies in ``"muls"`` and the fetch time in ``"mask_ms"``."""
     dim = space.dim
     if any(p.dim != dim for p in G.values()) or any(p.dim != dim for p in H.values()):
         raise ValueError("planes live in a different address space")
@@ -269,11 +293,11 @@ def plane_product(G: dict, H: dict, g: Grammar, space: AddressSpace,
             continue
         if delta is not None and b not in delta and c not in delta:
             continue
-        q2 = _mask(masks, space, r, 2)
+        q2 = _mask(masks, space, r, 2, stats)
         gf = gb & q2
         if not gf.any():
             continue
-        q3 = _mask(masks, space, r, 3)
+        q3 = _mask(masks, space, r, 3, stats)
         hf = hc & q3
         if not hf.any():
             continue
@@ -287,7 +311,7 @@ def plane_product(G: dict, H: dict, g: Grammar, space: AddressSpace,
             gf, hf = pair
         if stats is not None:
             stats["muls"] = stats.get("muls", 0) + 1
-        bits = bool_multiply(gf, hf) & _mask(masks, space, r, 1)
+        bits = bool_multiply(gf, hf) & _mask(masks, space, r, 1, stats)
         if not bits.any():
             continue
         have = acc.get(r.lhs)

@@ -93,37 +93,59 @@ def _cmd_parse(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+_GRAMMAR = (("--grammar",), {
+    "required": True,
+    "help": "grammar file or bundled name (%s)" % ", ".join(bundled.NAMES)})
+_SENTENCE = (("--sentence",), {
+    "required": True, "help": "whitespace-separated tokens; @FILE reads a file"})
+_JSON = (("--json",), {"action": "store_true"})
+
+# subcommand -> (help, handler, arguments); both parsers are built from it
+_COMMANDS = {
+    "analyze": ("report fan-out, contact rank, balance, exponents", _cmd_analyze, (
+        _GRAMMAR, _JSON, (("--omega",), {"type": float, "default": DEFAULT_OMEGA}))),
+    "recognize": ("ACCEPT/REJECT a sentence", _cmd_recognize, (
+        _GRAMMAR, _SENTENCE, _JSON,
+        (("--engine",), {"choices": ("matmul", "tabular"), "default": "matmul"}))),
+    "parse": ("emit a derivation tree as JSON", _cmd_parse, (_GRAMMAR, _SENTENCE)),
+}
+
+
+def _add_command(p, cmd: str):
+    _, fn, arguments = _COMMANDS[cmd]
+    for flags, kwargs in arguments:
+        p.add_argument(*flags, **kwargs)
+    p.set_defaults(fn=fn)
+    return p
+
+
+def _full_parser():
     ap = argparse.ArgumentParser(
         prog="lcfrs",
         description="Recognition for binary LCFRS by matrix transitive closure.",
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
+    for cmd, (help_, _, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(cmd, help=help_), cmd)
+    return ap
 
-    def common(p, sentence=False):
-        p.add_argument("--grammar", required=True,
-                       help="grammar file or bundled name (%s)" % ", ".join(bundled.NAMES))
-        if sentence:
-            p.add_argument("--sentence", required=True,
-                           help="whitespace-separated tokens; @FILE reads a file")
 
-    p = sub.add_parser("analyze", help="report fan-out, contact rank, balance, exponents")
-    common(p)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--omega", type=float, default=DEFAULT_OMEGA)
-    p.set_defaults(fn=_cmd_analyze)
+def _parse_args(argv):
+    """A call that names a subcommand builds that subcommand's parser alone,
+    the parser the full tree would hand it to.  Leftover arguments are
+    reported by the top parser, and every other call (help, no arguments,
+    an unknown subcommand) goes to it too, so the output is the same."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        one = _add_command(argparse.ArgumentParser(prog="lcfrs " + argv[0]), argv[0])
+        args, rest = one.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return _full_parser().parse_args(argv)
 
-    p = sub.add_parser("recognize", help="ACCEPT/REJECT a sentence")
-    common(p, sentence=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--engine", choices=("matmul", "tabular"), default="matmul")
-    p.set_defaults(fn=_cmd_recognize)
 
-    p = sub.add_parser("parse", help="emit a derivation tree as JSON")
-    common(p, sentence=True)
-    p.set_defaults(fn=_cmd_parse)
-
-    args = ap.parse_args(argv)
+def main(argv=None) -> int:
+    args = _parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()      # so that a closed pipe shows up here

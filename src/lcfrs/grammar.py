@@ -257,46 +257,52 @@ def delta(r: Rule) -> int:
     return b + c - a
 
 
+def _rule_problems(g: Grammar, r: Rule) -> list:
+    """The normal-form violations of one rule, without the rule's tag."""
+    problems = []
+    if r.is_binary:
+        if r.fo is None or len(r.comp) != r.fo[0]:
+            return ["template count differs from fan-out"]
+        seen = {"b": [], "g": []}
+        for t in r.comp:
+            for v in t:
+                seen[v.side].append(v.index)
+        for side, want in (("b", r.fo[1]), ("g", r.fo[2])):
+            idxs = seen[side]
+            for k in range(1, want + 1):
+                uses = idxs.count(k)
+                if uses == 0:
+                    problems.append("%s%d never used" % (side, k))
+                elif uses > 1:
+                    problems.append("non-linear use of %s%d" % (side, k))
+            if any(k > want for k in idxs):
+                problems.append("%s index beyond the child's fan-out" % side)
+            if idxs != sorted(idxs):
+                problems.append("%s spans out of order" % ("first child" if side == "b" else "second child"))
+        if not r.comp[0] or r.comp[0][0] != Var("b", 1):
+            problems.append("first template must start with b1")
+        for t in r.comp:
+            for u, v in zip(t, t[1:]):
+                if u.side == v.side:
+                    problems.append("adjacent same-side variables %s %s" % (u, v))
+        if structural_delta(r) < 1:
+            problems.append("no combining point between the children")
+    else:
+        if not any(r.words):
+            problems.append("lexical rule with no terminals at all")
+        if len(r.words) != g.fanout.get(r.lhs):
+            problems.append("span count differs from fan-out")
+    return problems
+
+
 def validate(g: Grammar) -> list:
     """Check every normal-form invariant; returns human-readable violations."""
     problems = []
     for r in g.rules:
-        tag = "rule %d (%s)" % (r.rid, r)
-        if r.is_binary:
-            if r.fo is None or len(r.comp) != r.fo[0]:
-                problems.append("%s: template count differs from fan-out" % tag)
-                continue
-            seen = {"b": [], "g": []}
-            for t in r.comp:
-                for v in t:
-                    seen[v.side].append(v.index)
-            for side, want in (("b", r.fo[1]), ("g", r.fo[2])):
-                idxs = seen[side]
-                for k in range(1, want + 1):
-                    uses = idxs.count(k)
-                    if uses == 0:
-                        problems.append("%s: %s%d never used" % (tag, side, k))
-                    elif uses > 1:
-                        problems.append("%s: non-linear use of %s%d" % (tag, side, k))
-                if any(k > want for k in idxs):
-                    problems.append("%s: %s index beyond the child's fan-out" % (tag, side))
-                if idxs != sorted(idxs):
-                    problems.append("%s: %s spans out of order" % (tag, "first child" if side == "b" else "second child"))
-            if not r.comp[0] or r.comp[0][0] != Var("b", 1):
-                problems.append("%s: first template must start with b1" % tag)
-            for t in r.comp:
-                for u, v in zip(t, t[1:]):
-                    if u.side == v.side:
-                        problems.append(
-                            "%s: adjacent same-side variables %s %s" % (tag, u, v)
-                        )
-            if structural_delta(r) < 1:
-                problems.append("%s: no combining point between the children" % tag)
-        else:
-            if not any(r.words):
-                problems.append("%s: lexical rule with no terminals at all" % tag)
-            if len(r.words) != g.fanout.get(r.lhs):
-                problems.append("%s: span count differs from fan-out" % tag)
+        found = _rule_problems(g, r)
+        if found:
+            tag = "rule %d (%s)" % (r.rid, r)
+            problems += ["%s: %s" % (tag, p) for p in found]
     if g.fanout.get(g.start) != 1:
         problems.append("start symbol %s must have fan-out 1" % g.start)
     clash = g.terminals & g.nonterminals

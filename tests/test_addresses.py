@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 
 from hypothesis import given, strategies as st
 
@@ -94,6 +95,14 @@ class TestSpace:
         assert all(a and list(a) == sorted(a) for a in sp.addresses)
         assert (3, 3) in sp.ids and (2, 1) not in sp.ids
         assert len(set(sp.addresses)) == sp.dim
+
+    def test_dim_closed_form(self):
+        # the dimension is known without enumerating the space: multisets
+        # of 1..d positions out of n + 1
+        for n in range(17):
+            for d in (1, 2, 3):
+                want = sum(comb(n + L, L) for L in range(1, d + 1))
+                assert enumerate_space(n, d).dim == want, (n, d)
 
     def test_enumeration_is_deterministic(self):
         a = enumerate_space(3, 2)

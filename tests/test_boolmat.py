@@ -358,7 +358,7 @@ class TestRoleMask:
         checked = 0
         for name, g in grammars.items():
             d = full_rank(g if is_single_initial(g) else to_single_initial(g))
-            for n in range(7):
+            for n in range(9):
                 sp = enumerate_space(n, d)
                 for r in g.binary_rules():
                     for role, cfg in zip((1, 2, 3), configurations(r)):

@@ -382,7 +382,7 @@ class TestRunRecognition:
             "n", "rank", "dim", "kernel", "muls", "iterations",
             "rounds", "facts", "converted", "phases",
         }
-        assert set(res.stats["phases"]) == {"space", "seed", "closure", "readout"}
+        assert set(res.stats["phases"]) == {"space", "seed", "masks", "closure", "readout"}
         assert all(ms >= 0 for ms in res.stats["phases"].values())
         assert res.stats["n"] == 4
         assert res.stats["kernel"] == KERNEL_KIND
