@@ -2,6 +2,10 @@
 a dense reference beside it), and the rendering of the cell product as a
 bundle of plain Boolean matrix products.
 
+Rows are packed into uint64 words, little-endian bits.  A chart is one
+(symbol, row, word) array: a packed plane per nonterminal of the grammar
+run, in sorted order, all zeros for a symbol with no facts.
+
 The cell product decomposes per binary rule into one masked product.  Every
 mask is a property of cell addresses and of the rule's configuration alone,
 so masks are cached per (address space, configuration) and shared across
@@ -54,36 +58,62 @@ def _bits(cols: np.ndarray) -> np.ndarray:
     return np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64))
 
 
-def planes_from_cells(dim: int, cells_by_sym: dict) -> dict:
-    """``{symbol: BoolMatrix}`` with the (row, col) cells that
-    ``cells_by_sym`` lists for each symbol set (repeats allowed).  The
-    planes are views of one (symbol, row, word) array, filled by a single
-    scatter."""
-    if not cells_by_sym:
-        return {}
-    rows, cols, sizes = [], [], []
-    for cells in cells_by_sym.values():
-        for r, c in cells:
-            rows.append(r)
-            cols.append(c)
-        sizes.append(len(cells))
-    stack = np.zeros((len(sizes), dim, _nwords(dim)), dtype=np.uint64)
-    layers = np.repeat(np.arange(len(sizes)), sizes)
-    cols = np.array(cols, dtype=np.intp)
-    np.bitwise_or.at(stack, (layers, np.array(rows, dtype=np.intp), cols >> 6), _bits(cols))
-    return {s: BoolMatrix(dim, stack[t]) for t, s in enumerate(cells_by_sym)}
+def zeros(dim: int, *lead: int) -> np.ndarray:
+    """Packed all-zero rows over ``dim`` columns: a (dim, word) matrix, or
+    with ``lead`` = (symbols,) a (symbol, row, word) chart."""
+    return np.zeros((*lead, dim, _nwords(dim)), dtype=np.uint64)
+
+
+def set_cells(words: np.ndarray, *index) -> None:
+    """Set the bits of packed ``words`` at ``index``, one index array per
+    axis with columns last: (rows, cols) of a matrix, or (symbols, rows,
+    cols) of a chart.  One scatter; repeats are allowed."""
+    *lead, cols = (np.asarray(t, dtype=np.intp) for t in index)
+    np.bitwise_or.at(words, (*lead, cols >> 6), _bits(cols))
+
+
+def nonzero_bits(words: np.ndarray) -> tuple:
+    """The (row, col) index arrays of the set bits of packed ``words``, in
+    row-major order.  Rows run over all leading axes, so row ``t * dim + r``
+    of a chart is row ``r`` of plane ``t``."""
+    flat = words.reshape(-1, words.shape[-1])
+    rows, cols = flat.nonzero()
+    return set_bits(flat, rows, cols) if rows.size else (rows, cols)
+
+
+def bit(words: np.ndarray, i: int, j: int) -> bool:
+    """Is bit (i, j) of packed matrix ``words`` set?"""
+    return bool((int(words[i, j >> 6]) >> (j & 63)) & 1)
+
+
+def row_bits(row: np.ndarray) -> list:
+    """The set columns of one packed row, ascending."""
+    out = []
+    for base, word in enumerate(row.tolist()):
+        while word:
+            low = word & -word
+            out.append(64 * base + low.bit_length() - 1)
+            word ^= low
+    return out
+
+
+def popcount(words: np.ndarray) -> int:
+    """The number of set bits in packed ``words``."""
+    if _popcount is not None:
+        return int(_popcount(words).sum())
+    nonzero = words[words != 0]
+    return int(np.unpackbits(nonzero.view(np.uint8)).sum())
 
 
 class BoolMatrix:
-    """Square Boolean matrix, rows packed into uint64 words."""
+    """Square Boolean matrix, rows packed into uint64 words: the operand
+    type of ``bool_multiply``."""
 
     __slots__ = ("dim", "words")
 
     def __init__(self, dim: int, words=None):
         self.dim = dim
-        if words is None:
-            words = np.zeros((dim, _nwords(dim)), dtype=np.uint64)
-        self.words = words
+        self.words = zeros(dim) if words is None else words
 
     @classmethod
     def from_dense(cls, dense) -> "BoolMatrix":
@@ -92,45 +122,8 @@ class BoolMatrix:
             raise ValueError("need a square matrix")
         return cls(dense.shape[0], pack_rows(dense))
 
-    @classmethod
-    def from_cells(cls, dim: int, cells) -> "BoolMatrix":
-        """The matrix whose set bits are the (row, col) pairs in ``cells``."""
-        return planes_from_cells(dim, {None: cells})[None]
-
-    @classmethod
-    def identity(cls, dim: int) -> "BoolMatrix":
-        return cls.from_dense(np.eye(dim, dtype=np.uint8))
-
     def to_dense(self) -> np.ndarray:
         return unpack_rows(self.words, self.dim)
-
-    def set(self, i: int, j: int) -> None:
-        self.words[i, j >> 6] |= np.uint64(1 << (j & 63))
-
-    def test(self, i: int, j: int) -> bool:
-        return bool((int(self.words[i, j >> 6]) >> (j & 63)) & 1)
-
-    def any(self) -> bool:
-        return bool(self.words.any())
-
-    def count(self) -> int:
-        if _popcount is not None:
-            return int(_popcount(self.words).sum())
-        nonzero = self.words[self.words != 0]
-        return int(np.unpackbits(nonzero.view(np.uint8)).sum())
-
-    def copy(self) -> "BoolMatrix":
-        return BoolMatrix(self.dim, self.words.copy())
-
-    def __and__(self, other) -> "BoolMatrix":
-        return BoolMatrix(self.dim, self.words & other.words)
-
-    def __or__(self, other) -> "BoolMatrix":
-        return BoolMatrix(self.dim, self.words | other.words)
-
-    def __sub__(self, other) -> "BoolMatrix":
-        """The cells set here and not in ``other``."""
-        return BoolMatrix(self.dim, self.words & ~other.words)
 
     def __eq__(self, other):
         return (
@@ -138,26 +131,6 @@ class BoolMatrix:
             and self.dim == other.dim
             and bool(np.array_equal(self.words, other.words))
         )
-
-    def __hash__(self):  # pragma: no cover
-        raise TypeError("BoolMatrix is unhashable")
-
-    def row(self, i: int) -> list:
-        """The set columns of row ``i``, ascending."""
-        out = []
-        for base, word in enumerate(self.words[i].tolist()):
-            while word:
-                low = word & -word
-                out.append(64 * base + low.bit_length() - 1)
-                word ^= low
-        return out
-
-    def nonzero_cells(self, stop: int | None = None):
-        """Set cells as (row, col) int pairs in row-major order, from the
-        rows below ``stop`` only when it is given."""
-        words = self.words if stop is None else self.words[:stop]
-        rows, cols = set_bits(words, *np.nonzero(words))
-        return list(zip(rows.tolist(), cols.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +171,14 @@ def _picker(idx: list):
 
 
 @lru_cache(maxsize=64)
-def _role_mask(space: AddressSpace, cfg: frozenset, fo: int) -> BoolMatrix:
+def _role_mask(space: AddressSpace, cfg: frozenset, fo: int) -> np.ndarray:
     """Cells (left, right) whose merged endpoints, selected by ``cfg``, equal
-    the row's address.  Built constructively from endpoint multisets.  The
-    mask depends on the rule only through (cfg, fo), so it is shared by
-    rules and by re-parsed grammars alike."""
+    the row's address, as a packed (row, word) matrix.  Built constructively
+    from endpoint multisets.  The mask depends on the rule only through
+    (cfg, fo), so it is shared by rules and by re-parsed grammars alike."""
     picked = [t - 1 for t in sorted(cfg)]
     rest = [t for t in range(2 * fo) if t + 1 not in cfg]
-    mask = BoolMatrix(space.dim)
+    mask = zeros(space.dim)
     if not (1 <= len(picked) <= space.d and 1 <= len(rest) <= space.d):
         return mask
     row_of, col_of = _picker(picked), _picker(rest)
@@ -217,12 +190,11 @@ def _role_mask(space: AddressSpace, cfg: frozenset, fo: int) -> BoolMatrix:
         if col > row:
             rows.append(ids[row])
             cols.append(ids[col])
-    cols = np.array(cols, dtype=np.intp)
-    np.bitwise_or.at(mask.words, (np.array(rows, dtype=np.intp), cols >> 6), _bits(cols))
+    set_cells(mask, rows, cols)
     return mask
 
 
-def rule_mask(space: AddressSpace, r: Rule, role: int) -> BoolMatrix:
+def rule_mask(space: AddressSpace, r: Rule, role: int) -> np.ndarray:
     """Mask q1 (role 1: head), q2 (role 2: first child) or q3 (role 3:
     second child) of binary rule ``r``."""
     return _role_mask(space, configurations(r)[role - 1], r.fo[role - 1])
@@ -233,20 +205,21 @@ def rule_mask(space: AddressSpace, r: Rule, role: int) -> BoolMatrix:
 
 def _delta_factors(gf, hf, db, dc):
     """Operands of one rule's multiply that cover the terms reading a delta
-    fact: db x hf and (gf - db) x dc, given the masked full planes gf, hf
-    and masked delta planes db, dc (or None).  When both terms can be
-    nonempty, one multiply of the full planes covers them and scans the
-    same set bits of its left operand.  None when neither can."""
-    new_b = db is not None and db.any()
-    new_c = dc is not None and dc.any()
-    old_b = gf - db if new_b else gf
-    if new_c and old_b.any():
+    fact: db x hf and (gf & ~db) x dc, given the masked full planes gf, hf
+    and masked delta planes db, dc (None for a child whose delta plane has
+    no bit).  When both terms can be nonempty, one multiply of the full
+    planes covers them and scans the same set bits of its left operand.
+    None when neither can."""
+    new_b = db is not None and np.count_nonzero(db)
+    new_c = dc is not None and np.count_nonzero(dc)
+    old_b = gf & ~db if new_b else gf
+    if new_c and np.count_nonzero(old_b):
         return (gf, hf) if new_b else (gf, dc)
     return (db, hf) if new_b else None
 
 
 def _mask(masks: dict, space: AddressSpace, r: Rule, role: int,
-          stats: dict | None = None) -> BoolMatrix:
+          stats: dict | None = None) -> np.ndarray:
     """``rule_mask(space, r, role)``, fetched into ``masks`` on first use.
     The fetch's milliseconds are added to ``stats["mask_ms"]`` when given."""
     key = (r.rid, role)
@@ -259,65 +232,64 @@ def _mask(masks: dict, space: AddressSpace, r: Rule, role: int,
     return got
 
 
-def plane_product(G: dict, H: dict, g: Grammar, space: AddressSpace,
-                  stats: dict | None = None, delta: dict | None = None,
-                  masks: dict | None = None) -> dict:
-    """The cell product of two charts held as nonterminal planes
-    (``{nonterminal: BoolMatrix}`` over ``space``), returned as nonterminal
-    planes.  One masked multiply per binary rule.
+def plane_product(G: np.ndarray, H: np.ndarray, g: Grammar, space: AddressSpace,
+                  stats: dict | None = None, delta: np.ndarray | None = None,
+                  masks: dict | None = None) -> np.ndarray:
+    """The cell product of two charts over ``space``, returned as a chart.
+    A chart is a packed (symbol, row, word) array with one plane per
+    nonterminal, in the order of ``g.symbol_ids``.  One masked multiply per
+    binary rule.
 
     Every term is (A & M1) x (B & M2) & M3, so the product distributes over
-    OR in either operand.  Given ``delta``, planes contained in both G and
-    H, only terms that read a delta plane are multiplied: a rule whose one
+    OR in either operand.  Given ``delta``, a chart contained in both G and
+    H, only terms that read a delta fact are multiplied: a rule whose one
     child has delta facts multiplies that child's delta plane by the other's
     full plane, and a rule whose two children both have them multiplies the
     full planes.  The result then holds every term of G x H that reads a
     delta fact, and nothing outside G x H.
 
-    ``masks`` is a dict a caller keeps across products of one grammar over
-    one space: each rule's masks are fetched into it the first time the
-    rule needs them, and read from it after that.  ``stats`` counts the
-    multiplies in ``"muls"`` and the fetch time in ``"mask_ms"``."""
+    A rule is skipped before its masks are fetched when a child plane it
+    reads has no bit.  ``masks`` is a dict a caller keeps across products
+    of one grammar over one space: each rule's masks are fetched into it
+    the first time the rule needs them, and read from it after that.
+    ``stats`` counts the multiplies in ``"muls"`` and the fetch time in
+    ``"mask_ms"``."""
+    ids = g.symbol_ids
     dim = space.dim
-    if any(p.dim != dim for p in G.values()) or any(p.dim != dim for p in H.values()):
-        raise ValueError("planes live in a different address space")
+    shape = (len(ids), dim, _nwords(dim))
+    if G.shape != shape or H.shape != shape:
+        raise ValueError("charts of shape %s and %s, not %s for this grammar and space"
+                         % (G.shape, H.shape, shape))
     if masks is None:
         masks = {}
+    live_g = G.any(axis=(1, 2)).tolist()
+    live_h = live_g if H is G else H.any(axis=(1, 2)).tolist()
+    live_d = None if delta is None else delta.any(axis=(1, 2)).tolist()
 
-    acc: dict = {}
+    out = zeros(dim, len(ids))
     for r in g.binary_rules():
-        b, c = r.rhs
-        gb = G.get(b)
-        hc = H.get(c)
-        if gb is None or hc is None:
+        b, c = ids[r.rhs[0]], ids[r.rhs[1]]
+        if not (live_g[b] and live_h[c]):
             continue
-        if delta is not None and b not in delta and c not in delta:
+        if delta is not None and not (live_d[b] or live_d[c]):
             continue
         q2 = _mask(masks, space, r, 2, stats)
-        gf = gb & q2
-        if not gf.any():
+        gf = G[b] & q2
+        # count_nonzero tests a plane for a bit at a third of any()'s call cost
+        if not np.count_nonzero(gf):
             continue
         q3 = _mask(masks, space, r, 3, stats)
-        hf = hc & q3
-        if not hf.any():
+        hf = H[c] & q3
+        if not np.count_nonzero(hf):
             continue
         if delta is not None:
-            db = delta.get(b)
-            dc = delta.get(c)
-            pair = _delta_factors(gf, hf, None if db is None else db & q2,
-                                  None if dc is None else dc & q3)
+            pair = _delta_factors(gf, hf, delta[b] & q2 if live_d[b] else None,
+                                  delta[c] & q3 if live_d[c] else None)
             if pair is None:
                 continue
             gf, hf = pair
         if stats is not None:
             stats["muls"] = stats.get("muls", 0) + 1
-        bits = bool_multiply(gf, hf) & _mask(masks, space, r, 1, stats)
-        if not bits.any():
-            continue
-        have = acc.get(r.lhs)
-        if have is None:
-            acc[r.lhs] = bits
-        else:
-            np.bitwise_or(have.words, bits.words, out=have.words)
-    return acc
-
+        bits = bool_multiply(BoolMatrix(dim, gf), BoolMatrix(dim, hf)).words
+        out[ids[r.lhs]] |= bits & _mask(masks, space, r, 1, stats)
+    return out

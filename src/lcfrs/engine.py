@@ -45,9 +45,6 @@ class ProductMatrix:
             == {k: v for k, v in other.cells.items() if v}
         )
 
-    def __hash__(self):  # pragma: no cover - matrices are not dict keys
-        raise TypeError("ProductMatrix is unhashable")
-
     def is_upper_triangular(self) -> bool:
         addrs = self.space.addresses
         return all(
@@ -214,24 +211,19 @@ def engine_ready(g: Grammar) -> list:
     """Reasons this grammar cannot run on the matrix engine (empty if fine).
 
     Every rule role must keep at least one endpoint on the surface: a child
-    whose endpoints all combine would need a zero-length address.
+    whose endpoints all combine would need a zero-length address.  The
+    first child and the result row always keep endpoint 1, because every
+    rule's first template starts with ``b1``, so only the second child and
+    the result column are checked.
     """
     problems = []
     if not is_single_initial(g):
         problems.append("grammar is not single-initial; rewrite it first")
     for r in g.binary_rules():
-        cfg1, cfg2, cfg3 = configurations(r)
-        if not cfg2:
-            problems.append(
-                "rule %d: first child is fully absorbed (no surface endpoint)" % r.rid
-            )
+        cfg1, _, cfg3 = configurations(r)
         if len(cfg3) == 2 * r.fo[2]:
             problems.append(
                 "rule %d: second child is fully absorbed (no surface endpoint)" % r.rid
-            )
-        if not cfg1:
-            problems.append(
-                "rule %d: result row address would be empty" % r.rid
             )
         if len(cfg1) == 2 * r.fo[0]:
             problems.append(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 DEFAULT_OMEGA = 2.3728639
@@ -73,6 +73,12 @@ class Grammar:
 
     def lexical_rules(self):
         return [r for r in self.rules if not r.is_binary]
+
+    @cached_property
+    def symbol_ids(self) -> dict:
+        """``{nonterminal: plane}`` in sorted order: the symbol axis of the
+        charts this grammar runs on."""
+        return {nt: t for t, nt in enumerate(sorted(self.nonterminals))}
 
 
 class ConfigTriple(NamedTuple):

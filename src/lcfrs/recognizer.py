@@ -10,10 +10,13 @@ The closure runs at ``space_rank``, which leaves out the start rules when
 the start symbol is on no right-hand side; those rules are then applied to
 the closed chart by a join over their children's span facts.
 
-A run stays on bit planes from the seed to the verdict, and derivation
-extraction reads the same closed planes.  ``facts_of`` and ``planes_of`` are
-the one conversion between plane bits and facts (sorted endpoint tuples):
-the seed, pi-copy and the start-rule join all go through them.
+A run stays on one chart from the seed to the verdict: a packed (symbol,
+row, word) array with a plane per nonterminal, in the order of
+``Grammar.symbol_ids``, and a closure round is a few whole-chart
+operations.  Derivation extraction reads the same closed chart.
+``facts_of`` and ``planes_of`` are the one conversion between chart bits
+and facts (sorted endpoint tuples): the seed, pi-copy and the start-rule
+join all go through them.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ import time
 from dataclasses import dataclass, field
 
 from .addresses import AddressSpace, cell_endpoints, enumerate_space
-from .boolmat import KERNEL_KIND, _mask, plane_product, planes_from_cells
+from .boolmat import (
+    KERNEL_KIND, _mask, bit, nonzero_bits, plane_product, popcount, row_bits, set_cells, zeros,
+)
 from .engine import EngineUnsupported, engine_ready, lexical_facts
 from .grammar import (
     Grammar,
@@ -36,8 +41,10 @@ from .grammar import (
 
 @dataclass
 class Closure:
-    """A closed chart held as symbol planes over ``space``."""
-    planes: dict
+    """A closed chart over ``space``: a packed (symbol, row, word) array
+    with one plane per nonterminal of ``symbol_ids``, in that order."""
+    chart: object
+    symbol_ids: dict
     space: AddressSpace
     # one {"muls", "new_facts"} record per iteration: the multiplies it made
     # and the nonterminal facts it added
@@ -54,63 +61,66 @@ class Closure:
         return sum(r["muls"] for r in self.rounds)
 
     def fact_count(self) -> int:
-        return sum(p.count() for p in self.planes.values())
+        return popcount(self.chart)
 
     def holds(self, sym, endpoints: tuple) -> bool:
         """Does the chart hold ``sym`` over the spans of ``endpoints``?  The
         chart is closed under pi-copy, so one split of the endpoints tells;
-        endpoints with no split in the space are never held."""
-        plane = self.planes.get(sym)
+        endpoints with no split in the space, and symbols outside the
+        chart, are never held."""
+        t = self.symbol_ids.get(sym)
         splits = self.space.split_ids(endpoints)
-        return plane is not None and bool(splits) and plane.test(*splits[0])
+        return t is not None and bool(splits) and bit(self.chart[t], *splits[0])
 
 
-def facts_of(planes: dict, space: AddressSpace, stop: int | None = None) -> dict:
+def facts_of(chart, symbols, space: AddressSpace) -> dict:
     """``{nonterminal: set of sorted endpoint tuples}`` read off the set bits
-    of ``planes`` whose merge is defined, from the rows below ``stop`` only
-    when it is given.  A plane with no such bit gives no entry."""
+    of ``chart`` whose merge is defined; ``symbols`` names the chart's
+    planes in order.  A plane with no such bit gives no entry."""
     addrs = space.addresses
+    names = list(symbols)
+    dim = chart.shape[1]
+    rows, cols = nonzero_bits(chart)
     out = {}
-    for nt, bits in planes.items():
-        flats = {cell_endpoints(addrs[r], addrs[c]) for r, c in bits.nonzero_cells(stop)}
-        flats.discard(None)
-        if flats:
-            out[nt] = flats
+    for tr, c in zip(rows.tolist(), cols.tolist()):
+        t, r = divmod(tr, dim)
+        flat = cell_endpoints(addrs[r], addrs[c])
+        if flat is not None:
+            out.setdefault(names[t], set()).add(flat)
     return out
 
 
-def planes_of(facts: dict, space: AddressSpace) -> dict:
-    """Nonterminal planes with every fact of ``facts`` set on every split of
-    its endpoints, all set by one scatter.  A nonterminal none of whose
-    facts has a split in the space gets no plane."""
-    cells = {}
-    for nt, flats in facts.items():
-        got = [cell for flat in flats for cell in space.split_ids(flat)]
-        if got:
-            cells[nt] = got
-    return planes_from_cells(space.dim, cells)
+def planes_of(facts: dict, symbol_ids: dict, space: AddressSpace):
+    """The chart with every fact of ``facts`` set on every split of its
+    endpoints, all set by one scatter; ``symbol_ids`` gives each
+    nonterminal's plane.  A fact with no split in the space sets nothing."""
+    chart = zeros(space.dim, len(symbol_ids))
+    cells = [(t, r, c) for nt, flats in facts.items() for t in (symbol_ids[nt],)
+             for flat in flats for r, c in space.split_ids(flat)]
+    if cells:
+        set_cells(chart, *zip(*cells))
+    return chart
 
 
-def pi_copy(planes: dict, space) -> dict:
-    """Plane form of ``engine.pi_copy``: each nonterminal plane with its
-    facts also set on every cell whose addresses merge to the same
-    endpoints.  Cells with an undefined merge copy nowhere.  The work grows
-    with the facts given, not with the space."""
-    copies = planes_of(facts_of(planes, space), space)
-    return {nt: bits | copies[nt] if nt in copies else bits for nt, bits in planes.items()}
+def pi_copy(chart, symbol_ids: dict, space: AddressSpace):
+    """Plane form of ``engine.pi_copy``: the chart with each fact also set on
+    every cell whose addresses merge to the same endpoints.  Cells with an
+    undefined merge copy nowhere.  The work grows with the facts given, not
+    with the space."""
+    return chart | planes_of(facts_of(chart, symbol_ids, space), symbol_ids, space)
 
 
-def seed_planes(g: Grammar, sentence, space: AddressSpace) -> dict:
-    """Plane form of ``engine.seed``: one plane of lexical facts per
-    nonterminal, all set by one scatter."""
-    return planes_of(lexical_facts(g, sentence, space), space)
+def seed_planes(g: Grammar, sentence, space: AddressSpace):
+    """Plane form of ``engine.seed``: the chart of lexical facts, all set by
+    one scatter."""
+    return planes_of(lexical_facts(g, sentence, space), g.symbol_ids, space)
 
 
-def closure_fixpoint(T: dict, g: Grammar, space: AddressSpace) -> Closure:
+def closure_fixpoint(T, g: Grammar, space: AddressSpace) -> Closure:
     """Least fixpoint of X -> pi(X | X*X) above T, evaluated semi-naively on
-    bit planes.  T is the seed as nonterminal planes over ``space``
-    (``seed_planes``, or the planes of any chart).  It must be closed
-    under pi-copy, as every seed is, and its planes are never written to.
+    a chart.  T is the seed chart over ``space`` (``seed_planes``, or any
+    chart of ``g``'s symbols).  It must be closed under pi-copy, as every
+    seed is, and it is never written to.
 
     Each round multiplies only the terms of X * X that read a fact the round
     before added (D), then copies its new facts to their equivalent cells.
@@ -121,29 +131,24 @@ def closure_fixpoint(T: dict, g: Grammar, space: AddressSpace) -> Closure:
     iteration, and ``iterations`` counts the same rounds, the last of which
     adds nothing.  Each rule's masks are fetched once per run, and
     ``mask_ms`` is the time those fetches took."""
-    X = dict(T)
+    ids = g.symbol_ids
+    X = T
     delta = None
     masks = {}
     stats = {"muls": 0, "mask_ms": 0.0}
     rounds = []
     while True:
         before = stats["muls"]
-        fresh = {}
-        for nt, bits in plane_product(X, X, g, space, stats, delta, masks).items():
-            if nt in X:
-                bits = bits - X[nt]
-            if bits.any():
-                fresh[nt] = bits
-        for nt, bits in pi_copy(fresh, space).items():
-            fresh[nt] = bits - X[nt] if nt in X else bits
-        rounds.append({"muls": stats["muls"] - before,
-                       "new_facts": sum(b.count() for b in fresh.values())})
-        if not fresh:
+        absent = ~X
+        fresh = plane_product(X, X, g, space, stats, delta, masks) & absent
+        fresh = pi_copy(fresh, ids, space) & absent
+        new_facts = popcount(fresh)
+        rounds.append({"muls": stats["muls"] - before, "new_facts": new_facts})
+        if not new_facts:
             break
-        for nt, bits in fresh.items():
-            X[nt] = X[nt] | bits if nt in X else bits
+        X = X | fresh
         delta = fresh
-    return Closure(X, space, rounds, stats["mask_ms"])
+    return Closure(X, ids, space, rounds, stats["mask_ms"])
 
 
 def _start_witness(clo: Closure, g: Grammar, n: int):
@@ -160,9 +165,9 @@ def _start_witness(clo: Closure, g: Grammar, n: int):
     fact then costs a test of the second child's bit on one split of the
     spans it fixes."""
     rules = sorted((r for r in g.binary_rules() if r.lhs == g.start), key=lambda r: r.rid)
-    firsts = {r.rhs[0] for r in rules}
-    lefts_of = facts_of({B: p for B, p in clo.planes.items() if B in firsts},
-                        clo.space, clo.space.ids[(1,)])
+    firsts = sorted({r.rhs[0] for r in rules})
+    starts_at_0 = clo.chart[[clo.symbol_ids[B] for B in firsts], :clo.space.ids[(1,)]]
+    lefts_of = facts_of(starts_at_0, firsts, clo.space)
     for r in rules:
         B, C = r.rhs
         (template,) = r.comp
@@ -231,7 +236,7 @@ def run_recognition(g: Grammar, sentence) -> RunResult:
     t3 = time.perf_counter()
     accepted = n > 0 and (clo.holds(work.start, (0, n))
                           or _start_witness(clo, work, n) is not None)
-    facts = sum(p.count() for p in seeded.values()) + sum(r["new_facts"] for r in clo.rounds)
+    facts = popcount(seeded) + sum(r["new_facts"] for r in clo.rounds)
     t4 = time.perf_counter()
     stats = {
         "n": n,
@@ -303,7 +308,7 @@ def extract_derivation(clo: Closure, g: Grammar, sentence):
         return None
     space = clo.space
     addrs = space.addresses
-    planes = clo.planes
+    chart, ids = clo.chart, clo.symbol_ids
 
     witness = None
     if not clo.holds(g.start, (0, n)):
@@ -332,16 +337,14 @@ def extract_derivation(clo: Closure, g: Grammar, sentence):
                     break
                 continue
             B, C = r.rhs
-            left_bits, right_bits = planes.get(B), planes.get(C)
-            if left_bits is None or right_bits is None:
-                continue
+            left, right = chart[ids[B]], chart[ids[C]]
             for i, j in sorted(space.split_ids(flat)):
-                for k in left_bits.row(i):
+                for k in row_bits(left[i]):
                     if not (
-                        right_bits.test(k, j)
-                        and _mask(masks, space, r, 2).test(i, k)
-                        and _mask(masks, space, r, 3).test(k, j)
-                        and _mask(masks, space, r, 1).test(i, j)
+                        bit(right, k, j)
+                        and bit(_mask(masks, space, r, 2), i, k)
+                        and bit(_mask(masks, space, r, 3), k, j)
+                        and bit(_mask(masks, space, r, 1), i, j)
                     ):
                         continue
                     left = justify(B, cell_endpoints(addrs[i], addrs[k]))

@@ -12,7 +12,7 @@ import pytest
 
 import lcfrs
 from lcfrs import bundled
-from lcfrs.boolmat import planes_from_cells
+from lcfrs.boolmat import nonzero_bits, set_cells, zeros
 from lcfrs.engine import ProductMatrix, pi_copy
 from lcfrs.grammar import Grammar, Rule, Var, contact_rank, per_rule_d, validate
 from lcfrs.oracle import enumerate_language, tabular_recognize
@@ -57,24 +57,28 @@ def union(T1: ProductMatrix, T2: ProductMatrix) -> ProductMatrix:
     return out
 
 
-def chart_of(planes: dict, space) -> ProductMatrix:
-    """The symbol-set chart holding the set bits of ``planes`` (a closure's
-    ``planes``, or any ``{symbol: BoolMatrix}`` over ``space``), for checks
-    against the cell-by-cell oracle."""
+def chart_of(chart, symbols, space) -> ProductMatrix:
+    """The symbol-set chart holding the set bits of ``chart`` (a closure's
+    chart, or any (symbol, row, word) array over ``space`` whose planes
+    ``symbols`` names in order), for checks against the cell-by-cell
+    oracle."""
+    names = list(symbols)
     out = ProductMatrix(space)
-    for sym, bits in planes.items():
-        for cell in bits.nonzero_cells():
-            out.cells.setdefault(cell, set()).add(sym)
+    rows, cols = nonzero_bits(chart)
+    for tr, c in zip(rows.tolist(), cols.tolist()):
+        t, r = divmod(tr, space.dim)
+        out.cells.setdefault((r, c), set()).add(names[t])
     return out
 
 
-def symbol_planes(T: ProductMatrix) -> dict:
-    """The inverse of ``chart_of``: one plane per symbol occurring in T."""
-    cells = {}
-    for cell, syms in T.cells.items():
-        for s in syms:
-            cells.setdefault(s, []).append(cell)
-    return planes_from_cells(T.space.dim, cells)
+def symbol_planes(T: ProductMatrix, symbol_ids: dict):
+    """The inverse of ``chart_of``: the chart with T's cells, one plane per
+    symbol of ``symbol_ids``, set by the same scatter as ``planes_of``."""
+    chart = zeros(T.space.dim, len(symbol_ids))
+    cells = [(symbol_ids[s], r, c) for (r, c), syms in T.cells.items() for s in syms]
+    if cells:
+        set_cells(chart, *zip(*cells))
+    return chart
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +209,8 @@ def sweep(grammars):
             if res.accepted:
                 # keep the closure so derivations can be rebuilt later
                 accepted[tuple(toks)] = (res.closure, res.grammar)
-            bad = _chart_violations(chart_of(res.closure.planes, res.closure.space))
+            clo = res.closure
+            bad = _chart_violations(chart_of(clo.chart, clo.symbol_ids, clo.space))
             if bad:
                 violations.append((name, " ".join(toks), bad))
         results[name] = {

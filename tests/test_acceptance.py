@@ -107,8 +107,8 @@ def test_03_worked_wrap_example():
     T.add(sp.ids[(2, 7)], sp.ids[(4, 5)], "C")
     P = matrix_product(T, T, g)
     direct = "A" in P.get(sp.ids[(1, 8)], sp.ids[(4, 5)])
-    planes = symbol_planes(T)
-    bool_ok = plane_product(planes, planes, g, sp) == symbol_planes(P)
+    planes = symbol_planes(T, g.symbol_ids)
+    bool_ok = np.array_equal(plane_product(planes, planes, g, sp), symbol_planes(P, g.symbol_ids))
     pi = pi_copy(union(T, P))
     copied = "A" in pi.get(sp.ids[(1, 4)], sp.ids[(5, 8)])
     only = {(i, j) for i, j, syms in P.nonterminal_facts()}
@@ -133,8 +133,9 @@ def test_04_reduction_equivalence():
         for _ in range(rng.choice((0, 0, 1, 2))):
             T = union(T, matrix_product(T, T, g))
         want = matrix_product(T, T, g)
-        planes = symbol_planes(T)
-        if plane_product(planes, planes, g, sp) != symbol_planes(want):
+        planes = symbol_planes(T, g.symbol_ids)
+        if not np.array_equal(plane_product(planes, planes, g, sp),
+                              symbol_planes(want, g.symbol_ids)):
             mismatches.append(case)
         if case % 10 == 0:
             MATERIALIZED.append(union(T, want))
@@ -192,7 +193,7 @@ def test_06_closure_equivalence(grammars):
         sp = enumerate_space(len(toks), full_rank(g))
         T = seed(g, toks, sp)
         fix = closure_fixpoint(seed_planes(g, toks, sp), g, sp)
-        got = chart_of(fix.planes, sp)
+        got = chart_of(fix.chart, fix.symbol_ids, sp)
         if got != _cell_by_cell_closure(T, g):
             bad.append(label)
         if t % 6 == 0:

@@ -10,11 +10,17 @@ from lcfrs.boolmat import (
     KERNEL_KIND,
     BoolMatrix,
     _mult_naive,
+    bit,
     bool_multiply,
+    nonzero_bits,
     pack_rows,
     plane_product,
+    popcount,
+    row_bits,
     rule_mask,
+    set_cells,
     unpack_rows,
+    zeros,
 )
 from lcfrs.engine import _role_fits, matrix_product, seed
 from lcfrs.grammar import configurations, is_single_initial, parse_grammar, to_single_initial
@@ -25,25 +31,44 @@ BACKENDS = ("naive", "bitset")
 
 
 def random_bool(dim, rng, density=0.2):
+    return BoolMatrix.from_dense([[rng.random() < density for _ in range(dim)]
+                                  for _ in range(dim)])
+
+
+def cells_matrix(dim, cells):
+    """The matrix whose set bits are the (row, col) pairs in ``cells``."""
     m = BoolMatrix(dim)
-    for i in range(dim):
-        for j in range(dim):
-            if rng.random() < density:
-                m.set(i, j)
+    if cells:
+        set_cells(m.words, *zip(*cells))
     return m
+
+
+def cells(words):
+    """The set bits of packed ``words`` as int tuples, in row-major order."""
+    return list(zip(*(a.tolist() for a in nonzero_bits(words))))
+
+
+def or_into(held, m):
+    """``held`` with the bits of ``m`` added, as a new matrix."""
+    return BoolMatrix(held.dim, held.words | m.words)
 
 
 class TestBoolMatrix:
     def test_set_test_count(self):
         m = BoolMatrix(70)
-        assert not m.any()
-        m.set(0, 0)
-        m.set(69, 64)
-        m.set(69, 64)
-        assert m.test(0, 0) and m.test(69, 64)
-        assert not m.test(0, 1)
-        assert m.count() == 2
-        assert m.any()
+        assert not m.words.any()
+        set_cells(m.words, [0, 69, 69], [0, 64, 64])
+        assert bit(m.words, 0, 0) and bit(m.words, 69, 64)
+        assert not bit(m.words, 0, 1)
+        assert popcount(m.words) == 2
+
+    def test_popcount_without_bitwise_count(self, monkeypatch):
+        # numpy before 2.0 has no bitwise_count; the fallback counts the same
+        rng = np.random.default_rng(3)
+        words = pack_rows(rng.random((70, 130)) < 0.3)
+        want = popcount(words)
+        monkeypatch.setattr(boolmat, "_popcount", None)
+        assert popcount(words) == want == int(unpack_rows(words, 130).sum())
 
     def test_dense_round_trip(self):
         rng = random.Random(0)
@@ -51,31 +76,14 @@ class TestBoolMatrix:
             m = random_bool(dim, rng)
             assert BoolMatrix.from_dense(m.to_dense()) == m
 
-    def test_and_or(self):
-        rng = random.Random(1)
-        a, b = random_bool(40, rng), random_bool(40, rng)
-        da, db = a.to_dense(), b.to_dense()
-        assert (a & b).to_dense().tolist() == (da & db).tolist()
-        assert (a | b).to_dense().tolist() == (da | db).tolist()
-
     def test_nonzero_cells(self):
-        m = BoolMatrix(10)
-        m.set(3, 7)
-        m.set(9, 0)
-        assert sorted(m.nonzero_cells()) == [(3, 7), (9, 0)]
-
-    def test_identity(self):
-        eye = BoolMatrix.identity(6)
-        assert eye.count() == 6
-        assert all(eye.test(i, i) for i in range(6))
+        m = cells_matrix(10, [(9, 0), (3, 7)])
+        assert cells(m.words) == [(3, 7), (9, 0)]
 
     def test_padding_bits_stay_clear(self):
         # dims off the word boundary must not leak bits into the padding
-        m = BoolMatrix(3)
-        for i in range(3):
-            for j in range(3):
-                m.set(i, j)
-        assert m.count() == 9
+        m = cells_matrix(3, [(i, j) for i in range(3) for j in range(3)])
+        assert popcount(m.words) == 9
         assert int(m.words[0, 0]) == 0b111
 
 
@@ -94,18 +102,16 @@ class TestMultiply:
     def test_identity_is_neutral(self):
         rng = random.Random(3)
         m = random_bool(33, rng)
-        eye = BoolMatrix.identity(33)
+        eye = BoolMatrix.from_dense(np.eye(33, dtype=np.uint8))
         for backend in BACKENDS:
             assert bool_multiply(eye, m, backend) == m
             assert bool_multiply(m, eye, backend) == m
 
     def test_known_product(self):
-        a = BoolMatrix(3)
-        a.set(0, 1)
-        b = BoolMatrix(3)
-        b.set(1, 2)
+        a = cells_matrix(3, [(0, 1)])
+        b = cells_matrix(3, [(1, 2)])
         c = bool_multiply(a, b)
-        assert c.test(0, 2) and c.count() == 1
+        assert bit(c.words, 0, 2) and popcount(c.words) == 1
 
     @pytest.mark.parametrize("dim", [1, 7, 37, 64, 100, 130])
     def test_backends_agree(self, dim):
@@ -116,12 +122,9 @@ class TestMultiply:
     def test_dense_blowup_still_exact(self):
         # saturated operands overflow nothing: counts are capped before use
         dim = 96
-        a = BoolMatrix(dim)
-        for i in range(dim):
-            for j in range(dim):
-                a.set(i, j)
+        a = BoolMatrix.from_dense(np.ones((dim, dim), dtype=np.uint8))
         for backend in BACKENDS:
-            assert bool_multiply(a, a, backend).count() == dim * dim
+            assert popcount(bool_multiply(a, a, backend).words) == dim * dim
 
     def test_associative(self):
         rng = random.Random(4)
@@ -184,8 +187,8 @@ class TestFallbackKernel:
         a = BoolMatrix.from_dense(rng.random((dim, dim)) < 0.05)
         b = BoolMatrix.from_dense(rng.random((dim, dim)) < 0.05)
         held = BoolMatrix.from_dense(rng.random((dim, dim)) < 0.1)
-        got = _fallback_product(a, b, held.copy())
-        assert got == (_mult_naive(a, b) | held)
+        got = _fallback_product(a, b, BoolMatrix(dim, held.words.copy()))
+        assert got == or_into(held, _mult_naive(a, b))
 
     def test_blocks_split_inside_a_row(self, monkeypatch):
         # a block of one word at a time splits rows across blocks
@@ -199,10 +202,10 @@ class TestFallbackKernel:
     def test_every_left_bit_hits_an_empty_row(self):
         # column k of a is set only where row k of b is empty: nothing to add
         dim = 130
-        a = BoolMatrix.from_cells(dim, [(i, k) for i in range(0, dim, 3) for k in (1, 64, 129)])
-        b = BoolMatrix.from_cells(dim, [(k, j) for k in (0, 2, 65) for j in range(dim)])
-        held = BoolMatrix.from_cells(dim, [(5, 7)])
-        assert _fallback_product(a, b, held.copy()) == held
+        a = cells_matrix(dim, [(i, k) for i in range(0, dim, 3) for k in (1, 64, 129)])
+        b = cells_matrix(dim, [(k, j) for k in (0, 2, 65) for j in range(dim)])
+        held = cells_matrix(dim, [(5, 7)])
+        assert _fallback_product(a, b, BoolMatrix(dim, held.words.copy())) == held
         assert _mult_naive(a, b) == BoolMatrix(dim)
 
     @pytest.mark.parametrize("dim", (1, 63, 64, 65, 130))
@@ -224,7 +227,8 @@ class TestFallbackKernel:
         a = BoolMatrix.from_dense(rng.random((dim, dim)) < 0.1)
         b = BoolMatrix.from_dense(db)
         held = BoolMatrix.from_dense(rng.random((dim, dim)) < 0.1)
-        assert _fallback_product(a, b, held.copy()) == (_mult_naive(a, b) | held)
+        got = _fallback_product(a, b, BoolMatrix(dim, held.words.copy()))
+        assert got == or_into(held, _mult_naive(a, b))
 
 
 class TestScatter:
@@ -233,22 +237,25 @@ class TestScatter:
         for label, da, _ in _kernel_operands(dim):
             m = BoolMatrix.from_dense(da)
             want = [(int(i), int(j)) for i, j in zip(*np.nonzero(da))]
-            assert m.nonzero_cells() == want, label
-            assert m.count() == int(da.sum()), label
+            assert cells(m.words) == want, label
+            assert popcount(m.words) == int(da.sum()), label
 
     @pytest.mark.parametrize("dim", KERNEL_DIMS)
     def test_row_matches_nonzero_cells(self, dim):
         for label, da, _ in _kernel_operands(dim):
             m = BoolMatrix.from_dense(da)
             want = [[] for _ in range(dim)]
-            for r, c in m.nonzero_cells():
+            for r, c in cells(m.words):
                 want[r].append(c)
-            assert [m.row(i) for i in range(dim)] == want, label
+            assert [row_bits(m.words[i]) for i in range(dim)] == want, label
 
-    def test_from_cells_with_duplicates(self):
-        m = BoolMatrix.from_cells(70, [(3, 64), (3, 64), (3, 0), (69, 69)])
-        assert m.nonzero_cells() == [(3, 0), (3, 64), (69, 69)]
-        assert BoolMatrix.from_cells(70, []) == BoolMatrix(70)
+    def test_set_cells_with_duplicates(self):
+        chart = zeros(70, 2)
+        set_cells(chart, [1, 0, 0, 0, 1], [69, 3, 3, 3, 3], [69, 64, 64, 0, 64])
+        # chart rows count across planes: row 3 of plane 1 is row 73
+        assert cells(chart) == [(3, 0), (3, 64), (73, 64), (139, 69)]
+        set_cells(chart, [], [], [])
+        assert popcount(chart) == 4
 
     def test_symbol_planes_match_cell_by_cell(self, grammars):
         g = grammars["count4"]
@@ -256,13 +263,13 @@ class TestScatter:
         sp = enumerate_space(len(toks), full_rank(g))
         T = seed(g, toks, sp)
         T = union(T, matrix_product(T, T, g))
-        want = {}
+        ids = g.symbol_ids
+        want = zeros(sp.dim, len(ids))
         for (r, c), syms in T.cells.items():
             for s in syms:
-                want.setdefault(s, BoolMatrix(sp.dim)).set(r, c)
-        got = symbol_planes(T)
-        assert set(got) == set(want)
-        assert all(got[s] == want[s] for s in want)
+                want[ids[s], r, c >> 6] |= np.uint64(1 << (c & 63))
+        assert want.any()
+        assert np.array_equal(symbol_planes(T, ids), want)
 
 
 def _planes_after_one_product(g, toks):
@@ -271,59 +278,55 @@ def _planes_after_one_product(g, toks):
     return T, union(T, matrix_product(T, T, g)), sp
 
 
-def _or_planes(*plane_dicts):
-    out = {}
-    for planes in plane_dicts:
-        for s, bits in planes.items():
-            out[s] = out[s] | bits if s in out else bits
-    return out
-
-
 class TestFactors:
     def test_lexical_rules_contribute_nothing(self, grammars):
         g = grammars["cfg_anbn"]
         T, T2, sp = _planes_after_one_product(g, ["a", "a", "b", "b"])
         lexical = dataclasses.replace(g, rules=tuple(g.lexical_rules()))
         binary = dataclasses.replace(g, rules=tuple(g.binary_rules()))
-        planes = symbol_planes(T)
-        assert planes
+        planes = symbol_planes(T, g.symbol_ids)
+        assert planes.any()
         stats = {}
-        assert plane_product(planes, planes, lexical, sp, stats=stats) == {}
+        assert not plane_product(planes, planes, lexical, sp, stats=stats).any()
         assert stats.get("muls", 0) == 0
-        for chart in (planes, symbol_planes(T2)):
-            assert plane_product(chart, chart, g, sp) == plane_product(chart, chart, binary, sp)
+        for chart in (planes, symbol_planes(T2, g.symbol_ids)):
+            assert np.array_equal(plane_product(chart, chart, g, sp),
+                                  plane_product(chart, chart, binary, sp))
 
     def test_empty_left_operand(self, grammars):
         g = grammars["cfg_anbn"]
         _, T2, sp = _planes_after_one_product(g, ["a", "a", "b", "b"])
         stats = {}
-        assert plane_product({}, symbol_planes(T2), g, sp, stats=stats) == {}
+        empty = zeros(sp.dim, len(g.symbol_ids))
+        assert not plane_product(empty, symbol_planes(T2, g.symbol_ids), g, sp, stats=stats).any()
         assert stats.get("muls", 0) == 0
 
     def test_factors_stay_above_diagonal(self, grammars):
         g = grammars["count4"]
         _, T2, sp = _planes_after_one_product(g, ["a", "b", "c", "d"])
-        chart = symbol_planes(T2)
+        chart = symbol_planes(T2, g.symbol_ids)
         for _ in range(3):
             got = plane_product(chart, chart, g, sp)
-            assert got
-            for nt, bits in got.items():
-                assert all(r < c for r, c in bits.nonzero_cells()), nt
-            chart = _or_planes(chart, got)
+            rows, cols = nonzero_bits(got)
+            assert rows.size and (rows % sp.dim < cols).all()
+            chart = chart | got
 
     def test_space_mismatch_raises(self, grammars):
         g = grammars["cfg_anbn"]
-        small = seed(g, ["a", "b"], enumerate_space(2, 1))
+        small = symbol_planes(seed(g, ["a", "b"], enumerate_space(2, 1)), g.symbol_ids)
         with pytest.raises(ValueError):
-            plane_product(symbol_planes(small), {}, g, enumerate_space(3, 1))
+            plane_product(small, small, g, enumerate_space(3, 1))
+        with pytest.raises(ValueError):     # one plane short of the grammar's symbols
+            plane_product(small[1:], small[1:], g, enumerate_space(2, 1))
 
     def test_plane_product_matches_cell_by_cell(self, grammars):
         for name, sentence in (("count4", "a b c d"), ("itg_sep", "x y # y x")):
             g = grammars[name]
             T, T2, sp = _planes_after_one_product(g, sentence.split())
             for left, right in ((T, T2), (T2, T), (T2, T2)):
-                got = plane_product(symbol_planes(left), symbol_planes(right), g, sp)
-                assert got == symbol_planes(matrix_product(left, right, g)), name
+                ids = g.symbol_ids
+                got = plane_product(symbol_planes(left, ids), symbol_planes(right, ids), g, sp)
+                assert np.array_equal(got, symbol_planes(matrix_product(left, right, g), ids)), name
 
     def test_delta_terms_complete_the_old_product(self, grammars):
         # semi-naive step: the terms reading a new fact, together with the
@@ -339,17 +342,15 @@ class TestFactors:
             T = seed(g, toks, sp)
             for step in range(3):
                 grown = union(T, matrix_product(T, T, g))
-                old, new = symbol_planes(T), symbol_planes(grown)
-                delta = {s: new[s] - old[s] if s in old else new[s] for s in new}
-                delta = {s: bits for s, bits in delta.items() if bits.any()}
+                old, new = symbol_planes(T, g.symbol_ids), symbol_planes(grown, g.symbol_ids)
                 full = plane_product(new, new, g, sp)
-                part = plane_product(new, new, g, sp, delta=delta)
+                part = plane_product(new, new, g, sp, delta=new & ~old)
                 label = (name, step)
-                assert _or_planes(plane_product(old, old, g, sp), part) == full, label
-                assert all((bits - full[s]).count() == 0 for s, bits in part.items()), label
+                assert np.array_equal(plane_product(old, old, g, sp) | part, full), label
+                assert not (part & ~full).any(), label
                 T = grown
             stats = {}
-            plane_product(new, new, g, sp, stats=stats, delta={})
+            plane_product(new, new, g, sp, stats=stats, delta=np.zeros_like(new))
             assert stats.get("muls", 0) == 0
 
 
@@ -363,14 +364,16 @@ class TestRoleMask:
                 for r in g.binary_rules():
                     for role, cfg in zip((1, 2, 3), configurations(r)):
                         fo2 = 2 * r.fo[role - 1]
-                        want = BoolMatrix(sp.dim)
+                        want = np.zeros((sp.dim, sp.dim), dtype=np.uint8)
                         for i in sp.addresses:
                             if len(i) != len(cfg):
                                 continue
                             for j in sp.addresses:
                                 if len(i) + len(j) == fo2 and _role_fits(cfg, fo2, i, j, i):
-                                    want.set(sp.ids[i], sp.ids[j])
-                        assert rule_mask(sp, r, role) == want, (name, n, r.rid, role)
+                                    want[sp.ids[i], sp.ids[j]] = 1
+                        want = pack_rows(want)
+                        got = rule_mask(sp, r, role)
+                        assert np.array_equal(got, want), (name, n, r.rid, role)
                         checked += want.any()
         assert checked
 
@@ -393,8 +396,9 @@ class TestReduction:
         T = seed(g, toks, sp)
         ref = matrix_product(T, T, g)
         stats = {}
-        planes = symbol_planes(T)
-        assert plane_product(planes, planes, g, sp, stats=stats) == symbol_planes(ref)
+        planes = symbol_planes(T, g.symbol_ids)
+        got = plane_product(planes, planes, g, sp, stats=stats)
+        assert np.array_equal(got, symbol_planes(ref, g.symbol_ids))
         assert stats["muls"] > 0
 
     def test_agrees_on_powers(self, grammars):
@@ -404,6 +408,7 @@ class TestReduction:
         T = seed(g, toks, sp)
         for _ in range(3):
             ref = matrix_product(T, T, g)
-            planes = symbol_planes(T)
-            assert plane_product(planes, planes, g, sp) == symbol_planes(ref)
+            planes = symbol_planes(T, g.symbol_ids)
+            assert np.array_equal(plane_product(planes, planes, g, sp),
+                                  symbol_planes(ref, g.symbol_ids))
             T = union(T, ref)

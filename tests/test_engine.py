@@ -13,9 +13,9 @@ from lcfrs.engine import (
     pi_copy,
     seed,
 )
-from lcfrs.grammar import parse_grammar
+from lcfrs.grammar import configurations, parse_grammar, to_single_initial
 
-from conftest import chart_of, union
+from conftest import chart_of, random_grammar, union
 
 CFG_AB = "start S\nS -> A B : b1 g1\nA -> : 'a'\nB -> : 'b'\n"
 
@@ -164,6 +164,23 @@ class TestPiCopy:
         assert pi_copy(once) == once
 
 
+class TestFirstEndpoint:
+    def test_first_child_and_result_row_keep_endpoint_1(self, grammars):
+        # every rule's first template starts with b1, so endpoint 1 is on
+        # the surface of both the first child and the head: neither address
+        # can be empty, and ``engine_ready`` does not check them
+        cases = list(grammars.values())
+        cases += [random_grammar(random.Random(seed), d_cap=4) for seed in range(300)]
+        checked = 0
+        for g in cases:
+            for h in (g, to_single_initial(g)):
+                for r in h.binary_rules():
+                    cfg1, cfg2, _ = configurations(r)
+                    assert 1 in cfg1 and 1 in cfg2, (h.start, str(r))
+                    checked += 1
+        assert checked > 600
+
+
 class TestEngineReady:
     def test_bundled_grammars_run(self, grammars):
         for name in ("cfg_anbn", "count4", "tag_style", "itg_sep"):
@@ -212,6 +229,6 @@ class TestDump:
         }
         for (name, sentence), (lines, digest) in want.items():
             clo = run_recognition(grammars[name], sentence.split()).closure
-            text = chart_of(clo.planes, clo.space).dump()
+            text = chart_of(clo.chart, clo.symbol_ids, clo.space).dump()
             assert len(text.splitlines()) == lines, name
             assert hashlib.sha256(text.encode()).hexdigest() == digest, name

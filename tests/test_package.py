@@ -56,3 +56,18 @@ class TestPublicSurface:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=env)
         assert proc.returncode == 0, proc.stderr
+
+    def test_imports_load_only_numpy_and_the_standard_library(self):
+        # start-up time counts on every cold CLI call: importing the package
+        # and its CLI must pull in no third-party package but numpy
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import lcfrs, lcfrs.cli\n"
+            "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            "print(sorted(new - {'lcfrs', 'numpy'} - set(sys.stdlib_module_names)))\n"
+        )
+        # conftest.py puts the tested package on the subprocess's PYTHONPATH
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

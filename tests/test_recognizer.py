@@ -42,14 +42,15 @@ def _closed(g, sentence):
 
 def _facts(clo, nts):
     """``facts_of`` the closure's planes of the nonterminals in ``nts``."""
-    return facts_of({nt: p for nt, p in clo.planes.items() if nt in nts}, clo.space)
+    return {nt: flats for nt, flats in facts_of(clo.chart, clo.symbol_ids, clo.space).items()
+            if nt in nts}
 
 
 class TestClosure:
     def test_empty_matrix_is_its_own_closure(self, grammars):
         g = grammars["cfg_anbn"]
         sp = enumerate_space(3, 1)
-        clo = closure_fixpoint({}, g, sp)
+        clo = closure_fixpoint(planes_of({}, g.symbol_ids, sp), g, sp)
         assert clo.fact_count() == 0
         assert clo.iterations == 1
 
@@ -66,8 +67,8 @@ class TestClosure:
     def test_closure_is_idempotent(self, grammars):
         g = grammars["cfg_anbn"]
         clo, sp = _closed(g, "a b")
-        again = closure_fixpoint(clo.planes, g, sp)
-        assert again.planes == clo.planes
+        again = closure_fixpoint(clo.chart, g, sp)
+        assert np.array_equal(again.chart, clo.chart)
         assert again.iterations == 1
 
 
@@ -78,8 +79,8 @@ def _naive_closure(T, g):
     X, iterations = T, 0
     while True:
         iterations += 1
-        planes = symbol_planes(X)
-        product = chart_of(plane_product(planes, planes, g, X.space, stats), X.space)
+        planes = symbol_planes(X, g.symbol_ids)
+        product = chart_of(plane_product(planes, planes, g, X.space, stats), g.symbol_ids, X.space)
         grown = pi_copy(union(X, product))
         if grown == X:
             return X, iterations, stats.get("muls", 0)
@@ -112,7 +113,7 @@ class TestSemiNaiveClosure:
         assert pi_copy(T) == T, label     # the closure's precondition
         want, iterations, muls = _naive_closure(T, g)
         got = closure_fixpoint(seed_planes(g, toks, sp), g, sp)
-        assert chart_of(got.planes, sp) == want, label
+        assert chart_of(got.chart, got.symbol_ids, sp) == want, label
         assert got.iterations == iterations, label
         assert got.muls <= muls, label
         return got.muls, muls
@@ -420,7 +421,7 @@ class TestPlanePath:
                 g = to_single_initial(g)
             for toks in sweep_sentences(name):
                 sp = enumerate_space(len(toks), space_rank(g))
-                got = chart_of(seed_planes(g, toks, sp), sp)
+                got = chart_of(seed_planes(g, toks, sp), g.symbol_ids, sp)
                 assert got == seed(g, toks, sp), (name, toks)
 
     def test_seed_and_facts_on_random_grammars(self):
@@ -434,14 +435,14 @@ class TestPlanePath:
                 for toks in itertools.product("ab", repeat=n):
                     label = (case, toks)
                     planes = seed_planes(work, toks, sp)
-                    assert chart_of(planes, sp) == seed(work, toks, sp), label
+                    assert chart_of(planes, work.symbol_ids, sp) == seed(work, toks, sp), label
                     want = {}
                     for r in lexical:
                         for spans in _word_placements(r.words, toks, n):
                             flat = tuple(p for span in spans for p in span)
                             if sp.split_ids(flat):
                                 want.setdefault(r.lhs, set()).add(flat)
-                    assert facts_of(planes, sp) == want, label
+                    assert facts_of(planes, work.symbol_ids, sp) == want, label
                     res = run_recognition(g, toks)
                     assert res.stats["facts"] == res.closure.fact_count(), label
 
@@ -450,7 +451,8 @@ class TestPlanePath:
                                ("dual_initial_demo", "a b a a b a"),
                                ("cfg_anbn", "a a b")):
             res = run_recognition(grammars[name], sentence.split())
-            chart = chart_of(res.closure.planes, res.closure.space)
+            clo = res.closure
+            chart = chart_of(clo.chart, clo.symbol_ids, clo.space)
             assert res.stats["facts"] == chart.fact_count(), name
 
     def test_recognition_builds_no_chart(self, grammars, monkeypatch):
@@ -469,8 +471,42 @@ class TestPlanePath:
             if res.accepted:
                 assert extract_derivation(res.closure, res.grammar, toks) is not None
         assert calls == []
-        chart_of(res.closure.planes, res.closure.space)
+        clo = res.closure
+        chart_of(clo.chart, clo.symbol_ids, clo.space)
         assert len(calls) == 1
+
+    def test_chart_has_one_plane_per_sorted_nonterminal(self, grammars):
+        # every symbol of the grammar run has a plane, with facts or not
+        for name, sentence in (("count4", "a a b c c d"), ("count4", "a b d c"),
+                               ("dual_initial_demo", "a b a a b a"), ("itg_sep", "x #")):
+            res = run_recognition(grammars[name], sentence.split())
+            clo, work = res.closure, res.grammar
+            assert list(clo.symbol_ids) == sorted(work.nonterminals), name
+            assert list(clo.symbol_ids.values()) == list(range(len(work.nonterminals)))
+            assert clo.chart.shape == (len(work.nonterminals), clo.space.dim,
+                                       (clo.space.dim + 63) // 64), name
+            # the order is computed once per grammar object
+            assert clo.symbol_ids is work.symbol_ids, name
+
+    def test_cold_runs_build_a_fixed_set_of_masks(self):
+        # a rule is skipped before its masks are fetched when a child plane
+        # it reads has no bit, so a cold run builds only the masks its
+        # products and its derivation read
+        built = []
+        for name, sentence in (
+            ("cfg_anbn", "a a b b"), ("cfg_anbn", "a b b"),
+            ("count4", "a a b c c d"), ("count4", "a b d c"),
+            ("tag_style", "x x y y y"), ("tag_style", "x y x"),
+            ("itg_sep", "x y # y x"), ("itg_sep", "x y # x x"),
+            ("dual_initial_demo", "a b a a b a"), ("dual_initial_demo", "a b a"),
+        ):
+            toks = sentence.split()
+            boolmat._role_mask.cache_clear()
+            res = run_recognition(bundled.load(name), toks)
+            if res.accepted:
+                extract_derivation(res.closure, res.grammar, toks)
+            built.append(boolmat._role_mask.cache_info().misses)
+        assert built == [1, 1, 3, 3, 1, 1, 3, 3, 4, 0]
 
     def test_runs_multiply_through_the_kernel_on_packed_rows(self, grammars, monkeypatch):
         # every multiply of a run goes through boolmat._kernel, on writeable
@@ -542,15 +578,14 @@ class TestFactPlaneBridge:
         # only, and the copy must put them on all the others
         grown = several = 0
         for label, work, toks, sp in _bridge_cases(grammars):
+            ids = work.symbol_ids
             seeded = seed_planes(work, toks, sp)
-            P = dict(seeded)
-            for nt, bits in plane_product(seeded, seeded, work, sp).items():
-                P[nt] = P[nt] | bits if nt in P else bits
-            got = recognizer.pi_copy(P, sp)
-            want = symbol_planes(pi_copy(chart_of(P, sp)))
-            assert got == want, label
-            grown += got != P
-            several += len(P) > 1
+            P = seeded | plane_product(seeded, seeded, work, sp)
+            got = recognizer.pi_copy(P, ids, sp)
+            want = symbol_planes(pi_copy(chart_of(P, ids, sp)), ids)
+            assert np.array_equal(got, want), label
+            grown += not np.array_equal(got, P)
+            several += int(P.any(axis=(1, 2)).sum()) > 1
         assert grown and several
 
     def test_facts_round_trip(self, grammars):
@@ -560,19 +595,20 @@ class TestFactPlaneBridge:
                 held = {f for f in flats if sp.split_ids(f)}
                 if held:
                     F[nt] = held
-            assert facts_of(planes_of(F, sp), sp) == F, label
-            clo = closure_fixpoint(planes_of(F, sp), work, sp)
-            closed = facts_of(clo.planes, sp)
-            assert facts_of(planes_of(closed, sp), sp) == closed, label
+            ids = work.symbol_ids
+            assert facts_of(planes_of(F, ids, sp), ids, sp) == F, label
+            clo = closure_fixpoint(planes_of(F, ids, sp), work, sp)
+            closed = facts_of(clo.chart, ids, sp)
+            assert facts_of(planes_of(closed, ids, sp), ids, sp) == closed, label
             # a closed chart is its facts on every split, and nothing else
-            assert planes_of(closed, sp) == {nt: p for nt, p in clo.planes.items() if p.any()}, label
+            assert np.array_equal(planes_of(closed, ids, sp), clo.chart), label
 
     def test_holds_reads_a_fact(self, grammars):
         g = grammars["count4"]
         toks = "a a b b c c d d".split()
         clo = run_recognition(g, toks).closure
         assert clo.space.d == 2
-        facts = facts_of(clo.planes, clo.space)
+        facts = facts_of(clo.chart, clo.symbol_ids, clo.space)
         assert facts["A"] and facts["B"]
         for nt, flats in facts.items():
             for flat in flats:
@@ -635,7 +671,8 @@ class TestExtraction:
     def test_empty_sentence_gives_none(self, grammars):
         g = grammars["cfg_anbn"]
         sp = enumerate_space(0, space_rank(g))
-        assert extract_derivation(Closure({}, sp), g, []) is None
+        chart = planes_of({}, g.symbol_ids, sp)
+        assert extract_derivation(Closure(chart, g.symbol_ids, sp), g, []) is None
 
     def test_deterministic(self, grammars):
         g = grammars["itg_sep"]
