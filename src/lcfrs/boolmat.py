@@ -76,9 +76,11 @@ def nonzero_bits(words: np.ndarray) -> tuple:
     """The (row, col) index arrays of the set bits of packed ``words``, in
     row-major order.  Rows run over all leading axes, so row ``t * dim + r``
     of a chart is row ``r`` of plane ``t``."""
-    flat = words.reshape(-1, words.shape[-1])
-    rows, cols = flat.nonzero()
-    return set_bits(flat, rows, cols) if rows.size else (rows, cols)
+    flat = words.reshape(-1)
+    pos = flat.nonzero()[0]
+    if not pos.size:
+        return pos, pos
+    return np.divmod(set_bits(flat, pos), 64 * words.shape[-1])
 
 
 def bit(words: np.ndarray, i: int, j: int) -> bool:
@@ -203,19 +205,12 @@ def rule_mask(space: AddressSpace, r: Rule, role: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the rendered product
 
-def _delta_factors(gf, hf, db, dc):
-    """Operands of one rule's multiply that cover the terms reading a delta
-    fact: db x hf and (gf & ~db) x dc, given the masked full planes gf, hf
-    and masked delta planes db, dc (None for a child whose delta plane has
-    no bit).  When both terms can be nonempty, one multiply of the full
-    planes covers them and scans the same set bits of its left operand.
-    None when neither can."""
-    new_b = db is not None and np.count_nonzero(db)
-    new_c = dc is not None and np.count_nonzero(dc)
-    old_b = gf & ~db if new_b else gf
-    if new_c and np.count_nonzero(old_b):
-        return (gf, hf) if new_b else (gf, dc)
-    return (db, hf) if new_b else None
+def _masked(plane, mask):
+    """``plane & mask``, or None when that has no bit or ``plane`` is None."""
+    if plane is None:
+        return None
+    got = plane & mask
+    return got if np.count_nonzero(got) else None
 
 
 def _mask(masks: dict, space: AddressSpace, r: Rule, role: int,
@@ -233,25 +228,32 @@ def _mask(masks: dict, space: AddressSpace, r: Rule, role: int,
 
 
 def plane_product(G: np.ndarray, H: np.ndarray, g: Grammar, space: AddressSpace,
-                  stats: dict | None = None, delta: np.ndarray | None = None,
-                  masks: dict | None = None) -> np.ndarray:
-    """The cell product of two charts over ``space``, returned as a chart.
-    A chart is a packed (symbol, row, word) array with one plane per
-    nonterminal, in the order of ``g.symbol_ids``.  One masked multiply per
-    binary rule.
+                  stats: dict | None = None, delta: tuple | None = None,
+                  masks: dict | None = None) -> tuple:
+    """The cell product of two charts over ``space``, as the planes it
+    writes: ``(heads, planes)``.  ``heads`` lists the ids of the head planes
+    of the rules it multiplied, in the order the rules first wrote them,
+    and ``planes`` is a (head, row, word) array of those planes in that
+    order.  Every other plane of the product is all zeros, and a listed
+    plane may be too, when a head mask clears its bits.  A chart is a
+    packed (symbol, row, word) array with one plane per nonterminal, in the
+    order of ``g.symbol_ids``.  One masked multiply per binary rule.
 
     Every term is (A & M1) x (B & M2) & M3, so the product distributes over
-    OR in either operand.  Given ``delta``, a chart contained in both G and
-    H, only terms that read a delta fact are multiplied: a rule whose one
-    child has delta facts multiplies that child's delta plane by the other's
-    full plane, and a rule whose two children both have them multiplies the
-    full planes.  The result then holds every term of G x H that reads a
-    delta fact, and nothing outside G x H.
+    OR in either operand.  ``delta`` is a chart contained in both G and H,
+    given as this function returns its own: (ids, planes), with no bit
+    outside the listed planes.  Given it, only terms that read a delta fact
+    are multiplied: a rule whose one child has delta facts multiplies that
+    child's delta plane by the other's full plane, and a rule whose two
+    children both have them multiplies the full planes.  The result then
+    holds every term of G x H that reads a delta fact, and nothing outside
+    G x H.
 
-    A rule is skipped before its masks are fetched when a child plane it
-    reads has no bit.  ``masks`` is a dict a caller keeps across products
-    of one grammar over one space: each rule's masks are fetched into it
-    the first time the rule needs them, and read from it after that.
+    ``masks`` is a dict a caller keeps across products of one grammar over
+    one space: each rule's masks are fetched into it the first time the
+    rule needs them, and read from it after that.  Until a rule's masks
+    are fetched, the rule is skipped before the fetch when a child plane it
+    reads has no bit; after that, its masked planes' own test skips it.
     ``stats`` counts the multiplies in ``"muls"`` and the fetch time in
     ``"mask_ms"``."""
     ids = g.symbol_ids
@@ -262,34 +264,53 @@ def plane_product(G: np.ndarray, H: np.ndarray, g: Grammar, space: AddressSpace,
                          % (G.shape, H.shape, shape))
     if masks is None:
         masks = {}
-    live_g = G.any(axis=(1, 2)).tolist()
-    live_h = live_g if H is G else H.any(axis=(1, 2)).tolist()
-    live_d = None if delta is None else delta.any(axis=(1, 2)).tolist()
-
-    out = zeros(dim, len(ids))
-    for r in g.binary_rules():
+    d_of = {} if delta is None else dict(zip(*delta))
+    rules = g.binary_rules()
+    # one slot per rule bounds the heads; slots no rule writes stay untouched
+    out = zeros(dim, len(rules))
+    heads = []
+    for r in rules:
         b, c = ids[r.rhs[0]], ids[r.rhs[1]]
-        if not (live_g[b] and live_h[c]):
+        db, dc = d_of.get(b), d_of.get(c)
+        if delta is not None and db is None and dc is None:
             continue
-        if delta is not None and not (live_d[b] or live_d[c]):
+        # until its masks are fetched, a rule whose child plane has no bit is
+        # skipped before the fetch; count_nonzero tests a plane for a bit at
+        # a third of any()'s call cost
+        if (r.rid, 2) not in masks and not (np.count_nonzero(G[b]) and np.count_nonzero(H[c])):
             continue
+        # a delta plane lies inside the full one, so a masked delta plane
+        # with a bit stands in for the full plane's test
         q2 = _mask(masks, space, r, 2, stats)
-        gf = G[b] & q2
-        # count_nonzero tests a plane for a bit at a third of any()'s call cost
-        if not np.count_nonzero(gf):
+        db = _masked(db, q2)
+        gf = _masked(G[b], q2) if db is None else None
+        if db is None and gf is None:
             continue
         q3 = _mask(masks, space, r, 3, stats)
-        hf = H[c] & q3
-        if not np.count_nonzero(hf):
+        dc = _masked(dc, q3)
+        hf = _masked(H[c], q3) if dc is None else None
+        if dc is None and hf is None:
             continue
-        if delta is not None:
-            pair = _delta_factors(gf, hf, delta[b] & q2 if live_d[b] else None,
-                                  delta[c] & q3 if live_d[c] else None)
-            if pair is None:
-                continue
-            gf, hf = pair
+        if delta is not None and db is None and dc is None:
+            continue
+        # the terms reading a delta fact are db x H and G x dc: one child's
+        # delta plane times the other's full plane, or, when both children
+        # have delta facts, the full planes, which hold both
+        if db is not None and dc is not None:
+            left, right = G[b] & q2, H[c] & q3
+        else:
+            left = gf if db is None else db
+            right = hf if dc is None else dc
         if stats is not None:
             stats["muls"] = stats.get("muls", 0) + 1
-        bits = bool_multiply(BoolMatrix(dim, gf), BoolMatrix(dim, hf)).words
-        out[ids[r.lhs]] |= bits & _mask(masks, space, r, 1, stats)
-    return out
+        # the first product into a head goes straight into its slot
+        h = ids[r.lhs]
+        first = h not in heads
+        if first:
+            heads.append(h)
+        bits = out[len(heads) - 1] if first else zeros(dim)
+        _kernel.multiply_packed(left, right, bits)
+        bits &= _mask(masks, space, r, 1, stats)
+        if not first:
+            out[heads.index(h)] |= bits
+    return heads, out[:len(heads)]

@@ -80,6 +80,11 @@ class Grammar:
         charts this grammar runs on."""
         return {nt: t for t, nt in enumerate(sorted(self.nonterminals))}
 
+    @cached_property
+    def _problems(self) -> tuple:
+        """What ``validate`` reports, found once per grammar object."""
+        return tuple(_find_problems(self))
+
 
 class ConfigTriple(NamedTuple):
     cfg1: frozenset  # endpoints of the lhs contributed by the first child
@@ -302,7 +307,12 @@ def _rule_problems(g: Grammar, r: Rule) -> list:
 
 
 def validate(g: Grammar) -> list:
-    """Check every normal-form invariant; returns human-readable violations."""
+    """Check every normal-form invariant; returns human-readable violations.
+    The checks run once per grammar object, on its first ``validate``."""
+    return list(g._problems)
+
+
+def _find_problems(g: Grammar) -> list:
     problems = []
     for r in g.rules:
         found = _rule_problems(g, r)

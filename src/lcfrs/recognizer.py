@@ -12,8 +12,10 @@ the closed chart by a join over their children's span facts.
 
 A run stays on one chart from the seed to the verdict: a packed (symbol,
 row, word) array with a plane per nonterminal, in the order of
-``Grammar.symbol_ids``, and a closure round is a few whole-chart
-operations.  Derivation extraction reads the same closed chart.
+``Grammar.symbol_ids``.  A closure round touches only its live planes,
+the head planes its product wrote, so its work follows the planes that
+can change rather than the whole chart.  Derivation extraction reads the
+same closed chart.
 ``facts_of`` and ``planes_of`` are the one conversion between chart bits
 and facts (sorted endpoint tuples): the seed, pi-copy and the start-rule
 join all go through them.
@@ -22,7 +24,11 @@ join all go through them.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from .addresses import AddressSpace, cell_endpoints, enumerate_space
 from .boolmat import (
@@ -78,42 +84,74 @@ def facts_of(chart, symbols, space: AddressSpace) -> dict:
     of ``chart`` whose merge is defined; ``symbols`` names the chart's
     planes in order.  A plane with no such bit gives no entry."""
     addrs = space.addresses
-    names = list(symbols)
     dim = chart.shape[1]
-    rows, cols = nonzero_bits(chart)
+    rows, cols = (a.tolist() for a in nonzero_bits(chart))
     out = {}
-    for tr, c in zip(rows.tolist(), cols.tolist()):
-        t, r = divmod(tr, dim)
-        flat = cell_endpoints(addrs[r], addrs[c])
-        if flat is not None:
-            out.setdefault(names[t], set()).add(flat)
+    lo = 0
+    for t, nt in enumerate(symbols):
+        # rows run across the planes in order: plane t holds t*dim to t*dim+dim-1
+        base = t * dim
+        hi = bisect_left(rows, base + dim, lo)
+        flats = {cell_endpoints(addrs[r - base], addrs[c])
+                 for r, c in zip(rows[lo:hi], cols[lo:hi])}
+        flats.discard(None)
+        if flats:
+            out[nt] = flats
+        lo = hi
     return out
+
+
+def _set_facts(chart, facts: dict, symbol_ids: dict, space: AddressSpace):
+    """``chart`` with every fact of ``facts`` set on every split of its
+    endpoints, all set in place by one scatter; ``symbol_ids`` gives each
+    nonterminal's plane.  A fact with no split in the space sets nothing."""
+    cells = [(t, r, c) for nt, flats in facts.items() for t in (symbol_ids[nt],)
+             for flat in flats for r, c in space.split_ids(flat)]
+    if cells:
+        tpc = np.fromiter(chain.from_iterable(cells), dtype=np.intp, count=3 * len(cells))
+        set_cells(chart, tpc[0::3], tpc[1::3], tpc[2::3])
+    return chart
 
 
 def planes_of(facts: dict, symbol_ids: dict, space: AddressSpace):
     """The chart with every fact of ``facts`` set on every split of its
     endpoints, all set by one scatter; ``symbol_ids`` gives each
     nonterminal's plane.  A fact with no split in the space sets nothing."""
-    chart = zeros(space.dim, len(symbol_ids))
-    cells = [(t, r, c) for nt, flats in facts.items() for t in (symbol_ids[nt],)
-             for flat in flats for r, c in space.split_ids(flat)]
-    if cells:
-        set_cells(chart, *zip(*cells))
-    return chart
+    return _set_facts(zeros(space.dim, len(symbol_ids)), facts, symbol_ids, space)
 
 
 def pi_copy(chart, symbol_ids: dict, space: AddressSpace):
-    """Plane form of ``engine.pi_copy``: the chart with each fact also set on
-    every cell whose addresses merge to the same endpoints.  Cells with an
-    undefined merge copy nowhere.  The work grows with the facts given, not
-    with the space."""
-    return chart | planes_of(facts_of(chart, symbol_ids, space), symbol_ids, space)
+    """Plane form of ``engine.pi_copy``: a copy of the chart with each fact
+    also set on every cell whose addresses merge to the same endpoints.
+    Cells with an undefined merge copy nowhere.  ``symbol_ids`` names the
+    chart's planes, which may be any subset of a grammar's: the closure
+    passes only the planes a round wrote.  The work grows with the facts
+    given, not with the space, and a chart with no bit is only copied."""
+    out = chart.copy()
+    if np.count_nonzero(chart):
+        _set_facts(out, facts_of(chart, symbol_ids, space), symbol_ids, space)
+    return out
 
 
 def seed_planes(g: Grammar, sentence, space: AddressSpace):
     """Plane form of ``engine.seed``: the chart of lexical facts, all set by
     one scatter."""
     return planes_of(lexical_facts(g, sentence, space), g.symbol_ids, space)
+
+
+# the rule masks the last closure fetched: (grammar, space, {(rule id, role): mask})
+_masks_cache: dict = {}
+
+
+def _masks_for(g: Grammar, space: AddressSpace) -> dict:
+    """The masks dict ``plane_product`` fills for ``g`` over ``space``: the
+    last closure's when it ran the same grammar object over the same space,
+    else a fresh one, which replaces it.  Holding one entry keeps the cache
+    within the masks of one run."""
+    last = _masks_cache.get("last")
+    if last is None or last[0] is not g or last[1] is not space:
+        last = _masks_cache["last"] = (g, space, {})
+    return last[2]
 
 
 def closure_fixpoint(T, g: Grammar, space: AddressSpace) -> Closure:
@@ -129,26 +167,41 @@ def closure_fixpoint(T, g: Grammar, space: AddressSpace) -> Closure:
     already.  Round 1 takes all of X as D, that is, multiplies every term.
     Round k therefore holds exactly the facts of round k of naive
     iteration, and ``iterations`` counts the same rounds, the last of which
-    adds nothing.  Each rule's masks are fetched once per run, and
-    ``mask_ms`` is the time those fetches took."""
-    ids = g.symbol_ids
-    X = T
+    adds nothing.  Each rule's masks are fetched once, and ``mask_ms`` is
+    the time those fetches took; a run of the same grammar object over the
+    same space as the run before reuses that run's fetched masks.
+
+    A round touches only its live planes: the head planes the product
+    wrote (``plane_product``'s ids), and of those, the ones that gained a
+    fact become D, carried as (ids, planes).  The complement, AND, copy,
+    count and OR into X run over those planes alone, so a plane that no
+    binary rule heads, a lexical-only symbol, is never touched after the
+    seed."""
+    names = list(g.symbol_ids)
+    X = T.copy()
     delta = None
-    masks = {}
+    masks = _masks_for(g, space)
     stats = {"muls": 0, "mask_ms": 0.0}
     rounds = []
     while True:
         before = stats["muls"]
-        absent = ~X
-        fresh = plane_product(X, X, g, space, stats, delta, masks) & absent
-        fresh = pi_copy(fresh, ids, space) & absent
+        heads, fresh = plane_product(X, X, g, space, stats, delta, masks)
+        absent = X.take(heads, axis=0)
+        np.invert(absent, out=absent)
+        fresh &= absent
+        fresh = pi_copy(fresh, {names[t]: p for p, t in enumerate(heads)}, space)
+        fresh &= absent
         new_facts = popcount(fresh)
         rounds.append({"muls": stats["muls"] - before, "new_facts": new_facts})
         if not new_facts:
             break
-        X = X | fresh
-        delta = fresh
-    return Closure(X, ids, space, rounds, stats["mask_ms"])
+        live = [p for p, plane in enumerate(fresh) if np.count_nonzero(plane)]
+        if len(live) < len(heads):
+            heads, fresh = [heads[p] for p in live], fresh.take(live, axis=0)
+        for t, plane in zip(heads, fresh):
+            X[t] |= plane
+        delta = (heads, fresh)
+    return Closure(X, g.symbol_ids, space, rounds, stats["mask_ms"])
 
 
 def _start_witness(clo: Closure, g: Grammar, n: int):

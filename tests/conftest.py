@@ -12,7 +12,7 @@ import pytest
 
 import lcfrs
 from lcfrs import bundled
-from lcfrs.boolmat import nonzero_bits, set_cells, zeros
+from lcfrs.boolmat import nonzero_bits, plane_product, set_cells, zeros
 from lcfrs.engine import ProductMatrix, pi_copy
 from lcfrs.grammar import Grammar, Rule, Var, contact_rank, per_rule_d, validate
 from lcfrs.oracle import enumerate_language, tabular_recognize
@@ -79,6 +79,22 @@ def symbol_planes(T: ProductMatrix, symbol_ids: dict):
     if cells:
         set_cells(chart, *zip(*cells))
     return chart
+
+
+def product_chart(G, H, g: Grammar, space, **kwargs):
+    """``plane_product`` of two charts as a full chart of ``g``'s symbols:
+    the head planes it returns, and zeros elsewhere."""
+    heads, planes = plane_product(G, H, g, space, **kwargs)
+    chart = zeros(space.dim, len(g.symbol_ids))
+    chart[heads] = planes
+    return chart
+
+
+def live_planes(chart):
+    """``(ids, planes)`` of the planes of ``chart`` that have a bit: the
+    delta form ``plane_product`` takes."""
+    ids = [t for t, plane in enumerate(chart) if plane.any()]
+    return ids, chart[ids]
 
 
 # ---------------------------------------------------------------------------

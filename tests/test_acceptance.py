@@ -11,7 +11,7 @@ import random
 import numpy as np
 
 from lcfrs.addresses import enumerate_space
-from lcfrs.boolmat import BoolMatrix, bool_multiply, plane_product
+from lcfrs.boolmat import BoolMatrix, bool_multiply
 from lcfrs.engine import ProductMatrix, matrix_product, pi_copy, seed
 from lcfrs.grammar import (
     configurations,
@@ -27,7 +27,7 @@ from lcfrs.grammar import (
 from lcfrs.oracle import tabular_recognize
 from lcfrs.recognizer import closure_fixpoint, extract_derivation, seed_planes
 
-from conftest import chart_of, full_rank, random_grammar, symbol_planes, union
+from conftest import chart_of, full_rank, product_chart, random_grammar, symbol_planes, union
 
 # matrices produced by checks 3-6, re-examined by check 7
 MATERIALIZED = []
@@ -108,7 +108,7 @@ def test_03_worked_wrap_example():
     P = matrix_product(T, T, g)
     direct = "A" in P.get(sp.ids[(1, 8)], sp.ids[(4, 5)])
     planes = symbol_planes(T, g.symbol_ids)
-    bool_ok = np.array_equal(plane_product(planes, planes, g, sp), symbol_planes(P, g.symbol_ids))
+    bool_ok = np.array_equal(product_chart(planes, planes, g, sp), symbol_planes(P, g.symbol_ids))
     pi = pi_copy(union(T, P))
     copied = "A" in pi.get(sp.ids[(1, 4)], sp.ids[(5, 8)])
     only = {(i, j) for i, j, syms in P.nonterminal_facts()}
@@ -134,7 +134,7 @@ def test_04_reduction_equivalence():
             T = union(T, matrix_product(T, T, g))
         want = matrix_product(T, T, g)
         planes = symbol_planes(T, g.symbol_ids)
-        if not np.array_equal(plane_product(planes, planes, g, sp),
+        if not np.array_equal(product_chart(planes, planes, g, sp),
                               symbol_planes(want, g.symbol_ids)):
             mismatches.append(case)
         if case % 10 == 0:

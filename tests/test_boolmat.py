@@ -25,7 +25,9 @@ from lcfrs.boolmat import (
 from lcfrs.engine import _role_fits, matrix_product, seed
 from lcfrs.grammar import configurations, is_single_initial, parse_grammar, to_single_initial
 
-from conftest import BOTH_CHILDREN_GROW, full_rank, symbol_planes, union
+from conftest import (
+    BOTH_CHILDREN_GROW, full_rank, live_planes, product_chart, symbol_planes, union,
+)
 
 BACKENDS = ("naive", "bitset")
 
@@ -198,6 +200,17 @@ class TestFallbackKernel:
             a = BoolMatrix.from_dense(rng.random((dim, dim)) < 0.3)
             b = BoolMatrix.from_dense(rng.random((dim, dim)) < 0.3)
             assert _fallback_product(a, b, BoolMatrix(dim)) == _mult_naive(a, b)
+        # dense left rows: each spans three blocks, and every block's bits
+        # OR into the same output row
+        dim = 130
+        da = np.zeros((dim, dim), dtype=bool)
+        da[7] = True
+        da[50, ::3] = True
+        a = BoolMatrix.from_dense(da)
+        b = BoolMatrix.from_dense(rng.random((dim, dim)) < 0.05)
+        held = BoolMatrix.from_dense(rng.random((dim, dim)) < 0.05)
+        got = _fallback_product(a, b, BoolMatrix(dim, held.words.copy()))
+        assert got == or_into(held, _mult_naive(a, b))
 
     def test_every_left_bit_hits_an_empty_row(self):
         # column k of a is set only where row k of b is empty: nothing to add
@@ -287,18 +300,19 @@ class TestFactors:
         planes = symbol_planes(T, g.symbol_ids)
         assert planes.any()
         stats = {}
-        assert not plane_product(planes, planes, lexical, sp, stats=stats).any()
+        heads, got = plane_product(planes, planes, lexical, sp, stats=stats)
+        assert heads == [] and got.shape == (0, sp.dim, planes.shape[2])
         assert stats.get("muls", 0) == 0
         for chart in (planes, symbol_planes(T2, g.symbol_ids)):
-            assert np.array_equal(plane_product(chart, chart, g, sp),
-                                  plane_product(chart, chart, binary, sp))
+            assert np.array_equal(product_chart(chart, chart, g, sp),
+                                  product_chart(chart, chart, binary, sp))
 
     def test_empty_left_operand(self, grammars):
         g = grammars["cfg_anbn"]
         _, T2, sp = _planes_after_one_product(g, ["a", "a", "b", "b"])
         stats = {}
         empty = zeros(sp.dim, len(g.symbol_ids))
-        assert not plane_product(empty, symbol_planes(T2, g.symbol_ids), g, sp, stats=stats).any()
+        assert not product_chart(empty, symbol_planes(T2, g.symbol_ids), g, sp, stats=stats).any()
         assert stats.get("muls", 0) == 0
 
     def test_factors_stay_above_diagonal(self, grammars):
@@ -306,7 +320,7 @@ class TestFactors:
         _, T2, sp = _planes_after_one_product(g, ["a", "b", "c", "d"])
         chart = symbol_planes(T2, g.symbol_ids)
         for _ in range(3):
-            got = plane_product(chart, chart, g, sp)
+            got = product_chart(chart, chart, g, sp)
             rows, cols = nonzero_bits(got)
             assert rows.size and (rows % sp.dim < cols).all()
             chart = chart | got
@@ -325,8 +339,13 @@ class TestFactors:
             T, T2, sp = _planes_after_one_product(g, sentence.split())
             for left, right in ((T, T2), (T2, T), (T2, T2)):
                 ids = g.symbol_ids
-                got = plane_product(symbol_planes(left, ids), symbol_planes(right, ids), g, sp)
-                assert np.array_equal(got, symbol_planes(matrix_product(left, right, g), ids)), name
+                G, H = symbol_planes(left, ids), symbol_planes(right, ids)
+                want = symbol_planes(matrix_product(left, right, g), ids)
+                assert np.array_equal(product_chart(G, H, g, sp), want), name
+                # it lists every plane with bits, each once
+                heads, _ = plane_product(G, H, g, sp)
+                assert len(set(heads)) == len(heads), name
+                assert set(live_planes(want)[0]) <= set(heads), name
 
     def test_delta_terms_complete_the_old_product(self, grammars):
         # semi-naive step: the terms reading a new fact, together with the
@@ -343,14 +362,14 @@ class TestFactors:
             for step in range(3):
                 grown = union(T, matrix_product(T, T, g))
                 old, new = symbol_planes(T, g.symbol_ids), symbol_planes(grown, g.symbol_ids)
-                full = plane_product(new, new, g, sp)
-                part = plane_product(new, new, g, sp, delta=new & ~old)
+                full = product_chart(new, new, g, sp)
+                part = product_chart(new, new, g, sp, delta=live_planes(new & ~old))
                 label = (name, step)
-                assert np.array_equal(plane_product(old, old, g, sp) | part, full), label
+                assert np.array_equal(product_chart(old, old, g, sp) | part, full), label
                 assert not (part & ~full).any(), label
                 T = grown
             stats = {}
-            plane_product(new, new, g, sp, stats=stats, delta=np.zeros_like(new))
+            plane_product(new, new, g, sp, stats=stats, delta=live_planes(np.zeros_like(new)))
             assert stats.get("muls", 0) == 0
 
 
@@ -397,7 +416,7 @@ class TestReduction:
         ref = matrix_product(T, T, g)
         stats = {}
         planes = symbol_planes(T, g.symbol_ids)
-        got = plane_product(planes, planes, g, sp, stats=stats)
+        got = product_chart(planes, planes, g, sp, stats=stats)
         assert np.array_equal(got, symbol_planes(ref, g.symbol_ids))
         assert stats["muls"] > 0
 
@@ -409,6 +428,6 @@ class TestReduction:
         for _ in range(3):
             ref = matrix_product(T, T, g)
             planes = symbol_planes(T, g.symbol_ids)
-            assert np.array_equal(plane_product(planes, planes, g, sp),
+            assert np.array_equal(product_chart(planes, planes, g, sp),
                                   symbol_planes(ref, g.symbol_ids))
             T = union(T, ref)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from lcfrs import KERNEL_KIND
+from lcfrs import KERNEL_KIND, grammar
 from lcfrs.cli import main
 
 
@@ -161,6 +161,26 @@ class TestParse:
         )
         assert code == 0
         assert json.loads(out)["nonterminal"] == "S"
+
+    def test_each_grammar_is_checked_once_per_call(self, capsys, monkeypatch):
+        # parsing checks the grammar, and the run reuses that result
+        checked = []
+        real = grammar._find_problems
+
+        def spy(g):
+            checked.append(g)
+            return real(g)
+        monkeypatch.setattr(grammar, "_find_problems", spy)
+        for cmd, name, sentence, grammars in (
+            ("recognize", "count4", "a b c d", 1),
+            ("parse", "count4", "a b c d", 1),
+            ("parse", "count4", "a b", 1),
+            # the converted grammar is a second grammar object, checked once too
+            ("parse", "dual_initial_demo", "a b a a b a", 2),
+        ):
+            checked.clear()
+            run(capsys, cmd, "--grammar", name, "--sentence", sentence)
+            assert len(checked) == len({id(g) for g in checked}) == grammars, (cmd, name)
 
 
 USAGE = "usage: lcfrs [-h] {analyze,recognize,parse} ...\n"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lcfrs.addresses import enumerate_space
-from lcfrs.boolmat import KERNEL_KIND, plane_product
+from lcfrs.boolmat import KERNEL_KIND, popcount
 from lcfrs.engine import EngineUnsupported, ProductMatrix, engine_ready, pi_copy, seed
 from lcfrs.grammar import (
     Grammar, GrammarError, Rule, Var, is_single_initial, parse_grammar, to_single_initial,
@@ -29,8 +29,8 @@ from lcfrs.recognizer import (
 )
 
 from conftest import (
-    BOTH_CHILDREN_GROW, SWEEP_NAMES, chart_of, full_rank, random_grammar, sweep_sentences,
-    symbol_planes, union,
+    BOTH_CHILDREN_GROW, SWEEP_NAMES, chart_of, full_rank, product_chart, random_grammar,
+    sweep_sentences, symbol_planes, union,
 )
 
 
@@ -80,7 +80,8 @@ def _naive_closure(T, g):
     while True:
         iterations += 1
         planes = symbol_planes(X, g.symbol_ids)
-        product = chart_of(plane_product(planes, planes, g, X.space, stats), g.symbol_ids, X.space)
+        product = chart_of(product_chart(planes, planes, g, X.space, stats=stats), g.symbol_ids,
+                           X.space)
         grown = pi_copy(union(X, product))
         if grown == X:
             return X, iterations, stats.get("muls", 0)
@@ -137,6 +138,20 @@ class TestSemiNaiveClosure:
         for n in range(1, 5):
             for toks in itertools.product("ab", repeat=n):
                 self._check(g, list(toks), toks)
+
+    def test_planes_no_binary_rule_heads_keep_the_seed(self, grammars):
+        # a round touches only the planes of binary-rule heads, so the
+        # closed chart's other planes are the seed's, bit for bit
+        kept = 0
+        for name, g, toks in _bundled_cases(grammars):
+            res = run_recognition(g, toks)
+            work, clo = res.grammar, res.closure
+            seeded = seed_planes(work, toks, clo.space)
+            heads = {work.symbol_ids[r.lhs] for r in work.binary_rules()}
+            others = [t for t in work.symbol_ids.values() if t not in heads]
+            assert np.array_equal(clo.chart[others], seeded[others]), (name, toks)
+            kept += popcount(seeded[others])
+        assert kept > 0
 
     def test_round_trace_adds_up(self, grammars):
         g = grammars["count4"]
@@ -508,6 +523,30 @@ class TestPlanePath:
             built.append(boolmat._role_mask.cache_info().misses)
         assert built == [1, 1, 3, 3, 1, 1, 3, 3, 4, 0]
 
+    def test_a_run_reuses_the_last_runs_masks(self, grammars, monkeypatch):
+        # the closure keeps the masks it fetched for the next run of the
+        # same grammar object over the same space, and for that one only
+        fetched = []
+        real = boolmat.rule_mask
+
+        def spy(space, r, role):
+            fetched.append((r.rid, role))
+            return real(space, r, role)
+        monkeypatch.setattr(boolmat, "rule_mask", spy)
+        monkeypatch.setattr(recognizer, "_masks_cache", {})
+        g = grammars["count4"]
+        copy = parse_grammar(bundled.grammar_text("count4"))
+        counts = []
+        for grammar, sentence in ((g, "a a b c c d"), (g, "a b b c d d"), (g, "a b c d"),
+                                  (g, "a a b c c d"), (copy, "a a b c c d")):
+            fetched.clear()
+            res = run_recognition(grammar, sentence.split())
+            assert res.accepted, sentence
+            counts.append(len(fetched))
+        first = counts[0]
+        assert first > 0 and counts == [first, 0, counts[2], first, first]
+        assert counts[2] > 0
+
     def test_runs_multiply_through_the_kernel_on_packed_rows(self, grammars, monkeypatch):
         # every multiply of a run goes through boolmat._kernel, on writeable
         # C-contiguous 2-D uint64 rows
@@ -525,6 +564,26 @@ class TestPlanePath:
             for _ in range(2):  # the second run meets the cached masks
                 assert run_recognition(grammars[name], sentence.split()).accepted
         assert seen
+
+    def test_every_multiply_reaches_the_kernel_hook(self, grammars, monkeypatch):
+        # the benchmark's traced run records kernel operands by wrapping
+        # this attribute, so every counted multiply must call through it
+        calls = []
+        real = boolmat._kernel.multiply_packed
+
+        def spy(a, b, out):
+            calls.append(a.shape)
+            return real(a, b, out)
+        monkeypatch.setattr(boolmat._kernel, "multiply_packed", spy)
+        muls = 0
+        for name, sentence in (("count4", "a a b b c c d d"), ("count4", "a b d c"),
+                               ("itg_sep", "x y x # x y x"), ("tag_style", "x x y y y"),
+                               ("cfg_anbn", "a a a b b b"), ("dual_initial_demo", "a b a a b a")):
+            calls.clear()
+            stats = run_recognition(grammars[name], sentence.split()).stats
+            assert len(calls) == stats["muls"], (name, sentence)
+            muls += stats["muls"]
+        assert muls > 0
 
     def test_grammar_checks_run_once_per_grammar(self, monkeypatch):
         calls = []
@@ -580,7 +639,7 @@ class TestFactPlaneBridge:
         for label, work, toks, sp in _bridge_cases(grammars):
             ids = work.symbol_ids
             seeded = seed_planes(work, toks, sp)
-            P = seeded | plane_product(seeded, seeded, work, sp)
+            P = seeded | product_chart(seeded, seeded, work, sp)
             got = recognizer.pi_copy(P, ids, sp)
             want = symbol_planes(pi_copy(chart_of(P, ids, sp)), ids)
             assert np.array_equal(got, want), label
