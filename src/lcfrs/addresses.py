@@ -55,6 +55,9 @@ class AddressSpace:
     ``addresses`` is the sorted list of position tuples; ``ids`` maps each
     to its rank, which doubles as its row/column index in every matrix.
     There are ``sum(comb(n + L, L) for L in 1..d)`` of them.
+
+    ``masks`` holds the rule masks built over this space by
+    ``boolmat.rule_mask``, and ``mask_ms`` the milliseconds they took.
     """
 
     def __init__(self, n: int, d: int):
@@ -70,6 +73,8 @@ class AddressSpace:
         self.ids = {a: t for t, a in enumerate(self.addresses)}
         self.dim = len(self.addresses)
         self._split_ids = {}
+        self.masks = {}
+        self.mask_ms = 0.0
 
     def split_ids(self, endpoints: tuple) -> tuple:
         """``splits_of_endpoints(endpoints, d)`` as (row id, col id) pairs,

@@ -8,14 +8,14 @@ run, in sorted order, all zeros for a symbol with no facts.
 
 The cell product decomposes per binary rule into one masked product.  Every
 mask is a property of cell addresses and of the rule's configuration alone,
-so masks are cached per (address space, configuration) and shared across
-sentences, rules and grammars.
+so each is built once per address space, kept on the space
+(``AddressSpace.masks``), and shared by every sentence, rule and grammar
+run over it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from functools import lru_cache
 from itertools import combinations_with_replacement
 from operator import itemgetter
 from time import perf_counter
@@ -23,7 +23,7 @@ from time import perf_counter
 from . import _matmul_fallback as _kernel
 from ._matmul_fallback import set_bits
 from .addresses import AddressSpace
-from .grammar import Grammar, Rule, configurations
+from .grammar import Grammar, Rule, configurations, per_rule_d
 
 # the one multiply kernel, named in ``stats["kernel"]`` and by the benchmark
 KERNEL_KIND = "fallback"
@@ -163,7 +163,7 @@ def bool_multiply(a: BoolMatrix, b: BoolMatrix, backend: str = "bitset") -> Bool
 
 
 # ---------------------------------------------------------------------------
-# address-indexed masks (string-independent, cached)
+# address-indexed masks (string-independent, kept on the space)
 
 def _picker(idx: list):
     """``e -> tuple(e[t] for t in idx)``.  ``itemgetter`` returns a bare
@@ -172,12 +172,10 @@ def _picker(idx: list):
     return get if len(idx) > 1 else lambda e: (get(e),)
 
 
-@lru_cache(maxsize=64)
 def _role_mask(space: AddressSpace, cfg: frozenset, fo: int) -> np.ndarray:
     """Cells (left, right) whose merged endpoints, selected by ``cfg``, equal
     the row's address, as a packed (row, word) matrix.  Built constructively
-    from endpoint multisets.  The mask depends on the rule only through
-    (cfg, fo), so it is shared by rules and by re-parsed grammars alike."""
+    from endpoint multisets."""
     picked = [t - 1 for t in sorted(cfg)]
     rest = [t for t in range(2 * fo) if t + 1 not in cfg]
     mask = zeros(space.dim)
@@ -198,8 +196,17 @@ def _role_mask(space: AddressSpace, cfg: frozenset, fo: int) -> np.ndarray:
 
 def rule_mask(space: AddressSpace, r: Rule, role: int) -> np.ndarray:
     """Mask q1 (role 1: head), q2 (role 2: first child) or q3 (role 3:
-    second child) of binary rule ``r``."""
-    return _role_mask(space, configurations(r)[role - 1], r.fo[role - 1])
+    second child) of binary rule ``r``.  It depends on the rule only through
+    its configuration and fan-out in that role, so it is built on first use
+    into ``space.masks`` under that key and shared by rules, sentences and
+    re-parsed grammars; the build's milliseconds go to ``space.mask_ms``."""
+    key = configurations(r)[role - 1], r.fo[role - 1]
+    got = space.masks.get(key)
+    if got is None:
+        t0 = perf_counter()
+        got = space.masks[key] = _role_mask(space, *key)
+        space.mask_ms += (perf_counter() - t0) * 1000
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -213,23 +220,8 @@ def _masked(plane, mask):
     return got if np.count_nonzero(got) else None
 
 
-def _mask(masks: dict, space: AddressSpace, r: Rule, role: int,
-          stats: dict | None = None) -> np.ndarray:
-    """``rule_mask(space, r, role)``, fetched into ``masks`` on first use.
-    The fetch's milliseconds are added to ``stats["mask_ms"]`` when given."""
-    key = (r.rid, role)
-    got = masks.get(key)
-    if got is None:
-        t0 = perf_counter()
-        got = masks[key] = rule_mask(space, r, role)
-        if stats is not None:
-            stats["mask_ms"] = stats.get("mask_ms", 0.0) + (perf_counter() - t0) * 1000
-    return got
-
-
 def plane_product(G: np.ndarray, H: np.ndarray, g: Grammar, space: AddressSpace,
-                  stats: dict | None = None, delta: tuple | None = None,
-                  masks: dict | None = None) -> tuple:
+                  stats: dict | None = None, delta: tuple | None = None) -> tuple:
     """The cell product of two charts over ``space``, as the planes it
     writes: ``(heads, planes)``.  ``heads`` lists the ids of the head planes
     of the rules it multiplied, in the order the rules first wrote them,
@@ -249,21 +241,18 @@ def plane_product(G: np.ndarray, H: np.ndarray, g: Grammar, space: AddressSpace,
     holds every term of G x H that reads a delta fact, and nothing outside
     G x H.
 
-    ``masks`` is a dict a caller keeps across products of one grammar over
-    one space: each rule's masks are fetched into it the first time the
-    rule needs them, and read from it after that.  Until a rule's masks
-    are fetched, the rule is skipped before the fetch when a child plane it
-    reads has no bit; after that, its masked planes' own test skips it.
-    ``stats`` counts the multiplies in ``"muls"`` and the fetch time in
-    ``"mask_ms"``."""
+    The masks come from ``rule_mask``, built once per space.  A rule whose
+    ``per_rule_d`` exceeds the space's rank is skipped: a child mask of it
+    is all zeros there.  Until a rule's q2 is built over the space, the
+    rule is skipped before the build when a child plane it reads has no
+    bit; after that, its masked planes' own test skips it.  ``stats``
+    counts the multiplies in ``"muls"``."""
     ids = g.symbol_ids
     dim = space.dim
     shape = (len(ids), dim, _nwords(dim))
     if G.shape != shape or H.shape != shape:
         raise ValueError("charts of shape %s and %s, not %s for this grammar and space"
                          % (G.shape, H.shape, shape))
-    if masks is None:
-        masks = {}
     d_of = {} if delta is None else dict(zip(*delta))
     rules = g.binary_rules()
     # one slot per rule bounds the heads; slots no rule writes stay untouched
@@ -274,19 +263,22 @@ def plane_product(G: np.ndarray, H: np.ndarray, g: Grammar, space: AddressSpace,
         db, dc = d_of.get(b), d_of.get(c)
         if delta is not None and db is None and dc is None:
             continue
-        # until its masks are fetched, a rule whose child plane has no bit is
-        # skipped before the fetch; count_nonzero tests a plane for a bit at
+        if per_rule_d(r) > space.d:
+            continue
+        # until its q2 is built, a rule whose child plane has no bit is
+        # skipped before the build; count_nonzero tests a plane for a bit at
         # a third of any()'s call cost
-        if (r.rid, 2) not in masks and not (np.count_nonzero(G[b]) and np.count_nonzero(H[c])):
+        if (configurations(r).cfg2, r.fo[1]) not in space.masks and not (
+                np.count_nonzero(G[b]) and np.count_nonzero(H[c])):
             continue
         # a delta plane lies inside the full one, so a masked delta plane
         # with a bit stands in for the full plane's test
-        q2 = _mask(masks, space, r, 2, stats)
+        q2 = rule_mask(space, r, 2)
         db = _masked(db, q2)
         gf = _masked(G[b], q2) if db is None else None
         if db is None and gf is None:
             continue
-        q3 = _mask(masks, space, r, 3, stats)
+        q3 = rule_mask(space, r, 3)
         dc = _masked(dc, q3)
         hf = _masked(H[c], q3) if dc is None else None
         if dc is None and hf is None:
@@ -310,7 +302,7 @@ def plane_product(G: np.ndarray, H: np.ndarray, g: Grammar, space: AddressSpace,
             heads.append(h)
         bits = out[len(heads) - 1] if first else zeros(dim)
         _kernel.multiply_packed(left, right, bits)
-        bits &= _mask(masks, space, r, 1, stats)
+        bits &= rule_mask(space, r, 1)
         if not first:
             out[heads.index(h)] |= bits
     return heads, out[:len(heads)]

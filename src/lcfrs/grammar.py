@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 DEFAULT_OMEGA = 2.3728639
@@ -50,6 +50,41 @@ class Rule:
     def is_binary(self) -> bool:
         return self.rhs is not None
 
+    @cached_property
+    def _configs(self) -> "ConfigTriple":
+        """What ``configurations`` returns, found once per rule object."""
+        if not self.is_binary:
+            raise ValueError("rule %d is lexical; no configurations" % self.rid)
+        cfg1, cfg2, cfg3 = set(), set(), set()
+        for tno, t in enumerate(self.comp, 1):
+            if not t:
+                continue
+            if t[0].side == "b":
+                cfg1.add(2 * tno - 1)
+            if t[-1].side == "b":
+                cfg1.add(2 * tno)
+            for pos, v in enumerate(t):
+                first, last = pos == 0, pos == len(t) - 1
+                if v.side == "b":
+                    if first:
+                        cfg2.add(2 * v.index - 1)
+                    if last:
+                        cfg2.add(2 * v.index)
+                else:
+                    if not first:
+                        cfg3.add(2 * v.index - 1)
+                    if not last:
+                        cfg3.add(2 * v.index)
+        return ConfigTriple(frozenset(cfg1), frozenset(cfg2), frozenset(cfg3))
+
+    @cached_property
+    def _d(self) -> int:
+        """What ``per_rule_d`` returns, found once per rule object."""
+        c = self._configs
+        phi_a, _, phi_c = self.fo
+        ds = structural_delta(self)
+        return max(len(c.cfg2), ds, 2 * phi_c - ds, len(c.cfg1), 2 * phi_a - len(c.cfg1))
+
     def __str__(self):
         if self.is_binary:
             spans = " , ".join(" ".join(map(str, t)) for t in self.comp)
@@ -60,7 +95,8 @@ class Rule:
         return "%s -> : %s" % (self.lhs, spans)
 
 
-@dataclass(frozen=True)
+# eq=False: a grammar hashes by identity, the key of ``recognizer._prepare``
+@dataclass(frozen=True, eq=False)
 class Grammar:
     start: str
     rules: tuple[Rule, ...]
@@ -68,11 +104,19 @@ class Grammar:
     nonterminals: frozenset
     terminals: frozenset
 
-    def binary_rules(self):
-        return [r for r in self.rules if r.is_binary]
+    def binary_rules(self) -> tuple:
+        return self._binary
 
-    def lexical_rules(self):
-        return [r for r in self.rules if not r.is_binary]
+    def lexical_rules(self) -> tuple:
+        return self._lexical
+
+    @cached_property
+    def _binary(self) -> tuple:
+        return tuple(r for r in self.rules if r.is_binary)
+
+    @cached_property
+    def _lexical(self) -> tuple:
+        return tuple(r for r in self.rules if not r.is_binary)
 
     @cached_property
     def symbol_ids(self) -> dict:
@@ -330,46 +374,21 @@ def _find_problems(g: Grammar) -> list:
 # ---------------------------------------------------------------------------
 # endpoint configurations and contact rank
 
-@lru_cache(maxsize=4096)
 def configurations(r: Rule) -> ConfigTriple:
     """Endpoint index sets describing how a rule's cells are addressed.
 
     Span k of a child owns endpoints 2k-1 (left) and 2k (right).  An endpoint
     combines when its span touches a span of the other child there; the
     shared address of a multiplication carries exactly the combining
-    endpoints of the second child.
+    endpoints of the second child.  Computed once per rule object.
     """
-    if not r.is_binary:
-        raise ValueError("rule %d is lexical; no configurations" % r.rid)
-    cfg1, cfg2, cfg3 = set(), set(), set()
-    for tno, t in enumerate(r.comp, 1):
-        if not t:
-            continue
-        if t[0].side == "b":
-            cfg1.add(2 * tno - 1)
-        if t[-1].side == "b":
-            cfg1.add(2 * tno)
-        for pos, v in enumerate(t):
-            first, last = pos == 0, pos == len(t) - 1
-            if v.side == "b":
-                if first:
-                    cfg2.add(2 * v.index - 1)
-                if last:
-                    cfg2.add(2 * v.index)
-            else:
-                if not first:
-                    cfg3.add(2 * v.index - 1)
-                if not last:
-                    cfg3.add(2 * v.index)
-    return ConfigTriple(frozenset(cfg1), frozenset(cfg2), frozenset(cfg3))
+    return r._configs
 
 
 def per_rule_d(r: Rule) -> int:
-    """Largest address length any cell of this rule's multiplication needs."""
-    c = configurations(r)
-    phi_a, _, phi_c = r.fo
-    ds = structural_delta(r)
-    return max(len(c.cfg2), ds, 2 * phi_c - ds, len(c.cfg1), 2 * phi_a - len(c.cfg1))
+    """Largest address length any cell of this rule's multiplication needs.
+    Computed once per rule object."""
+    return r._d
 
 
 def contact_rank(g: Grammar) -> int:

@@ -26,19 +26,21 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
 
 from .addresses import AddressSpace, cell_endpoints, enumerate_space
 from .boolmat import (
-    KERNEL_KIND, _mask, bit, nonzero_bits, plane_product, popcount, row_bits, set_cells, zeros,
+    KERNEL_KIND, bit, nonzero_bits, plane_product, popcount, row_bits, rule_mask, set_cells, zeros,
 )
 from .engine import EngineUnsupported, engine_ready, lexical_facts
 from .grammar import (
     Grammar,
     GrammarError,
     is_single_initial,
+    per_rule_d,
     space_rank,
     to_single_initial,
     validate,
@@ -55,8 +57,6 @@ class Closure:
     # one {"muls", "new_facts"} record per iteration: the multiplies it made
     # and the nonterminal facts it added
     rounds: list = field(default_factory=list)
-    # milliseconds of the run spent fetching rule masks
-    mask_ms: float = 0.0
 
     @property
     def iterations(self) -> int:
@@ -139,21 +139,6 @@ def seed_planes(g: Grammar, sentence, space: AddressSpace):
     return planes_of(lexical_facts(g, sentence, space), g.symbol_ids, space)
 
 
-# the rule masks the last closure fetched: (grammar, space, {(rule id, role): mask})
-_masks_cache: dict = {}
-
-
-def _masks_for(g: Grammar, space: AddressSpace) -> dict:
-    """The masks dict ``plane_product`` fills for ``g`` over ``space``: the
-    last closure's when it ran the same grammar object over the same space,
-    else a fresh one, which replaces it.  Holding one entry keeps the cache
-    within the masks of one run."""
-    last = _masks_cache.get("last")
-    if last is None or last[0] is not g or last[1] is not space:
-        last = _masks_cache["last"] = (g, space, {})
-    return last[2]
-
-
 def closure_fixpoint(T, g: Grammar, space: AddressSpace) -> Closure:
     """Least fixpoint of X -> pi(X | X*X) above T, evaluated semi-naively on
     a chart.  T is the seed chart over ``space`` (``seed_planes``, or any
@@ -167,9 +152,8 @@ def closure_fixpoint(T, g: Grammar, space: AddressSpace) -> Closure:
     already.  Round 1 takes all of X as D, that is, multiplies every term.
     Round k therefore holds exactly the facts of round k of naive
     iteration, and ``iterations`` counts the same rounds, the last of which
-    adds nothing.  Each rule's masks are fetched once, and ``mask_ms`` is
-    the time those fetches took; a run of the same grammar object over the
-    same space as the run before reuses that run's fetched masks.
+    adds nothing.  The rule masks live on ``space`` (``rule_mask``), so a
+    run over a space that earlier runs used builds none.
 
     A round touches only its live planes: the head planes the product
     wrote (``plane_product``'s ids), and of those, the ones that gained a
@@ -180,12 +164,11 @@ def closure_fixpoint(T, g: Grammar, space: AddressSpace) -> Closure:
     names = list(g.symbol_ids)
     X = T.copy()
     delta = None
-    masks = _masks_for(g, space)
-    stats = {"muls": 0, "mask_ms": 0.0}
+    stats = {"muls": 0}
     rounds = []
     while True:
         before = stats["muls"]
-        heads, fresh = plane_product(X, X, g, space, stats, delta, masks)
+        heads, fresh = plane_product(X, X, g, space, stats, delta)
         absent = X.take(heads, axis=0)
         np.invert(absent, out=absent)
         fresh &= absent
@@ -201,7 +184,7 @@ def closure_fixpoint(T, g: Grammar, space: AddressSpace) -> Closure:
         for t, plane in zip(heads, fresh):
             X[t] |= plane
         delta = (heads, fresh)
-    return Closure(X, g.symbol_ids, space, rounds, stats["mask_ms"])
+    return Closure(X, g.symbol_ids, space, rounds)
 
 
 def _start_witness(clo: Closure, g: Grammar, n: int):
@@ -249,17 +232,13 @@ class RunResult:
     closure: Closure = field(repr=False)
 
 
-# grammar-only preparation, keyed by id(g) and checked by identity
-_prepared_cache: dict = {}
-
-
+@lru_cache(maxsize=64)
 def _prepare(g: Grammar):
-    """``(grammar to run, converted, rank)`` for ``g``, computed once
-    per grammar object.  A grammar that fails a check is not cached, so it
-    raises on every call."""
-    hit = _prepared_cache.get(id(g))
-    if hit is not None and hit[0] is g:
-        return hit[1]
+    """``(grammar to run, converted, rank, join)`` for ``g``, computed once
+    per grammar object (a grammar hashes by identity).  ``join`` tells
+    whether some start rule lies beyond the rank, so that only the
+    start-rule join can apply it.  A grammar that fails a check is not
+    cached, so it raises on every call."""
     problems = validate(g)
     if problems:
         raise GrammarError("; ".join(problems))
@@ -268,16 +247,14 @@ def _prepare(g: Grammar):
     problems = engine_ready(work)
     if problems:
         raise EngineUnsupported("; ".join(problems))
-    prepared = (work, converted, space_rank(work))
-    if len(_prepared_cache) >= 64:
-        _prepared_cache.clear()
-    _prepared_cache[id(g)] = (g, prepared)
-    return prepared
+    rank = space_rank(work)
+    join = any(per_rule_d(r) > rank for r in work.binary_rules() if r.lhs == work.start)
+    return work, converted, rank, join
 
 
 def run_recognition(g: Grammar, sentence) -> RunResult:
     """Validate, convert to single-initial if needed, and close the seed."""
-    work, converted, rank = _prepare(g)
+    work, converted, rank, join = _prepare(g)
     tokens = tuple(sentence)
     n = len(tokens)
     t0 = time.perf_counter()
@@ -285,10 +262,12 @@ def run_recognition(g: Grammar, sentence) -> RunResult:
     t1 = time.perf_counter()
     seeded = seed_planes(work, tokens, space)
     t2 = time.perf_counter()
+    built = space.mask_ms
     clo = closure_fixpoint(seeded, work, space)
+    mask_ms = space.mask_ms - built
     t3 = time.perf_counter()
     accepted = n > 0 and (clo.holds(work.start, (0, n))
-                          or _start_witness(clo, work, n) is not None)
+                          or (join and _start_witness(clo, work, n) is not None))
     facts = popcount(seeded) + sum(r["new_facts"] for r in clo.rounds)
     t4 = time.perf_counter()
     stats = {
@@ -304,8 +283,8 @@ def run_recognition(g: Grammar, sentence) -> RunResult:
         "phases": {
             "space": (t1 - t0) * 1000,
             "seed": (t2 - t1) * 1000,
-            "masks": clo.mask_ms,
-            "closure": (t3 - t2) * 1000 - clo.mask_ms,
+            "masks": mask_ms,
+            "closure": (t3 - t2) * 1000 - mask_ms,
             "readout": (t4 - t3) * 1000,
         },
     }
@@ -350,10 +329,9 @@ def extract_derivation(clo: Closure, g: Grammar, sentence):
     a binary rule the splits (i, j) of its spans are tried in id order, and
     for each the middle addresses k in ascending order among the set bits
     of row i of the first child's plane; k is taken when the second child's
-    bit at (k, j) is set, the rule's masks q2, q3 and q1 (the closure's)
-    hold (i, k), (k, j) and (i, j), and both child facts rebuild in turn.
-    The masks are tested in that order, so a mask is fetched only where the
-    closure fetched it too.
+    bit at (k, j) is set, the rule's masks q2, q3 and q1 (the closure's,
+    from the space) hold (i, k), (k, j) and (i, j), and both child facts
+    rebuild in turn.
     """
     tokens = tuple(sentence)
     n = len(tokens)
@@ -370,7 +348,6 @@ def extract_derivation(clo: Closure, g: Grammar, sentence):
             return None
 
     rules = sorted(g.rules, key=lambda r: r.rid)
-    masks: dict = {}
     memo: dict = {}
 
     def justify(nt, flat):
@@ -395,9 +372,9 @@ def extract_derivation(clo: Closure, g: Grammar, sentence):
                 for k in row_bits(left[i]):
                     if not (
                         bit(right, k, j)
-                        and bit(_mask(masks, space, r, 2), i, k)
-                        and bit(_mask(masks, space, r, 3), k, j)
-                        and bit(_mask(masks, space, r, 1), i, j)
+                        and bit(rule_mask(space, r, 2), i, k)
+                        and bit(rule_mask(space, r, 3), k, j)
+                        and bit(rule_mask(space, r, 1), i, j)
                     ):
                         continue
                     left = justify(B, cell_endpoints(addrs[i], addrs[k]))

@@ -71,3 +71,46 @@ class TestPublicSurface:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+class TestMemoPolicy:
+    def test_two_caches_and_a_cold_call_rebuilds_its_masks(self):
+        # every memo of the run path hangs off an object: masks off the
+        # address space, rule data off the rule, grammar data off the
+        # grammar.  Only the address spaces and the per-grammar preparation
+        # sit in module-level caches, so the benchmark's cold-call rule
+        # (perfbench/worker.py: Runner.prepare empties every cache_clear
+        # function and every *_cache dict of the package) gives the next
+        # run of a freshly parsed grammar a new space, which builds its
+        # masks again
+        perfbench = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "perfbench")
+        code = (
+            "import sys\n"
+            "sys.path.insert(0, %r)\n"
+            "import lcfrs, lcfrs.cli, worker\n"
+            "from workloads import Op\n"
+            "found, dicts = set(), set()\n"
+            "for name, mod in list(sys.modules.items()):\n"
+            "    if name != 'lcfrs' and not name.startswith('lcfrs.'):\n"
+            "        continue\n"
+            "    for attr, obj in vars(mod).items():\n"
+            "        if callable(getattr(obj, 'cache_clear', None)):\n"
+            "            found.add(obj.__qualname__)\n"
+            "        elif isinstance(obj, dict) and attr.endswith('_cache'):\n"
+            "            dicts.add(name + '.' + attr)\n"
+            "assert found == {'enumerate_space', '_prepare'}, found\n"
+            "assert not dicts, dicts\n"
+            "toks = 'a a b c c d'.split()\n"
+            "first = lcfrs.run_recognition(lcfrs.bundled.load('count4'), toks)\n"
+            "space = first.closure.space\n"
+            "assert space.masks and first.stats['phases']['masks'] > 0\n"
+            "op = Op('count4', tuple(toks), True, 'construction', 'member', 'recognize')\n"
+            "worker.Runner(lcfrs, None).prepare(op)\n"
+            "again = lcfrs.run_recognition(lcfrs.bundled.load('count4'), toks)\n"
+            "assert again.closure.space is not space\n"
+            "assert again.closure.space.masks.keys() == space.masks.keys()\n"
+            "assert again.stats['phases']['masks'] > 0\n"
+        ) % perfbench
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

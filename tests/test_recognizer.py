@@ -7,14 +7,16 @@ import numpy as np
 
 import pytest
 
-from lcfrs.addresses import enumerate_space
-from lcfrs.boolmat import KERNEL_KIND, popcount
+from lcfrs.addresses import AddressSpace, enumerate_space
+from lcfrs.boolmat import KERNEL_KIND, popcount, rule_mask
 from lcfrs.engine import EngineUnsupported, ProductMatrix, engine_ready, pi_copy, seed
 from lcfrs.grammar import (
-    Grammar, GrammarError, Rule, Var, is_single_initial, parse_grammar, to_single_initial,
+    Grammar, GrammarError, Rule, Var, analyze, contact_rank, is_single_initial, parse_grammar,
+    per_rule_d, to_single_initial,
 )
 from lcfrs.oracle import _word_placements, enumerate_language, tabular_recognize
 from lcfrs import boolmat, bundled, engine, recognizer
+from lcfrs import grammar as grammar_mod
 from lcfrs.recognizer import (
     Closure,
     _spans_of,
@@ -504,8 +506,9 @@ class TestPlanePath:
             assert clo.symbol_ids is work.symbol_ids, name
 
     def test_cold_runs_build_a_fixed_set_of_masks(self):
-        # a rule is skipped before its masks are fetched when a child plane
-        # it reads has no bit, so a cold run builds only the masks its
+        # a rule is skipped before its masks are built when a child plane it
+        # reads has no bit, and a rule beyond the rank is never multiplied,
+        # so a cold run builds on its fresh space only the masks its
         # products and its derivation read
         built = []
         for name, sentence in (
@@ -516,36 +519,83 @@ class TestPlanePath:
             ("dual_initial_demo", "a b a a b a"), ("dual_initial_demo", "a b a"),
         ):
             toks = sentence.split()
-            boolmat._role_mask.cache_clear()
+            recognizer.enumerate_space.cache_clear()
             res = run_recognition(bundled.load(name), toks)
             if res.accepted:
                 extract_derivation(res.closure, res.grammar, toks)
-            built.append(boolmat._role_mask.cache_info().misses)
-        assert built == [1, 1, 3, 3, 1, 1, 3, 3, 4, 0]
+            built.append(len(res.closure.space.masks))
+        assert built == [1, 1, 2, 2, 1, 1, 2, 2, 4, 0]
 
     def test_a_run_reuses_the_last_runs_masks(self, grammars, monkeypatch):
-        # the closure keeps the masks it fetched for the next run of the
-        # same grammar object over the same space, and for that one only
-        fetched = []
-        real = boolmat.rule_mask
+        # masks live on the address space, so a run over a space an earlier
+        # run used builds none: for the same grammar object, and for a
+        # second parse of the same text alike
+        built = []
+        real = boolmat._role_mask
 
-        def spy(space, r, role):
-            fetched.append((r.rid, role))
-            return real(space, r, role)
-        monkeypatch.setattr(boolmat, "rule_mask", spy)
-        monkeypatch.setattr(recognizer, "_masks_cache", {})
+        def spy(space, cfg, fo):
+            built.append((cfg, fo))
+            return real(space, cfg, fo)
+        monkeypatch.setattr(boolmat, "_role_mask", spy)
+        recognizer.enumerate_space.cache_clear()
         g = grammars["count4"]
         copy = parse_grammar(bundled.grammar_text("count4"))
-        counts = []
+        counts, phases = [], []
         for grammar, sentence in ((g, "a a b c c d"), (g, "a b b c d d"), (g, "a b c d"),
                                   (g, "a a b c c d"), (copy, "a a b c c d")):
-            fetched.clear()
+            built.clear()
             res = run_recognition(grammar, sentence.split())
             assert res.accepted, sentence
-            counts.append(len(fetched))
-        first = counts[0]
-        assert first > 0 and counts == [first, 0, counts[2], first, first]
-        assert counts[2] > 0
+            counts.append(len(built))
+            phases.append(res.stats["phases"]["masks"])
+        assert counts == [2, 0, 2, 0, 0]
+        # the masks phase is the build time: above 0 on a cold run, and
+        # exactly 0.0 on a warm one
+        assert phases[0] > 0 and phases[2] > 0
+        assert phases[1] == phases[3] == phases[4] == 0.0
+
+    def test_beyond_rank_rules_have_a_zero_mask(self, grammars):
+        # a rule beyond the space's rank, which the closure never
+        # multiplies, has an all-zero child mask there, and a rule within
+        # the rank has no all-zero mask at all: checked on the bundled
+        # grammars and on the runnable random grammars, at lengths 1-4 and
+        # at rank 1, their runtime rank and their contact rank
+        cases = list(grammars.values())
+        for seed in range(300):
+            g = random_grammar(random.Random(seed))
+            if not engine_ready(to_single_initial(g)):
+                cases.append(g)
+        seen = {True: 0, False: 0}
+        for g in cases:
+            work = to_single_initial(g)
+            rank = space_rank(work)
+            for d in sorted({1, rank, max(rank, contact_rank(work))}):
+                for n in range(1, 5):
+                    space = AddressSpace(n, d)
+                    for r in work.binary_rules():
+                        beyond = per_rule_d(r) > d
+                        zero = [not np.count_nonzero(rule_mask(space, r, role))
+                                for role in (1, 2, 3)]
+                        assert (zero[1] or zero[2]) if beyond else not any(zero), (r, d, n)
+                        seen[beyond] += 1
+        assert seen[True] and seen[False]
+
+    def test_configurations_are_computed_once_per_rule(self, monkeypatch):
+        # every computation of a rule's configurations ends in one
+        # ConfigTriple; runs and an analysis of one single-initial grammar,
+        # which all read the same rule objects, make one per rule
+        made = []
+        real = grammar_mod.ConfigTriple
+
+        def spy(*cfgs):
+            made.append(cfgs)
+            return real(*cfgs)
+        monkeypatch.setattr(grammar_mod, "ConfigTriple", spy)
+        g = parse_grammar(bundled.grammar_text("itg_sep"))
+        for sentence in ("x y # y x", "x # x", "x y # y x"):
+            run_recognition(g, sentence.split())
+        analyze(g)
+        assert is_single_initial(g) and len(made) == len(g.binary_rules())
 
     def test_runs_multiply_through_the_kernel_on_packed_rows(self, grammars, monkeypatch):
         # every multiply of a run goes through boolmat._kernel, on writeable
