@@ -11,12 +11,22 @@ A merge is defined when the column sorts after the row.  The column's
 minimum is then not below the row's, so the row holds the minimum of the
 merged endpoints; the two minima may tie, as they do for a fact whose
 first span is empty.
+
+The splits of sorted endpoints back into (row, column) pairs come from one
+table of split patterns, ``split_patterns``: which sorted positions go to
+the row and which to the column.  ``splits_of_endpoints`` applies it to
+tuples, and ``AddressSpace.split_ids`` to ids.  A space also holds its
+addresses as per-length arrays, from which the rule masks are built by
+broadcasting rather than by walking position tuples.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from functools import cached_property, lru_cache
+from itertools import chain, combinations, combinations_with_replacement
+from operator import itemgetter
+
+import numpy as np
 
 
 def cell_endpoints(row: tuple, col: tuple):
@@ -28,25 +38,38 @@ def cell_endpoints(row: tuple, col: tuple):
     return tuple(sorted(row + col))
 
 
-def splits_of_endpoints(endpoints, d):
-    """All (row, col) position-tuple pairs that merge back to ``endpoints``.
-
-    ``endpoints`` must be sorted.  The row keeps the global minimum; both
-    sides are nonempty, at most ``d`` long, and the column must sort after
-    the row (otherwise the merge is undefined).
-    """
-    e = tuple(endpoints)
-    L = len(e)
-    out = set()
+def split_patterns(L: int, d: int):
+    """The ways to deal ``L`` sorted endpoints to a row and a column, as
+    (row positions, column positions) index tuples: the row keeps position
+    0, the global minimum, and both sides are nonempty and at most ``d``
+    long.  Tied endpoints can make two patterns give the same pair."""
     rest = range(1, L)
     for rsize in range(max(1, L - d), min(d, L - 1) + 1):
         for picked in combinations(rest, rsize - 1):
-            chosen = set(picked)
-            row = (e[0],) + tuple(e[t] for t in picked)
-            col = tuple(e[t] for t in rest if t not in chosen)
-            if col > row:
-                out.add((row, col))
+            yield (0, *picked), tuple(t for t in rest if t not in picked)
+
+
+def splits_of_endpoints(endpoints, d):
+    """All (row, col) position-tuple pairs that merge back to ``endpoints``.
+
+    ``endpoints`` must be sorted.  The pairs are those of ``split_patterns``
+    whose column sorts after the row (otherwise the merge is undefined).
+    """
+    e = tuple(endpoints)
+    out = set()
+    for row_at, col_at in split_patterns(len(e), d):
+        row = tuple(e[t] for t in row_at)
+        col = tuple(e[t] for t in col_at)
+        if col > row:
+            out.add((row, col))
     return out
+
+
+def _picker(idx: tuple):
+    """``e -> tuple(e[t] for t in idx)``.  ``itemgetter`` returns a bare
+    item for a single index, so that case is wrapped in a 1-tuple."""
+    get = itemgetter(*idx)
+    return get if len(idx) > 1 else lambda e: (get(e),)
 
 
 class AddressSpace:
@@ -58,6 +81,8 @@ class AddressSpace:
 
     ``masks`` holds the rule masks built over this space by
     ``boolmat.rule_mask``, and ``mask_ms`` the milliseconds they took.
+    ``by_length`` and the split-pattern tables behind ``split_ids`` are
+    built on first use and kept here too.
     """
 
     def __init__(self, n: int, d: int):
@@ -65,25 +90,52 @@ class AddressSpace:
             raise ValueError("need n >= 0 and d >= 1")
         self.n = n
         self.d = d
-        self.addresses = sorted(
-            pos
-            for length in range(1, d + 1)
-            for pos in combinations_with_replacement(range(n + 1), length)
-        )
+        # one list per length, each in tuple order; ``by_length`` reads them
+        self._of_length = [list(combinations_with_replacement(range(n + 1), length))
+                           for length in range(1, d + 1)]
+        self.addresses = sorted(chain.from_iterable(self._of_length))
         self.ids = {a: t for t, a in enumerate(self.addresses)}
         self.dim = len(self.addresses)
+        self._patterns = {}
         self._split_ids = {}
         self.masks = {}
         self.mask_ms = 0.0
 
+    @cached_property
+    def by_length(self) -> dict:
+        """``{L: (ids, positions)}`` for L in 1..d: the ids of the addresses
+        of length L, ascending, and their positions as a (count, L) array
+        with contiguous columns.  Read off the enumeration by numpy, with
+        no loop over addresses, in the narrowest unsigned types that hold
+        them: the mask builds compare them, and narrow types compare
+        several times faster."""
+        ids = self.ids
+        id_type, pos_type = np.min_scalar_type(self.dim), np.min_scalar_type(self.n)
+        return {L: (np.fromiter(map(ids.__getitem__, addrs), dtype=id_type, count=len(addrs)),
+                    np.asfortranarray(np.fromiter(chain.from_iterable(addrs), dtype=pos_type,
+                                                  count=L * len(addrs)).reshape(-1, L)))
+                for L, addrs in enumerate(self._of_length, 1)}
+
     def split_ids(self, endpoints: tuple) -> tuple:
-        """``splits_of_endpoints(endpoints, d)`` as (row id, col id) pairs,
-        kept per space: seeds and copies meet the same endpoints again."""
+        """``splits_of_endpoints(endpoints, d)`` as (row id, col id) pairs:
+        the space's split patterns for that many endpoints, applied and
+        kept when the column id is above the row id.  Kept per space: seeds
+        and copies meet the same endpoints again."""
         got = self._split_ids.get(endpoints)
         if got is None:
+            L = len(endpoints)
+            patterns = self._patterns.get(L)
+            if patterns is None:
+                patterns = self._patterns[L] = [
+                    (_picker(row_at), _picker(col_at))
+                    for row_at, col_at in split_patterns(L, self.d)]
             ids = self.ids
-            got = self._split_ids[endpoints] = tuple(
-                (ids[row], ids[col]) for row, col in splits_of_endpoints(endpoints, self.d))
+            pairs = {}
+            for row_of, col_of in patterns:
+                row, col = ids[row_of(endpoints)], ids[col_of(endpoints)]
+                if col > row:
+                    pairs[row, col] = None
+            got = self._split_ids[endpoints] = tuple(pairs)
         return got
 
     def __repr__(self):

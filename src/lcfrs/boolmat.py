@@ -10,14 +10,13 @@ The cell product decomposes per binary rule into one masked product.  Every
 mask is a property of cell addresses and of the rule's configuration alone,
 so each is built once per address space, kept on the space
 (``AddressSpace.masks``), and shared by every sentence, rule and grammar
-run over it.
+run over it.  A mask is built by array comparisons over the space's
+per-length address arrays, never by walking position tuples.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from itertools import combinations_with_replacement
-from operator import itemgetter
 from time import perf_counter
 
 from . import _matmul_fallback as _kernel
@@ -27,6 +26,9 @@ from .grammar import Grammar, Rule, configurations, per_rule_d
 
 # the one multiply kernel, named in ``stats["kernel"]`` and by the benchmark
 KERNEL_KIND = "fallback"
+
+# cells of a mask built at once: bounds its build's temporaries to a few MB
+_MASK_BLOCK = 1 << 20
 
 
 # per-word set-bit count, in numpy 2.0 and later
@@ -165,32 +167,43 @@ def bool_multiply(a: BoolMatrix, b: BoolMatrix, backend: str = "bitset") -> Bool
 # ---------------------------------------------------------------------------
 # address-indexed masks (string-independent, kept on the space)
 
-def _picker(idx: list):
-    """``e -> tuple(e[t] for t in idx)``.  ``itemgetter`` returns a bare
-    item for a single index, so that case is wrapped in a 1-tuple."""
-    get = itemgetter(*idx)
-    return get if len(idx) > 1 else lambda e: (get(e),)
-
-
 def _role_mask(space: AddressSpace, cfg: frozenset, fo: int) -> np.ndarray:
     """Cells (left, right) whose merged endpoints, selected by ``cfg``, equal
-    the row's address, as a packed (row, word) matrix.  Built constructively
-    from endpoint multisets."""
-    picked = [t - 1 for t in sorted(cfg)]
-    rest = [t for t in range(2 * fo) if t + 1 not in cfg]
+    the row's address, as a packed (row, word) matrix.
+
+    A predicate on address pairs, evaluated by broadcasting over
+    ``space.by_length``: the row has length |cfg| and the column 2fo - |cfg|,
+    and a pair fits when its merge, which puts the row's positions at
+    ``cfg`` and the column's at the rest, is non-decreasing and the column
+    sorts after the row.  Each address is sorted already, so only
+    neighbouring merged positions from opposite sides are compared; ids are
+    ranks in tuple order, so the column test compares ids.  The rows go
+    ``_MASK_BLOCK`` cells at a time, which bounds the temporaries, and each
+    block is packed straight into its mask rows."""
     mask = zeros(space.dim)
-    if not (1 <= len(picked) <= space.d and 1 <= len(rest) <= space.d):
+    row_at = [t - 1 for t in sorted(cfg)]
+    col_at = [t for t in range(2 * fo) if t + 1 not in cfg]
+    if not (1 <= len(row_at) <= space.d and 1 <= len(col_at) <= space.d):
         return mask
-    row_of, col_of = _picker(picked), _picker(rest)
-    ids = space.ids
-    rows, cols = [], []
-    for e in combinations_with_replacement(range(space.n + 1), 2 * fo):
-        row = row_of(e)
-        col = col_of(e)
-        if col > row:
-            rows.append(ids[row])
-            cols.append(ids[col])
-    set_cells(mask, rows, cols)
+    row_ids, row_pos = space.by_length[len(row_at)]
+    col_ids, col_pos = space.by_length[len(col_at)]
+    # merged positions t, t + 1 from opposite sides
+    meet = [t for t in range(2 * fo - 1) if (t in row_at) != (t + 1 in row_at)]
+    width = 64 * mask.shape[1]
+    step = max(1, _MASK_BLOCK // width)
+    for lo in range(0, row_ids.size, step):
+        rows, pos = row_ids[lo:lo + step], row_pos[lo:lo + step]
+        merged = [None] * (2 * fo)
+        for i, t in enumerate(row_at):
+            merged[t] = pos[:, i, None]
+        for j, t in enumerate(col_at):
+            merged[t] = col_pos[:, j]
+        fits = col_ids > rows[:, None]
+        for t in meet:
+            fits &= merged[t] <= merged[t + 1]
+        dense = np.zeros((rows.size, width), dtype=bool)
+        dense[:, col_ids] = fits
+        mask[rows] = np.packbits(dense, axis=1, bitorder="little").view(np.uint64)
     return mask
 
 

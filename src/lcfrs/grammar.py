@@ -125,6 +125,15 @@ class Grammar:
         return {nt: t for t, nt in enumerate(sorted(self.nonterminals))}
 
     @cached_property
+    def start_join(self) -> tuple:
+        """``(rules, firsts)``: the binary rules of the start symbol in
+        rule-id order, and their first children, sorted.  The start-rule
+        join reads them; found once per grammar object."""
+        rules = tuple(sorted((r for r in self._binary if r.lhs == self.start),
+                             key=lambda r: r.rid))
+        return rules, tuple(sorted({r.rhs[0] for r in rules}))
+
+    @cached_property
     def _problems(self) -> tuple:
         """What ``validate`` reports, found once per grammar object."""
         return tuple(_find_problems(self))

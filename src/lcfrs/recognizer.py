@@ -200,8 +200,7 @@ def _start_witness(clo: Closure, g: Grammar, n: int):
     beginning at 0, and those are the ids below that of (1,).  Each such
     fact then costs a test of the second child's bit on one split of the
     spans it fixes."""
-    rules = sorted((r for r in g.binary_rules() if r.lhs == g.start), key=lambda r: r.rid)
-    firsts = sorted({r.rhs[0] for r in rules})
+    rules, firsts = g.start_join
     starts_at_0 = clo.chart[[clo.symbol_ids[B] for B in firsts], :clo.space.ids[(1,)]]
     lefts_of = facts_of(starts_at_0, firsts, clo.space)
     for r in rules:
@@ -248,7 +247,7 @@ def _prepare(g: Grammar):
     if problems:
         raise EngineUnsupported("; ".join(problems))
     rank = space_rank(work)
-    join = any(per_rule_d(r) > rank for r in work.binary_rules() if r.lhs == work.start)
+    join = any(per_rule_d(r) > rank for r in work.start_join[0])
     return work, converted, rank, join
 
 

@@ -90,6 +90,27 @@ def product_chart(G, H, g: Grammar, space, **kwargs):
     return chart
 
 
+def enumerated_role_mask(space, cfg, fo):
+    """Reference for ``boolmat._role_mask``: the mask built by enumerating
+    every non-decreasing 2fo-tuple of positions, dealing the positions at
+    ``cfg`` to the row and the rest to the column, and setting the cell
+    when the column sorts after the row."""
+    picked = [t - 1 for t in sorted(cfg)]
+    rest = [t for t in range(2 * fo) if t + 1 not in cfg]
+    mask = zeros(space.dim)
+    if not (1 <= len(picked) <= space.d and 1 <= len(rest) <= space.d):
+        return mask
+    cells = set()
+    for e in itertools.combinations_with_replacement(range(space.n + 1), 2 * fo):
+        row = tuple(e[t] for t in picked)
+        col = tuple(e[t] for t in rest)
+        if col > row:
+            cells.add((space.ids[row], space.ids[col]))
+    if cells:
+        set_cells(mask, *zip(*cells))
+    return mask
+
+
 def live_planes(chart):
     """``(ids, planes)`` of the planes of ``chart`` that have a bit: the
     delta form ``plane_product`` takes."""

@@ -104,6 +104,16 @@ class TestSpace:
                 want = sum(comb(n + L, L) for L in range(1, d + 1))
                 assert enumerate_space(n, d).dim == want, (n, d)
 
+    def test_by_length_arrays_are_the_addresses_of_each_length(self):
+        for n, d in ((0, 1), (0, 3), (4, 2), (5, 3)):
+            sp = enumerate_space(n, d)
+            assert sorted(sp.by_length) == list(range(1, d + 1))
+            for L, (ids, pos) in sp.by_length.items():
+                want = [t for t, a in enumerate(sp.addresses) if len(a) == L]
+                assert ids.tolist() == want, (n, d, L)
+                assert pos.shape == (len(want), L)
+                assert [tuple(p) for p in pos.tolist()] == [sp.addresses[t] for t in want]
+
     def test_enumeration_is_deterministic(self):
         a = enumerate_space(3, 2)
         b = enumerate_space.__wrapped__(3, 2)  # bypass the cache
@@ -145,6 +155,31 @@ class TestEquivalentCells:
         for d in (2, 3):
             for row, col in splits_of_endpoints((0, 0, 0, 1), d):
                 assert cell_endpoints(row, col) == (0, 0, 0, 1)
+
+    def test_split_ids_are_the_ids_of_the_splits(self):
+        # the space applies the split patterns to ids and
+        # splits_of_endpoints to tuples: the same pairs, once each, for
+        # every sorted endpoint tuple of length 1..2d, tied ones included.
+        # An even number of endpoints splits into exactly the cells whose
+        # addresses merge to them
+        checked = 0
+        for d in (1, 2, 3):
+            for n in range(7):
+                sp = enumerate_space(n, d)
+                merges = {}
+                for i, j in itertools.product(sp.addresses, repeat=2):
+                    e = cell_endpoints(i, j)
+                    if e is not None:
+                        merges.setdefault(e, set()).add((sp.ids[i], sp.ids[j]))
+                for L in range(1, 2 * d + 1):
+                    for e in itertools.combinations_with_replacement(range(n + 1), L):
+                        got = sp.split_ids(e)
+                        want = {(sp.ids[r], sp.ids[c]) for r, c in splits_of_endpoints(e, d)}
+                        assert len(got) == len(set(got)) and set(got) == want, (n, d, e)
+                        if L % 2 == 0:
+                            assert want == merges.get(e, set()), (n, d, e)
+                        checked += len(want)
+        assert checked
 
     def test_splits_cover_all_row_col_partitions(self):
         got = splits_of_endpoints((1, 4, 5, 8), 2)

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -22,11 +23,12 @@ from lcfrs.boolmat import (
     unpack_rows,
     zeros,
 )
-from lcfrs.engine import _role_fits, matrix_product, seed
+from lcfrs.engine import _role_fits, engine_ready, matrix_product, seed
 from lcfrs.grammar import configurations, is_single_initial, parse_grammar, to_single_initial
 
 from conftest import (
-    BOTH_CHILDREN_GROW, full_rank, live_planes, product_chart, symbol_planes, union,
+    BOTH_CHILDREN_GROW, enumerated_role_mask, full_rank, live_planes, product_chart,
+    random_grammar, symbol_planes, union,
 )
 
 BACKENDS = ("naive", "bitset")
@@ -373,6 +375,38 @@ class TestFactors:
             assert stats.get("muls", 0) == 0
 
 
+def _cell_by_cell_mask(sp, cfg, fo):
+    """The mask of ``cfg`` and ``fo`` over ``sp`` by its definition: every
+    (row, col) address pair of the right lengths tested by ``_role_fits``.
+    A column that does not sort after the row has no merge, so only the
+    columns after it are tested."""
+    fo2 = 2 * fo
+    want = np.zeros((sp.dim, sp.dim), dtype=np.uint8)
+    rows = [i for i in sp.addresses if len(i) == len(cfg)]
+    cols = [j for j in sp.addresses if len(j) == fo2 - len(cfg)]
+    for i in rows:
+        for j in cols[bisect_right(cols, i):]:
+            if _role_fits(cfg, fo2, i, j, i):
+                want[sp.ids[i], sp.ids[j]] = 1
+    return pack_rows(want)
+
+
+def _runnable_random_keys():
+    """``{(cfg, fo): rank}`` over every role of every rule of the random
+    grammars the engine runs, each at the largest rank that fits all the
+    rules of a grammar it occurs in."""
+    keys = {}
+    for case in range(300):
+        g = random_grammar(random.Random(case), d_cap=4)
+        work = g if is_single_initial(g) else to_single_initial(g)
+        if engine_ready(work):
+            continue
+        for r in work.binary_rules():
+            for key in zip(configurations(r), r.fo):
+                keys[key] = max(keys.get(key, 1), full_rank(work))
+    return keys
+
+
 class TestRoleMask:
     def test_matches_cell_by_cell(self, grammars):
         checked = 0
@@ -382,19 +416,52 @@ class TestRoleMask:
                 sp = enumerate_space(n, d)
                 for r in g.binary_rules():
                     for role, cfg in zip((1, 2, 3), configurations(r)):
-                        fo2 = 2 * r.fo[role - 1]
-                        want = np.zeros((sp.dim, sp.dim), dtype=np.uint8)
-                        for i in sp.addresses:
-                            if len(i) != len(cfg):
-                                continue
-                            for j in sp.addresses:
-                                if len(i) + len(j) == fo2 and _role_fits(cfg, fo2, i, j, i):
-                                    want[sp.ids[i], sp.ids[j]] = 1
-                        want = pack_rows(want)
+                        want = _cell_by_cell_mask(sp, cfg, r.fo[role - 1])
                         got = rule_mask(sp, r, role)
                         assert np.array_equal(got, want), (name, n, r.rid, role)
                         checked += want.any()
         assert checked
+
+    def test_random_grammar_configurations_match_cell_by_cell(self):
+        # every configuration the runnable random grammars' rules take, with
+        # ties and empty spans, at n = 0-8.  Fan-out 4 comes only from the
+        # single-initial rewrite, and its cell-by-cell masks at n = 8 take
+        # seconds, so it stops at n = 5
+        keys = _runnable_random_keys()
+        assert {1, 2, 3, 4} <= {fo for _, fo in keys}
+        checked = 0
+        for (cfg, fo), d in sorted(keys.items(), key=lambda k: (k[0][1], sorted(k[0][0]))):
+            for n in range(9 if fo < 4 else 6):
+                sp = enumerate_space(n, d)
+                want = _cell_by_cell_mask(sp, cfg, fo)
+                assert np.array_equal(boolmat._role_mask(sp, cfg, fo), want), (sorted(cfg), fo, d, n)
+                checked += want.any()
+        assert checked
+
+    def test_large_spaces_match_the_enumeration(self, grammars):
+        # spot checks beyond the cell-by-cell sizes against the mask built
+        # by enumerating position tuples
+        checked = 0
+        for name, g in grammars.items():
+            work = g if is_single_initial(g) else to_single_initial(g)
+            keys = {(cfg, fo) for r in work.binary_rules()
+                    for cfg, fo in zip(configurations(r), r.fo)}
+            for n in (12, 14, 16):
+                sp = enumerate_space(n, full_rank(work))
+                for cfg, fo in sorted(keys, key=lambda k: (k[1], sorted(k[0]))):
+                    want = enumerated_role_mask(sp, cfg, fo)
+                    assert np.array_equal(boolmat._role_mask(sp, cfg, fo), want), (name, n, cfg)
+                    checked += want.any()
+        assert checked
+
+    def test_blocks_give_the_one_block_mask(self, monkeypatch):
+        # a block of a single row builds the same mask as one block
+        sp = enumerate_space(7, 3)
+        whole = {key: boolmat._role_mask(sp, *key)
+                 for key in ((frozenset({1, 3}), 2), (frozenset({1, 2, 5}), 3), (frozenset({1}), 1))}
+        monkeypatch.setattr(boolmat, "_MASK_BLOCK", 1)
+        for key, mask in whole.items():
+            assert np.array_equal(boolmat._role_mask(sp, *key), mask), key
 
 
 class TestReduction:

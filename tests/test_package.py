@@ -75,14 +75,16 @@ class TestPublicSurface:
 
 class TestMemoPolicy:
     def test_two_caches_and_a_cold_call_rebuilds_its_masks(self):
-        # every memo of the run path hangs off an object: masks off the
-        # address space, rule data off the rule, grammar data off the
-        # grammar.  Only the address spaces and the per-grammar preparation
-        # sit in module-level caches, so the benchmark's cold-call rule
+        # every memo of the run path hangs off an object: masks, per-length
+        # address arrays and split patterns off the address space, rule
+        # data off the rule, grammar data off the grammar.  Only the
+        # address spaces and the per-grammar preparation sit in
+        # module-level caches, so the benchmark's cold-call rule
         # (perfbench/worker.py: Runner.prepare empties every cache_clear
         # function and every *_cache dict of the package) gives the next
         # run of a freshly parsed grammar a new space, which builds its
-        # masks again
+        # masks, arrays and patterns again.  No other module-level dict,
+        # list or set of the package grows during a run
         perfbench = os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "perfbench")
         code = (
@@ -101,16 +103,29 @@ class TestMemoPolicy:
             "            dicts.add(name + '.' + attr)\n"
             "assert found == {'enumerate_space', '_prepare'}, found\n"
             "assert not dicts, dicts\n"
+            "def held():\n"
+            "    return {name + '.' + attr: len(obj)\n"
+            "            for name, mod in list(sys.modules.items())\n"
+            "            if name == 'lcfrs' or name.startswith('lcfrs.')\n"
+            "            for attr, obj in vars(mod).items()\n"
+            "            if isinstance(obj, (dict, list, set))}\n"
+            "before = held()\n"
             "toks = 'a a b c c d'.split()\n"
             "first = lcfrs.run_recognition(lcfrs.bundled.load('count4'), toks)\n"
             "space = first.closure.space\n"
             "assert space.masks and first.stats['phases']['masks'] > 0\n"
+            "assert 'by_length' in vars(space) and space._patterns\n"
+            "assert held() == before\n"
             "op = Op('count4', tuple(toks), True, 'construction', 'member', 'recognize')\n"
             "worker.Runner(lcfrs, None).prepare(op)\n"
             "again = lcfrs.run_recognition(lcfrs.bundled.load('count4'), toks)\n"
-            "assert again.closure.space is not space\n"
-            "assert again.closure.space.masks.keys() == space.masks.keys()\n"
+            "fresh = again.closure.space\n"
+            "assert fresh is not space\n"
+            "assert fresh.masks.keys() == space.masks.keys()\n"
             "assert again.stats['phases']['masks'] > 0\n"
+            "assert 'by_length' in vars(fresh) and fresh.by_length is not space.by_length\n"
+            "assert fresh._patterns.keys() == space._patterns.keys()\n"
+            "assert fresh._patterns is not space._patterns\n"
         ) % perfbench
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
