@@ -5,7 +5,6 @@ matrix, with the product lowered to Boolean matrix multiplication.
 re-exported here stays importable from its own module."""
 
 from .boolmat import KERNEL_KIND
-from .engine import EngineUnsupported
 from .grammar import (
     AnalysisReport,
     Grammar,
@@ -18,7 +17,9 @@ from .grammar import (
     validate,
 )
 from .oracle import enumerate_language, tabular_recognize
-from .recognizer import DerivationNode, RunResult, extract_derivation, run_recognition
+from .recognizer import (
+    DerivationNode, EngineUnsupported, RunResult, extract_derivation, run_recognition,
+)
 
 __version__ = "0.1.0"
 

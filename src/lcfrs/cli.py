@@ -12,10 +12,9 @@ import os
 import sys
 
 from . import bundled
-from .engine import EngineUnsupported
 from .grammar import DEFAULT_OMEGA, GrammarError, analyze, parse_grammar
 from .oracle import tabular_recognize
-from .recognizer import extract_derivation, run_recognition
+from .recognizer import EngineUnsupported, extract_derivation, run_recognition
 
 
 def _load_grammar(source: str):
@@ -157,8 +156,11 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (GrammarError, EngineUnsupported, OSError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    # internal faults too (an inconsistent chart, RecursionError, MemoryError):
+    # left to escape, they would exit 1, which reads as REJECT
+    except (GrammarError, EngineUnsupported, OSError, ValueError,
+            RuntimeError, MemoryError) as exc:
+        print("error: %s" % (str(exc) or type(exc).__name__), file=sys.stderr)
         return 2
 
 

@@ -1,15 +1,20 @@
-"""Correctness oracles: a naive agenda chart parser and a bounded language
-enumerator.
+"""Correctness oracles: a naive agenda chart parser, a bounded language
+enumerator, and the cell-by-cell matrix product with its seed and copy.
 
-Both work on span tuples and string tuples directly -- no addresses, no
-matrices -- so an engine bug and an oracle bug are unlikely to coincide.
+The parser and the enumerator work on span tuples and string tuples
+directly -- no addresses, no matrices -- so an engine bug and an oracle bug
+are unlikely to coincide.  The cell product states the paper's product one
+cell of symbol sets at a time.  The bit-plane run path is checked against
+it bit for bit, so this module imports neither ``recognizer`` nor
+``boolmat``, and lays out and splits its seed's spans by its own code.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 
-from .grammar import Grammar
+from .addresses import AddressSpace, cell_endpoints, splits_of_endpoints
+from .grammar import Grammar, configurations
 
 
 def _word_placements(words, tokens, n):
@@ -162,3 +167,150 @@ def enumerate_language(g: Grammar, max_len: int):
                         changed = True
 
     return {spans[0] for spans in yields[g.start] if len(spans) == 1}
+
+
+# ---------------------------------------------------------------------------
+# the cell product
+
+class ProductMatrix:
+    """Sparse square matrix of symbol sets, keyed by (row id, col id)."""
+
+    __slots__ = ("space", "cells")
+
+    def __init__(self, space: AddressSpace, cells=None):
+        self.space = space
+        self.cells = cells if cells is not None else {}
+
+    def add(self, row_id: int, col_id: int, sym) -> None:
+        self.cells.setdefault((row_id, col_id), set()).add(sym)
+
+    def get(self, row_id: int, col_id: int) -> frozenset:
+        return frozenset(self.cells.get((row_id, col_id), ()))
+
+    def fact_count(self) -> int:
+        return sum(len(s) for s in self.cells.values())
+
+    def copy(self) -> "ProductMatrix":
+        return ProductMatrix(self.space, {k: set(v) for k, v in self.cells.items()})
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, ProductMatrix)
+            and self.space is other.space
+            and {k: v for k, v in self.cells.items() if v}
+            == {k: v for k, v in other.cells.items() if v}
+        )
+
+    def is_upper_triangular(self) -> bool:
+        addrs = self.space.addresses
+        return all(
+            not syms or addrs[r] < addrs[c]
+            for (r, c), syms in self.cells.items()
+        )
+
+    def nonterminal_facts(self):
+        """Yield (row address, col address, frozenset of nonterminals)."""
+        addrs = self.space.addresses
+        for (r, c), syms in self.cells.items():
+            if syms:
+                yield addrs[r], addrs[c], frozenset(syms)
+
+    def dump(self) -> str:
+        """One line per nonempty cell: ``row | col | sorted symbols``."""
+        addrs = self.space.addresses
+        lines = []
+        for (r, c) in sorted(self.cells):
+            syms = self.cells[(r, c)]
+            if not syms:
+                continue
+            lines.append(" | ".join((",".join(map(str, addrs[r])),
+                                     ",".join(map(str, addrs[c])),
+                                     " ".join(sorted(syms)))))
+        return "\n".join(lines)
+
+
+def seed(g: Grammar, sentence, space: AddressSpace) -> ProductMatrix:
+    """Seed matrix: each lexical rule's head over every placement of its
+    spans, at every split of their endpoints."""
+    tokens = tuple(sentence)
+    ids = space.ids
+    T = ProductMatrix(space)
+    for r in g.lexical_rules():
+        for spans in _word_placements(r.words, tokens, len(tokens)):
+            flat = tuple(p for span in spans for p in span)
+            for row, col in splits_of_endpoints(flat, space.d):
+                T.add(ids[row], ids[col], r.lhs)
+    return T
+
+
+def _select(endpoints, cfg):
+    return tuple(endpoints[t - 1] for t in sorted(cfg))
+
+
+def _role_fits(cfg, fo2, left: tuple, right: tuple, keep: tuple) -> bool:
+    """Does the (left, right) cell describe the child's spans with ``keep``
+    carrying exactly the endpoints selected by ``cfg``?"""
+    merged = cell_endpoints(left, right)
+    return merged is not None and len(merged) == fo2 and _select(merged, cfg) == keep
+
+
+def cell_product(R, S, i: tuple, k: tuple, j: tuple, g: Grammar):
+    """Product of cell (i,k) by cell (k,j): the heads of the binary rules
+    whose children are in R and S and whose roles the three addresses fit."""
+    out = set()
+    if not R or not S:
+        return out
+    for r in g.binary_rules():
+        b, c = r.rhs
+        if b not in R or c not in S:
+            continue
+        cfg1, cfg2, cfg3 = configurations(r)
+        if (
+            _role_fits(cfg2, 2 * r.fo[1], i, k, i)
+            and _role_fits(cfg3, 2 * r.fo[2], k, j, k)
+            and _role_fits(cfg1, 2 * r.fo[0], i, j, i)
+        ):
+            out.add(r.lhs)
+    return out
+
+
+def matrix_product(T1: ProductMatrix, T2: ProductMatrix, g: Grammar) -> ProductMatrix:
+    """Cell-wise product summed over the shared address (reference path)."""
+    if T1.space is not T2.space:
+        raise ValueError("operands live in different address spaces")
+    space = T1.space
+    addrs = space.addresses
+    by_row = {}
+    for (k, j), syms in T2.cells.items():
+        if syms:
+            by_row.setdefault(k, []).append((j, syms))
+    out = ProductMatrix(space)
+    for (i, k), R in T1.cells.items():
+        if not R:
+            continue
+        for j, S in by_row.get(k, ()):
+            got = cell_product(R, S, addrs[i], addrs[k], addrs[j], g)
+            if got:
+                out.cells.setdefault((i, j), set()).update(got)
+    return out
+
+
+def pi_copy(T: ProductMatrix) -> ProductMatrix:
+    """Copy every nonterminal to all cells describing the same spans.
+
+    Cells whose merge is undefined are left untouched.
+    """
+    space = T.space
+    addrs = space.addresses
+    groups = {}
+    for (r, c), syms in T.cells.items():
+        flat = cell_endpoints(addrs[r], addrs[c])
+        if syms and flat is not None:
+            groups.setdefault(flat, set()).update(syms)
+    out = T.copy()
+    ids = space.ids
+    for flat, nts in groups.items():
+        for row, col in splits_of_endpoints(flat, space.d):
+            cell = out.cells.setdefault((ids[row], ids[col]), set())
+            cell.update(nts)
+    return out

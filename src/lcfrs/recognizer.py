@@ -35,10 +35,10 @@ from .addresses import AddressSpace, cell_endpoints, enumerate_space
 from .boolmat import (
     KERNEL_KIND, bit, nonzero_bits, plane_product, popcount, row_bits, rule_mask, set_cells, zeros,
 )
-from .engine import EngineUnsupported, engine_ready, lexical_facts
 from .grammar import (
     Grammar,
     GrammarError,
+    configurations,
     is_single_initial,
     per_rule_d,
     space_rank,
@@ -71,12 +71,18 @@ class Closure:
 
     def holds(self, sym, endpoints: tuple) -> bool:
         """Does the chart hold ``sym`` over the spans of ``endpoints``?  The
-        chart is closed under pi-copy, so one split of the endpoints tells;
-        endpoints with no split in the space, and symbols outside the
-        chart, are never held."""
+        chart is closed under pi-copy, so one split tells: the first of
+        ``split_ids``, whose row is the first max(1, L - d) of the L
+        endpoints.  Endpoints of no cell, and symbols outside the chart,
+        are never held."""
         t = self.symbol_ids.get(sym)
-        splits = self.space.split_ids(endpoints)
-        return t is not None and bool(splits) and bit(self.chart[t], *splits[0])
+        d, L = self.space.d, len(endpoints)
+        if t is None or L % 2 or not 0 < L <= 2 * d:
+            return False
+        cut = max(1, L - d)
+        row, col = endpoints[:cut], endpoints[cut:]
+        ids = self.space.ids
+        return col > row and bit(self.chart[t], ids[row], ids[col])
 
 
 def facts_of(chart, symbols, space: AddressSpace) -> dict:
@@ -121,7 +127,7 @@ def planes_of(facts: dict, symbol_ids: dict, space: AddressSpace):
 
 
 def pi_copy(chart, symbol_ids: dict, space: AddressSpace):
-    """Plane form of ``engine.pi_copy``: a copy of the chart with each fact
+    """Plane form of ``oracle.pi_copy``: a copy of the chart with each fact
     also set on every cell whose addresses merge to the same endpoints.
     Cells with an undefined merge copy nowhere.  ``symbol_ids`` names the
     chart's planes, which may be any subset of a grammar's: the closure
@@ -133,10 +139,45 @@ def pi_copy(chart, symbol_ids: dict, space: AddressSpace):
     return out
 
 
+def _placements(words, tokens, at):
+    """All ways to lay a lexical rule's span sequences over the sentence, in
+    order and without overlap, each as its sorted endpoint tuple.  ``at``
+    maps each token to its positions, so a span is matched only where its
+    first token stands.  An empty span is a zero-width (p, p) anywhere at or
+    after the previous span's end."""
+    layouts = [()]
+    for span in words:
+        L = len(span)
+        if L:
+            hits = [(s, s + L) for s in at.get(span[0], ()) if tokens[s:s + L] == span]
+        else:
+            hits = [(p, p) for p in range(len(tokens) + 1)]
+        layouts = [flat + hit for flat in layouts for hit in hits
+                   if not flat or hit[0] >= flat[-1]]
+        if not layouts:
+            break
+    return layouts
+
+
 def seed_planes(g: Grammar, sentence, space: AddressSpace):
-    """Plane form of ``engine.seed``: the chart of lexical facts, all set by
-    one scatter."""
-    return planes_of(lexical_facts(g, sentence, space), g.symbol_ids, space)
+    """Plane form of ``oracle.seed``: each lexical rule's head over every
+    layout ``_placements`` finds for its spans, all set by one scatter."""
+    tokens = tuple(sentence)
+    if space.n != len(tokens):
+        raise ValueError("space built for n=%d, sentence has %d tokens" % (space.n, len(tokens)))
+    lexical = g.lexical_rules()
+    need = max((g.fanout[r.lhs] for r in lexical), default=1)
+    if space.d < need:
+        raise ValueError(
+            "address length cap %d cannot hold fan-out-%d lexical facts" % (space.d, need)
+        )
+    at = {}
+    for p, tok in enumerate(tokens):
+        at.setdefault(tok, []).append(p)
+    facts = {}
+    for r in lexical:
+        facts.setdefault(r.lhs, set()).update(_placements(r.words, tokens, at))
+    return planes_of(facts, g.symbol_ids, space)
 
 
 def closure_fixpoint(T, g: Grammar, space: AddressSpace) -> Closure:
@@ -229,6 +270,35 @@ class RunResult:
     grammar: Grammar            # the grammar actually run (post-conversion)
     stats: dict
     closure: Closure = field(repr=False)
+
+
+class EngineUnsupported(ValueError):
+    """The grammar is valid but not executable by the matrix engine."""
+
+
+def engine_ready(g: Grammar) -> list:
+    """Reasons this grammar cannot run on the matrix engine (empty if fine).
+
+    Every rule role must keep at least one endpoint on the surface: a child
+    whose endpoints all combine would need a zero-length address.  The
+    first child and the result row always keep endpoint 1, because every
+    rule's first template starts with ``b1``, so only the second child and
+    the result column are checked.
+    """
+    problems = []
+    if not is_single_initial(g):
+        problems.append("grammar is not single-initial; rewrite it first")
+    for r in g.binary_rules():
+        cfg1, _, cfg3 = configurations(r)
+        if len(cfg3) == 2 * r.fo[2]:
+            problems.append(
+                "rule %d: second child is fully absorbed (no surface endpoint)" % r.rid
+            )
+        if len(cfg1) == 2 * r.fo[0]:
+            problems.append(
+                "rule %d: result column address would be empty" % r.rid
+            )
+    return problems
 
 
 @lru_cache(maxsize=64)
@@ -325,12 +395,12 @@ def extract_derivation(clo: Closure, g: Grammar, sentence):
     chart lied.
 
     A fact is rebuilt by the first rule, in id order, that derives it.  For
-    a binary rule the splits (i, j) of its spans are tried in id order, and
-    for each the middle addresses k in ascending order among the set bits
-    of row i of the first child's plane; k is taken when the second child's
-    bit at (k, j) is set, the rule's masks q2, q3 and q1 (the closure's,
-    from the space) hold (i, k), (k, j) and (i, j), and both child facts
-    rebuild in turn.
+    a binary rule the splits (i, j) of its spans that the rule's head mask
+    q1 holds are tried in id order, and for each the middle addresses k in
+    ascending order among the set bits of row i of the first child's plane;
+    k is taken when the second child's bit at (k, j) is set, the rule's
+    masks q2 and q3 hold (i, k) and (k, j) (all three masks are the
+    closure's, from the space), and both child facts rebuild in turn.
     """
     tokens = tuple(sentence)
     n = len(tokens)
@@ -368,21 +438,22 @@ def extract_derivation(clo: Closure, g: Grammar, sentence):
             B, C = r.rhs
             left, right = chart[ids[B]], chart[ids[C]]
             for i, j in sorted(space.split_ids(flat)):
+                if not bit(rule_mask(space, r, 1), i, j):
+                    continue
                 for k in row_bits(left[i]):
                     if not (
                         bit(right, k, j)
                         and bit(rule_mask(space, r, 2), i, k)
                         and bit(rule_mask(space, r, 3), k, j)
-                        and bit(rule_mask(space, r, 1), i, j)
                     ):
                         continue
-                    left = justify(B, cell_endpoints(addrs[i], addrs[k]))
-                    if left is None:
+                    b_node = justify(B, cell_endpoints(addrs[i], addrs[k]))
+                    if b_node is None:
                         continue
-                    right = justify(C, cell_endpoints(addrs[k], addrs[j]))
-                    if right is None:
+                    c_node = justify(C, cell_endpoints(addrs[k], addrs[j]))
+                    if c_node is None:
                         continue
-                    node = DerivationNode(nt, r.rid, spans, (left, right))
+                    node = DerivationNode(nt, r.rid, spans, (b_node, c_node))
                     break
                 if node is not None:
                     break

@@ -13,9 +13,8 @@ import pytest
 import lcfrs
 from lcfrs import bundled
 from lcfrs.boolmat import nonzero_bits, plane_product, set_cells, zeros
-from lcfrs.engine import ProductMatrix, pi_copy
 from lcfrs.grammar import Grammar, Rule, Var, contact_rank, per_rule_d, validate
-from lcfrs.oracle import enumerate_language, tabular_recognize
+from lcfrs.oracle import ProductMatrix, enumerate_language, pi_copy, tabular_recognize
 from lcfrs.recognizer import run_recognition, space_rank
 
 

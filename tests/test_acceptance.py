@@ -12,7 +12,6 @@ import numpy as np
 
 from lcfrs.addresses import enumerate_space
 from lcfrs.boolmat import BoolMatrix, bool_multiply
-from lcfrs.engine import ProductMatrix, matrix_product, pi_copy, seed
 from lcfrs.grammar import (
     configurations,
     contact_rank,
@@ -24,7 +23,7 @@ from lcfrs.grammar import (
     to_single_initial,
     validate,
 )
-from lcfrs.oracle import tabular_recognize
+from lcfrs.oracle import ProductMatrix, matrix_product, pi_copy, seed, tabular_recognize
 from lcfrs.recognizer import closure_fixpoint, extract_derivation, seed_planes
 
 from conftest import chart_of, full_rank, product_chart, random_grammar, symbol_planes, union

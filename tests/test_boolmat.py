@@ -23,8 +23,9 @@ from lcfrs.boolmat import (
     unpack_rows,
     zeros,
 )
-from lcfrs.engine import _role_fits, engine_ready, matrix_product, seed
 from lcfrs.grammar import configurations, is_single_initial, parse_grammar, to_single_initial
+from lcfrs.oracle import _role_fits, matrix_product, seed
+from lcfrs.recognizer import engine_ready
 
 from conftest import (
     BOTH_CHILDREN_GROW, enumerated_role_mask, full_rank, live_planes, product_chart,

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from lcfrs import KERNEL_KIND, grammar
+from lcfrs import KERNEL_KIND, cli, grammar
 from lcfrs.cli import main
 
 
@@ -294,6 +294,19 @@ class TestErrors:
             assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
         assert code == 1
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("exc, message", [
+        (RuntimeError("the chart is inconsistent"), "the chart is inconsistent"),
+        (RecursionError("maximum recursion depth exceeded"), "maximum recursion depth exceeded"),
+        (MemoryError(), "MemoryError"),
+    ])
+    def test_internal_error_is_exit_2(self, capsys, monkeypatch, exc, message):
+        # exit 1 means REJECT, so a failure inside the run must not end there
+        def fail(*args):
+            raise exc
+        monkeypatch.setattr(cli, "extract_derivation", fail)
+        code, out, err = run(capsys, "parse", "--grammar", "count4", "--sentence", "a b c d")
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
 
     def test_console_entry_point(self):
         proc = subprocess.run(

@@ -5,15 +5,9 @@ import re
 import pytest
 
 from lcfrs.addresses import cell_endpoints, enumerate_space, splits_of_endpoints
-from lcfrs.engine import (
-    ProductMatrix,
-    cell_product,
-    engine_ready,
-    matrix_product,
-    pi_copy,
-    seed,
-)
 from lcfrs.grammar import configurations, parse_grammar, to_single_initial
+from lcfrs.oracle import ProductMatrix, cell_product, matrix_product, pi_copy, seed
+from lcfrs.recognizer import engine_ready
 
 from conftest import chart_of, random_grammar, union
 

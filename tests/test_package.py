@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -129,3 +130,35 @@ class TestMemoPolicy:
         ) % perfbench
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+def _package_imports(module: str) -> set:
+    """The package modules that ``module``'s source imports, read by ``ast``
+    wherever the import statement stands."""
+    with open(os.path.join(os.path.dirname(lcfrs.__file__), module + ".py"),
+              encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import is one from the package
+            full = ".".join(filter(None, ("lcfrs" if node.level else None, node.module)))
+            names = ["lcfrs." + a.name for a in node.names] if full == "lcfrs" else [full]
+        else:
+            continue
+        out.update(name.split(".")[1] for name in names if name.startswith("lcfrs."))
+    return out
+
+
+class TestModuleBoundary:
+    def test_the_oracle_and_the_run_path_import_nothing_of_each_other(self):
+        # the cell-by-cell product, its seed and its copy are the reference
+        # the bit-plane path is checked against bit for bit, so neither side
+        # may build on the other's code
+        for module in ("addresses", "boolmat", "_matmul_fallback", "grammar", "recognizer"):
+            assert "oracle" not in _package_imports(module), module
+        assert not _package_imports("oracle") & {"recognizer", "boolmat", "_matmul_fallback"}
+        # the reader sees relative imports: the run path's are found
+        assert _package_imports("recognizer") >= {"addresses", "boolmat", "grammar"}

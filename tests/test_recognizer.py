@@ -8,20 +8,23 @@ import numpy as np
 import pytest
 
 from lcfrs.addresses import AddressSpace, enumerate_space
-from lcfrs.boolmat import KERNEL_KIND, popcount, rule_mask
-from lcfrs.engine import EngineUnsupported, ProductMatrix, engine_ready, pi_copy, seed
+from lcfrs.boolmat import KERNEL_KIND, popcount, rule_mask, zeros
 from lcfrs.grammar import (
     Grammar, GrammarError, Rule, Var, analyze, contact_rank, is_single_initial, parse_grammar,
     per_rule_d, to_single_initial,
 )
-from lcfrs.oracle import _word_placements, enumerate_language, tabular_recognize
-from lcfrs import boolmat, bundled, engine, recognizer
+from lcfrs.oracle import (
+    ProductMatrix, _word_placements, enumerate_language, pi_copy, seed, tabular_recognize,
+)
+from lcfrs import boolmat, bundled, recognizer
 from lcfrs import grammar as grammar_mod
 from lcfrs.recognizer import (
     Closure,
+    EngineUnsupported,
     _spans_of,
     _start_witness,
     closure_fixpoint,
+    engine_ready,
     extract_derivation,
     facts_of,
     planes_of,
@@ -699,12 +702,9 @@ class TestFactPlaneBridge:
 
     def test_facts_round_trip(self, grammars):
         for label, work, toks, sp in _bridge_cases(grammars):
-            F = {}      # the lexical facts that have a split
-            for nt, flats in engine.lexical_facts(work, toks, sp).items():
-                held = {f for f in flats if sp.split_ids(f)}
-                if held:
-                    F[nt] = held
             ids = work.symbol_ids
+            # the lexical facts that have a split
+            F = facts_of(seed_planes(work, toks, sp), ids, sp)
             assert facts_of(planes_of(F, ids, sp), ids, sp) == F, label
             clo = closure_fixpoint(planes_of(F, ids, sp), work, sp)
             closed = facts_of(clo.chart, ids, sp)
@@ -727,6 +727,35 @@ class TestFactPlaneBridge:
         # more than 2d endpoints: no split of the space holds them
         assert clo.space.split_ids((0, 2, 4, 6)) and not clo.space.split_ids((0, 1, 2, 3, 4, 5))
         assert not clo.holds("A", (0, 1, 2, 3, 4, 5))
+
+    def test_holds_tests_the_first_split(self):
+        # ``holds`` computes its one cell from the endpoints.  On every sorted
+        # endpoint tuple of even length up to 2d at n <= 6 and d <= 4, it
+        # must be the first of ``split_ids`` and exist exactly when
+        # ``split_ids`` finds a split: a bit set or cleared there alone
+        # decides.  An odd length, or one above 2d, is a fact of no cell
+        held = 0
+        for n in range(7):
+            for d in range(1, 5):
+                sp = AddressSpace(n, d)
+                empty = Closure(zeros(sp.dim, 1), {"A": 0}, sp)
+                full = Closure(~empty.chart, {"A": 0}, sp)
+                for L in range(1, 2 * d + 2):
+                    for e in itertools.combinations_with_replacement(range(n + 1), L):
+                        splits = sp.split_ids(e) if L % 2 == 0 and L <= 2 * d else ()
+                        assert full.holds("A", e) == bool(splits), (n, d, e)
+                        assert not empty.holds("A", e), (n, d, e)
+                        if not splits:
+                            continue
+                        r, c = splits[0]
+                        flip = np.uint64(1 << (c & 63))
+                        empty.chart[0, r, c >> 6] ^= flip
+                        full.chart[0, r, c >> 6] ^= flip
+                        assert empty.holds("A", e) and not full.holds("A", e), (n, d, e)
+                        empty.chart[0, r, c >> 6] ^= flip
+                        full.chart[0, r, c >> 6] ^= flip
+                        held += 1
+        assert held > 1000
 
 
 class TestExtraction:
