@@ -16,14 +16,17 @@ The splits of sorted endpoints back into (row, column) pairs come from one
 table of split patterns, ``split_patterns``: which sorted positions go to
 the row and which to the column.  ``splits_of_endpoints`` applies it to
 tuples, and ``AddressSpace.split_ids`` to ids.  A space also holds its
-addresses as per-length arrays, from which the rule masks are built by
-broadcasting rather than by walking position tuples.
+addresses as per-length arrays, from which the rule masks and the
+start-rule join tables are built by broadcasting rather than by walking
+position tuples, and ``AddressSpace.ids_of`` finds the ids of a batch of
+addresses given as position columns.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, combinations_with_replacement
+from math import comb
 from operator import itemgetter
 
 import numpy as np
@@ -54,9 +57,12 @@ def splits_of_endpoints(endpoints, d):
 
     ``endpoints`` must be sorted.  The pairs are those of ``split_patterns``
     whose column sorts after the row (otherwise the merge is undefined).
+    An odd number of endpoints is the merge of no pair.
     """
     e = tuple(endpoints)
     out = set()
+    if len(e) % 2:
+        return out
     for row_at, col_at in split_patterns(len(e), d):
         row = tuple(e[t] for t in row_at)
         col = tuple(e[t] for t in col_at)
@@ -80,9 +86,11 @@ class AddressSpace:
     There are ``sum(comb(n + L, L) for L in 1..d)`` of them.
 
     ``masks`` holds the rule masks built over this space by
-    ``boolmat.rule_mask``, and ``mask_ms`` the milliseconds they took.
-    ``by_length`` and the split-pattern tables behind ``split_ids`` are
-    built on first use and kept here too.
+    ``boolmat.rule_mask``, and ``mask_ms`` the milliseconds they took;
+    ``joins`` holds the start-rule join tables of
+    ``recognizer._join_table``.  ``by_length``, the rank terms behind
+    ``ids_of`` and the split-pattern tables behind ``split_ids`` are built
+    on first use and kept here too.
     """
 
     def __init__(self, n: int, d: int):
@@ -100,6 +108,7 @@ class AddressSpace:
         self._split_ids = {}
         self.masks = {}
         self.mask_ms = 0.0
+        self.joins = {}
 
     @cached_property
     def by_length(self) -> dict:
@@ -116,14 +125,48 @@ class AddressSpace:
                                                   count=L * len(addrs)).reshape(-1, L)))
                 for L, addrs in enumerate(self._of_length, 1)}
 
+    @cached_property
+    def _rank_terms(self) -> tuple:
+        """``(steps, lasts)``, two (d, n + 1) arrays: the id of an address a
+        of length L is ``sum(steps[k, a[k]] for k < L - 1)`` plus
+        ``lasts[L - 1, a[L - 1]]``.
+
+        An id counts the addresses before a: its L - 1 proper prefixes, and
+        for each k those that first differ from a at k, by a value u in
+        [a[k - 1], a[k]) (a[-1] = 0) followed by any sorted tail of values
+        from u to n and of length below d - k.  There are
+        ``comb(n - u + d - k, d - 1 - k)`` such tails, and P[k, v], their
+        sum over u below v, is a difference of two binomials.  The id is
+        L - 1 + sum(P[k, a[k]] - P[k, a[k - 1]]), which regroups by
+        position into ``steps`` = P[k] - P[k + 1] and ``lasts`` = P[k] + k."""
+        n, d = self.n, self.d
+        P = np.array([[comb(n + d - k + 1, d - k) - comb(n - v + d - k + 1, d - k)
+                       for v in range(n + 1)] for k in range(d)] + [[0] * (n + 1)])
+        return P[:-1] - P[1:], P[:-1] + np.arange(d)[:, None]
+
+    def ids_of(self, columns) -> np.ndarray:
+        """The ids of a batch of addresses of one length L, 1 <= L <= d,
+        given as L equal-length integer arrays: ``columns[k]`` holds every
+        address's position k, and each must be an address of the space.
+        A closed-form rank: one gather per position, in O(d * n) memory,
+        never an (n + 1)^L table."""
+        steps, lasts = self._rank_terms
+        ids = lasts[len(columns) - 1].take(columns[-1])
+        for k in range(len(columns) - 1):
+            ids += steps[k].take(columns[k])
+        return ids
+
     def split_ids(self, endpoints: tuple) -> tuple:
         """``splits_of_endpoints(endpoints, d)`` as (row id, col id) pairs:
         the space's split patterns for that many endpoints, applied and
         kept when the column id is above the row id.  Kept per space: seeds
-        and copies meet the same endpoints again."""
+        and copies meet the same endpoints again.  An odd number of
+        endpoints has no pair."""
         got = self._split_ids.get(endpoints)
         if got is None:
             L = len(endpoints)
+            if L % 2:
+                return ()
             patterns = self._patterns.get(L)
             if patterns is None:
                 patterns = self._patterns[L] = [

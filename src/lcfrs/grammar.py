@@ -126,12 +126,10 @@ class Grammar:
 
     @cached_property
     def start_join(self) -> tuple:
-        """``(rules, firsts)``: the binary rules of the start symbol in
-        rule-id order, and their first children, sorted.  The start-rule
-        join reads them; found once per grammar object."""
-        rules = tuple(sorted((r for r in self._binary if r.lhs == self.start),
-                             key=lambda r: r.rid))
-        return rules, tuple(sorted({r.rhs[0] for r in rules}))
+        """The binary rules of the start symbol in rule-id order, which the
+        start-rule join reads; found once per grammar object."""
+        return tuple(sorted((r for r in self._binary if r.lhs == self.start),
+                            key=lambda r: r.rid))
 
     @cached_property
     def _problems(self) -> tuple:

@@ -17,8 +17,9 @@ the head planes its product wrote, so its work follows the planes that
 can change rather than the whole chart.  Derivation extraction reads the
 same closed chart.
 ``facts_of`` and ``planes_of`` are the one conversion between chart bits
-and facts (sorted endpoint tuples): the seed, pi-copy and the start-rule
-join all go through them.
+and facts (sorted endpoint tuples): the seed and pi-copy go through them.
+The start-rule join reads no facts: it gathers the children's bits at a
+table of candidate cells kept on the space.
 """
 
 from __future__ import annotations
@@ -28,12 +29,14 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
+from math import comb
 
 import numpy as np
 
 from .addresses import AddressSpace, cell_endpoints, enumerate_space
 from .boolmat import (
-    KERNEL_KIND, bit, nonzero_bits, plane_product, popcount, row_bits, rule_mask, set_cells, zeros,
+    KERNEL_KIND, _nwords, bit, nonzero_bits, plane_product, popcount, row_bits, rule_mask,
+    set_cells, zeros,
 )
 from .grammar import (
     Grammar,
@@ -73,11 +76,13 @@ class Closure:
         """Does the chart hold ``sym`` over the spans of ``endpoints``?  The
         chart is closed under pi-copy, so one split tells: the first of
         ``split_ids``, whose row is the first max(1, L - d) of the L
-        endpoints.  Endpoints of no cell, and symbols outside the chart,
-        are never held."""
+        endpoints.  Endpoints of no cell (an odd number, more than 2d,
+        unsorted, or outside 0..n) and symbols outside the chart are never
+        held."""
         t = self.symbol_ids.get(sym)
         d, L = self.space.d, len(endpoints)
-        if t is None or L % 2 or not 0 < L <= 2 * d:
+        if (t is None or L % 2 or not 0 < L <= 2 * d
+                or not all(a <= b for a, b in zip((0, *endpoints), (*endpoints, self.space.n)))):
             return False
         cut = max(1, L - d)
         row, col = endpoints[:cut], endpoints[cut:]
@@ -228,39 +233,96 @@ def closure_fixpoint(T, g: Grammar, space: AddressSpace) -> Closure:
     return Closure(X, g.symbol_ids, space, rounds)
 
 
+def _build_join(space: AddressSpace, template: tuple, fo: tuple) -> tuple:
+    """The join table of a start rule with one ``template`` and fan-outs
+    ``fo`` over ``space``: ``(left words, left bits, right words, right
+    bits)``, one entry per candidate, in the first child's endpoint order.
+
+    The candidates are the first child's facts that begin at 0, and end at
+    n when the template ends with the first child.  The start symbol has
+    fan-out 1, so the template alternates b1 g1 b2 g2 ... over (0, n), and
+    such a fact fixes every endpoint of the second child: its own endpoints
+    from the second on, then n when the template ends with the second
+    child.  An entry holds, for each child's fact, the packed word index in
+    a (row, word) plane and the bit of its first split, whose row is the
+    first max(1, L - d) of its L endpoints; a candidate whose first split
+    of either fact is undefined has no cell and is dropped.  The first
+    child's rows that begin at 0 are a leading slice of the addresses of
+    that length, so the candidates are one broadcast of those rows against
+    the columns, in row-major, that is endpoint, order; the second child's
+    ids come from ``AddressSpace.ids_of``."""
+    n, d = space.n, space.d
+    words = _nwords(space.dim)
+    word_type = np.min_scalar_type(space.dim * words)
+    Lb, Lc = 2 * fo[1], 2 * fo[2]
+    if Lb > 2 * d or Lc > 2 * d:
+        none = np.zeros(0, dtype=word_type), np.zeros(0, dtype=np.uint8)
+        return none + none
+    cut = max(1, Lb - d)
+    row_ids, row_pos = (a[:comb(n + cut - 1, cut - 1)] for a in space.by_length[cut])
+    col_ids, col_pos = space.by_length[Lb - cut]
+    fits = (row_pos[:, -1, None] <= col_pos[:, 0]) & (col_ids > row_ids[:, None])
+    if template[-1].side == "b":
+        fits &= col_pos[:, -1] == n
+    ri, ci = fits.nonzero()
+    # the second child's endpoints: the first child's from the second on,
+    # endpoint Lb standing for n
+    ends = [row_pos[:, j].take(ri) if j < cut else
+            col_pos[:, j - cut].take(ci) if j < Lb else np.full(ri.size, n)
+            for j in range(1, Lc + 1)]
+    cut = max(1, Lc - d)
+    right_row, right_col = space.ids_of(ends[:cut]), space.ids_of(ends[cut:])
+    keep = right_col > right_row
+    ri, ci, right_row, right_col = ri[keep], ci[keep], right_row[keep], right_col[keep]
+    out = ()
+    for rows, cols in ((row_ids.take(ri), col_ids.take(ci)), (right_row, right_col)):
+        out += ((rows.astype(word_type) * words + (cols >> 6)).astype(word_type, copy=False),
+                (cols & 63).astype(np.uint8, copy=False))
+    return out
+
+
+def _join_table(space: AddressSpace, r) -> tuple:
+    """``_build_join`` for start rule ``r``, built on first use into
+    ``space.joins`` under its template and fan-outs, and shared by
+    sentences and re-parsed grammars over the space."""
+    (template,) = r.comp
+    key = template, r.fo
+    got = space.joins.get(key)
+    if got is None:
+        got = space.joins[key] = _build_join(space, template, r.fo)
+    return got
+
+
 def _start_witness(clo: Closure, g: Grammar, n: int):
     """The first ``(rule, left endpoints, right endpoints)``, in rule-id and
     then endpoint order, by which a binary start rule derives (0, n) from two
     facts of a closed chart; None when there is none.  Only the planes of
     the start rules' children are read.
 
-    The start symbol has fan-out 1, so the rule's one template lays the
-    children's spans end to end over (0, n): a first-child fact beginning at
-    0 fixes every span of the second child, the gaps between its own spans
-    and after its last one.  A fact beginning at 0 has a row address
-    beginning at 0, and those are the ids below that of (1,).  Each such
-    fact then costs a test of the second child's bit on one split of the
-    spans it fixes."""
-    rules, firsts = g.start_join
-    starts_at_0 = clo.chart[[clo.symbol_ids[B] for B in firsts], :clo.space.ids[(1,)]]
-    lefts_of = facts_of(starts_at_0, firsts, clo.space)
-    for r in rules:
+    Each start rule is one gather over its join table (``_join_table``):
+    both children's bits at the first splits of every candidate pair, of
+    which the first set in both is the witness.  The chart is closed under
+    pi-copy, so a fact's first split holds it exactly when the chart does.
+    ``n``, the sentence length, is the space's."""
+    space, chart, ids = clo.space, clo.chart, clo.symbol_ids
+    words = chart.shape[-1]
+    addrs = space.addresses
+
+    def fact(word, at):
+        row, word = divmod(int(word), words)
+        return cell_endpoints(addrs[row], addrs[64 * word + int(at)])
+
+    for r in g.start_join:
+        left_words, left_bits, right_words, right_bits = _join_table(space, r)
+        if not left_words.size:
+            continue
         B, C = r.rhs
-        (template,) = r.comp
-        ends_with_b = template[-1].side == "b"
-        for left in sorted(lefts_of.get(B, ())):
-            if ends_with_b and left[-1] != n:
-                continue
-            spans = _spans_of(left)
-            right = []
-            for t, v in enumerate(template):
-                if v.side == "g":
-                    start = spans[template[t - 1].index - 1][1]
-                    end = spans[template[t + 1].index - 1][0] if t + 1 < len(template) else n
-                    right += (start, end)
-            right = tuple(right)
-            if clo.holds(C, right):
-                return r, left, right
+        hits = chart[ids[B]].reshape(-1).take(left_words) >> left_bits
+        hits &= chart[ids[C]].reshape(-1).take(right_words) >> right_bits
+        hits &= np.uint64(1)
+        k = hits.argmax()
+        if hits[k]:
+            return r, fact(left_words[k], left_bits[k]), fact(right_words[k], right_bits[k])
     return None
 
 
@@ -317,7 +379,7 @@ def _prepare(g: Grammar):
     if problems:
         raise EngineUnsupported("; ".join(problems))
     rank = space_rank(work)
-    join = any(per_rule_d(r) > rank for r in work.start_join[0])
+    join = any(per_rule_d(r) > rank for r in work.start_join)
     return work, converted, rank, join
 
 

@@ -15,7 +15,7 @@ from lcfrs import bundled
 from lcfrs.boolmat import nonzero_bits, plane_product, set_cells, zeros
 from lcfrs.grammar import Grammar, Rule, Var, contact_rank, per_rule_d, validate
 from lcfrs.oracle import ProductMatrix, enumerate_language, pi_copy, tabular_recognize
-from lcfrs.recognizer import run_recognition, space_rank
+from lcfrs.recognizer import _spans_of, facts_of, run_recognition, space_rank
 
 
 # subprocesses import the package these tests import, also when pytest found
@@ -108,6 +108,36 @@ def enumerated_role_mask(space, cfg, fo):
     if cells:
         set_cells(mask, *zip(*cells))
     return mask
+
+
+def searched_start_witness(clo, g: Grammar, n: int):
+    """Reference for ``recognizer._start_witness``: the per-fact search it
+    replaced.  The first children's facts that begin at 0 are read by
+    ``facts_of`` off the rows below the id of (1,), and each, in endpoint
+    order, fixes the second child's spans, which one ``Closure.holds``
+    test decides."""
+    rules = g.start_join
+    firsts = tuple(sorted({r.rhs[0] for r in rules}))
+    starts_at_0 = clo.chart[[clo.symbol_ids[B] for B in firsts], :clo.space.ids[(1,)]]
+    lefts_of = facts_of(starts_at_0, firsts, clo.space)
+    for r in rules:
+        B, C = r.rhs
+        (template,) = r.comp
+        ends_with_b = template[-1].side == "b"
+        for left in sorted(lefts_of.get(B, ())):
+            if ends_with_b and left[-1] != n:
+                continue
+            spans = _spans_of(left)
+            right = []
+            for t, v in enumerate(template):
+                if v.side == "g":
+                    start = spans[template[t - 1].index - 1][1]
+                    end = spans[template[t + 1].index - 1][0] if t + 1 < len(template) else n
+                    right += (start, end)
+            right = tuple(right)
+            if clo.holds(C, right):
+                return r, left, right
+    return None
 
 
 def live_planes(chart):

@@ -3,7 +3,10 @@ from math import comb
 
 from hypothesis import given, strategies as st
 
+import numpy as np
+
 from lcfrs.addresses import (
+    AddressSpace,
     cell_endpoints,
     enumerate_space,
     splits_of_endpoints,
@@ -181,6 +184,22 @@ class TestEquivalentCells:
                         checked += len(want)
         assert checked
 
+    def test_odd_endpoint_counts_have_no_split(self):
+        # an odd number of endpoints is the merge of no cell, however the
+        # split patterns would deal them: (0, 0, 0) at d = 2 once gave
+        # ((0,), (0, 0))
+        assert splits_of_endpoints((0, 0, 0), 2) == set()
+        checked = 0
+        for d in (1, 2, 3):
+            for n in range(7):
+                sp = AddressSpace(n, d)
+                for L in range(1, 2 * d + 2, 2):
+                    for e in itertools.combinations_with_replacement(range(n + 1), L):
+                        assert splits_of_endpoints(e, d) == set(), (n, d, e)
+                        assert sp.split_ids(e) == (), (n, d, e)
+                        checked += 1
+        assert checked > 1000
+
     def test_splits_cover_all_row_col_partitions(self):
         got = splits_of_endpoints((1, 4, 5, 8), 2)
         assert got == {
@@ -188,3 +207,22 @@ class TestEquivalentCells:
             ((1, 5), (4, 8)),
             ((1, 8), (4, 5)),
         }
+
+
+class TestIdsOf:
+    def test_ids_of_position_columns_are_the_ids(self):
+        # the closed-form rank gives every address its id, at every length,
+        # from its positions alone
+        for d in (1, 2, 3, 4):
+            for n in range(9):
+                sp = AddressSpace(n, d)
+                for L, (ids, pos) in sp.by_length.items():
+                    got = sp.ids_of([pos[:, k] for k in range(L)])
+                    assert np.array_equal(got, ids), (n, d, L)
+                    assert sp.ids_of([pos[:0, k] for k in range(L)]).size == 0
+
+    def test_rank_terms_stay_small(self):
+        # two (d, n + 1) arrays: O(d * n) entries, never (n + 1)^d
+        sp = AddressSpace(96, 2)
+        sp.ids_of([np.array([0]), np.array([96])])
+        assert sum(t.size for t in sp._rank_terms) == 2 * 2 * 97
