@@ -15,11 +15,12 @@ first span is empty.
 The splits of sorted endpoints back into (row, column) pairs come from one
 table of split patterns, ``split_patterns``: which sorted positions go to
 the row and which to the column.  ``splits_of_endpoints`` applies it to
-tuples, and ``AddressSpace.split_ids`` to ids.  A space also holds its
-addresses as per-length arrays, from which the rule masks and the
-start-rule join tables are built by broadcasting rather than by walking
-position tuples, and ``AddressSpace.ids_of`` finds the ids of a batch of
-addresses given as position columns.
+tuples, and ``AddressSpace.split_ids`` to ids.  Which address pairs merge
+by a pattern is one predicate, ``fits``, which the rule masks and the
+start-rule join tables evaluate by broadcasting over the space's
+per-length address arrays rather than by walking position tuples.
+``AddressSpace.ids_of`` finds the ids of a batch of addresses given as
+position columns.
 """
 
 from __future__ import annotations
@@ -50,6 +51,31 @@ def split_patterns(L: int, d: int):
     for rsize in range(max(1, L - d), min(d, L - 1) + 1):
         for picked in combinations(rest, rsize - 1):
             yield (0, *picked), tuple(t for t in rest if t not in picked)
+
+
+def fits(pattern: tuple, rows: tuple, cols: tuple) -> np.ndarray:
+    """Which row/column address pairs merge by ``pattern``, a (row
+    positions, column positions) pair of index tuples as ``split_patterns``
+    yields them: a boolean (row, column) array.  ``rows`` and ``cols`` are
+    (ids, positions) arrays as ``AddressSpace.by_length`` holds them, of the
+    pattern's two lengths.  A pair fits when the column sorts after the row
+    and the merge, which puts the row's positions at the pattern's row
+    positions and the column's at the rest, is non-decreasing.  Each
+    address is sorted already, so only neighbouring merged positions from
+    opposite sides are compared; ids are ranks in tuple order, so the
+    column test compares ids."""
+    (row_ids, row_pos), (col_ids, col_pos) = rows, cols
+    row_at, col_at = pattern
+    merged = [None] * (len(row_at) + len(col_at))
+    for i, t in enumerate(row_at):
+        merged[t] = row_pos[:, i, None]
+    for j, t in enumerate(col_at):
+        merged[t] = col_pos[:, j]
+    out = col_ids > row_ids[:, None]
+    for t in range(len(merged) - 1):
+        if (t in row_at) != (t + 1 in row_at):
+            out &= merged[t] <= merged[t + 1]
+    return out
 
 
 def splits_of_endpoints(endpoints, d):
@@ -155,6 +181,15 @@ class AddressSpace:
         for k in range(len(columns) - 1):
             ids += steps[k].take(columns[k])
         return ids
+
+    def first_split_ids(self, columns) -> tuple:
+        """The (row ids, column ids) of the first split pattern of a batch
+        of sorted endpoints, given as 2 <= L <= 2d position columns as
+        ``ids_of`` takes them.  Where the column id is not above the row
+        id, the split is undefined."""
+        row_at, col_at = next(split_patterns(len(columns), self.d))
+        return (self.ids_of([columns[t] for t in row_at]),
+                self.ids_of([columns[t] for t in col_at]))
 
     def split_ids(self, endpoints: tuple) -> tuple:
         """``splits_of_endpoints(endpoints, d)`` as (row id, col id) pairs:

@@ -21,7 +21,7 @@ from time import perf_counter
 
 from . import _matmul_fallback as _kernel
 from ._matmul_fallback import set_bits
-from .addresses import AddressSpace
+from .addresses import AddressSpace, fits
 from .grammar import Grammar, Rule, configurations, per_rule_d
 
 # the one multiply kernel, named in ``stats["kernel"]`` and by the benchmark
@@ -168,41 +168,24 @@ def bool_multiply(a: BoolMatrix, b: BoolMatrix, backend: str = "bitset") -> Bool
 # address-indexed masks (string-independent, kept on the space)
 
 def _role_mask(space: AddressSpace, cfg: frozenset, fo: int) -> np.ndarray:
-    """Cells (left, right) whose merged endpoints, selected by ``cfg``, equal
-    the row's address, as a packed (row, word) matrix.
-
-    A predicate on address pairs, evaluated by broadcasting over
-    ``space.by_length``: the row has length |cfg| and the column 2fo - |cfg|,
-    and a pair fits when its merge, which puts the row's positions at
-    ``cfg`` and the column's at the rest, is non-decreasing and the column
-    sorts after the row.  Each address is sorted already, so only
-    neighbouring merged positions from opposite sides are compared; ids are
-    ranks in tuple order, so the column test compares ids.  The rows go
+    """The cells (row, column) that ``fits`` a role, as a packed (row, word)
+    matrix: of the ``2 * fo`` merged endpoints, the row takes those that
+    ``cfg`` numbers from 1 and the column the rest.  The rows go
     ``_MASK_BLOCK`` cells at a time, which bounds the temporaries, and each
     block is packed straight into its mask rows."""
     mask = zeros(space.dim)
-    row_at = [t - 1 for t in sorted(cfg)]
-    col_at = [t for t in range(2 * fo) if t + 1 not in cfg]
+    pattern = row_at, col_at = (tuple(t - 1 for t in sorted(cfg)),
+                                tuple(t for t in range(2 * fo) if t + 1 not in cfg))
     if not (1 <= len(row_at) <= space.d and 1 <= len(col_at) <= space.d):
         return mask
     row_ids, row_pos = space.by_length[len(row_at)]
-    col_ids, col_pos = space.by_length[len(col_at)]
-    # merged positions t, t + 1 from opposite sides
-    meet = [t for t in range(2 * fo - 1) if (t in row_at) != (t + 1 in row_at)]
+    cols = space.by_length[len(col_at)]
     width = 64 * mask.shape[1]
     step = max(1, _MASK_BLOCK // width)
     for lo in range(0, row_ids.size, step):
-        rows, pos = row_ids[lo:lo + step], row_pos[lo:lo + step]
-        merged = [None] * (2 * fo)
-        for i, t in enumerate(row_at):
-            merged[t] = pos[:, i, None]
-        for j, t in enumerate(col_at):
-            merged[t] = col_pos[:, j]
-        fits = col_ids > rows[:, None]
-        for t in meet:
-            fits &= merged[t] <= merged[t + 1]
+        rows = row_ids[lo:lo + step]
         dense = np.zeros((rows.size, width), dtype=bool)
-        dense[:, col_ids] = fits
+        dense[:, cols[0]] = fits(pattern, (rows, row_pos[lo:lo + step]), cols)
         mask[rows] = np.packbits(dense, axis=1, bitorder="little").view(np.uint64)
     return mask
 
@@ -225,14 +208,6 @@ def rule_mask(space: AddressSpace, r: Rule, role: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the rendered product
 
-def _masked(plane, mask):
-    """``plane & mask``, or None when that has no bit or ``plane`` is None."""
-    if plane is None:
-        return None
-    got = plane & mask
-    return got if np.count_nonzero(got) else None
-
-
 def plane_product(G: np.ndarray, H: np.ndarray, g: Grammar, space: AddressSpace,
                   stats: dict | None = None, delta: tuple | None = None) -> tuple:
     """The cell product of two charts over ``space``, as the planes it
@@ -250,7 +225,8 @@ def plane_product(G: np.ndarray, H: np.ndarray, g: Grammar, space: AddressSpace,
     outside the listed planes.  Given it, only terms that read a delta fact
     are multiplied: a rule whose one child has delta facts multiplies that
     child's delta plane by the other's full plane, and a rule whose two
-    children both have them multiplies the full planes.  The result then
+    children both have them multiplies the full planes, unless no delta
+    fact of either child meets its mask.  The result then
     holds every term of G x H that reads a delta fact, and nothing outside
     G x H.
 
@@ -258,7 +234,7 @@ def plane_product(G: np.ndarray, H: np.ndarray, g: Grammar, space: AddressSpace,
     ``per_rule_d`` exceeds the space's rank is skipped: a child mask of it
     is all zeros there.  Until a rule's q2 is built over the space, the
     rule is skipped before the build when a child plane it reads has no
-    bit; after that, its masked planes' own test skips it.  ``stats``
+    bit; after that, a masked operand with no bit skips it.  ``stats``
     counts the multiplies in ``"muls"``."""
     ids = g.symbol_ids
     dim = space.dim
@@ -284,28 +260,16 @@ def plane_product(G: np.ndarray, H: np.ndarray, g: Grammar, space: AddressSpace,
         if (configurations(r).cfg2, r.fo[1]) not in space.masks and not (
                 np.count_nonzero(G[b]) and np.count_nonzero(H[c])):
             continue
-        # a delta plane lies inside the full one, so a masked delta plane
-        # with a bit stands in for the full plane's test
-        q2 = rule_mask(space, r, 2)
-        db = _masked(db, q2)
-        gf = _masked(G[b], q2) if db is None else None
-        if db is None and gf is None:
+        both = db is not None and dc is not None
+        left = (G[b] if db is None or both else db) & rule_mask(space, r, 2)
+        if not np.count_nonzero(left):
             continue
-        q3 = rule_mask(space, r, 3)
-        dc = _masked(dc, q3)
-        hf = _masked(H[c], q3) if dc is None else None
-        if dc is None and hf is None:
+        right = (H[c] if dc is None or both else dc) & rule_mask(space, r, 3)
+        if not np.count_nonzero(right):
             continue
-        if delta is not None and db is None and dc is None:
+        # the full planes read a delta fact only where one fits its mask
+        if both and not (np.count_nonzero(db & left) or np.count_nonzero(dc & right)):
             continue
-        # the terms reading a delta fact are db x H and G x dc: one child's
-        # delta plane times the other's full plane, or, when both children
-        # have delta facts, the full planes, which hold both
-        if db is not None and dc is not None:
-            left, right = G[b] & q2, H[c] & q3
-        else:
-            left = gf if db is None else db
-            right = hf if dc is None else dc
         if stats is not None:
             stats["muls"] = stats.get("muls", 0) + 1
         # the first product into a head goes straight into its slot

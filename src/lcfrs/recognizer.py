@@ -33,7 +33,7 @@ from math import comb
 
 import numpy as np
 
-from .addresses import AddressSpace, cell_endpoints, enumerate_space
+from .addresses import AddressSpace, cell_endpoints, enumerate_space, fits, split_patterns
 from .boolmat import (
     KERNEL_KIND, _nwords, bit, nonzero_bits, plane_product, popcount, row_bits, rule_mask,
     set_cells, zeros,
@@ -74,20 +74,15 @@ class Closure:
 
     def holds(self, sym, endpoints: tuple) -> bool:
         """Does the chart hold ``sym`` over the spans of ``endpoints``?  The
-        chart is closed under pi-copy, so one split tells: the first of
-        ``split_ids``, whose row is the first max(1, L - d) of the L
-        endpoints.  Endpoints of no cell (an odd number, more than 2d,
-        unsorted, or outside 0..n) and symbols outside the chart are never
-        held."""
+        chart is closed under pi-copy, so the first of ``split_ids`` tells.
+        Endpoints that are unsorted, outside 0..n or of no split, and
+        symbols outside the chart, are never held."""
         t = self.symbol_ids.get(sym)
-        d, L = self.space.d, len(endpoints)
-        if (t is None or L % 2 or not 0 < L <= 2 * d
-                or not all(a <= b for a, b in zip((0, *endpoints), (*endpoints, self.space.n)))):
+        if t is None or not all(a <= b for a, b in zip((0, *endpoints),
+                                                       (*endpoints, self.space.n))):
             return False
-        cut = max(1, L - d)
-        row, col = endpoints[:cut], endpoints[cut:]
-        ids = self.space.ids
-        return col > row and bit(self.chart[t], ids[row], ids[col])
+        splits = self.space.split_ids(endpoints)
+        return bool(splits) and bit(self.chart[t], *splits[0])
 
 
 def facts_of(chart, symbols, space: AddressSpace) -> dict:
@@ -241,16 +236,10 @@ def _build_join(space: AddressSpace, template: tuple, fo: tuple) -> tuple:
     The candidates are the first child's facts that begin at 0, and end at
     n when the template ends with the first child.  The start symbol has
     fan-out 1, so the template alternates b1 g1 b2 g2 ... over (0, n), and
-    such a fact fixes every endpoint of the second child: its own endpoints
-    from the second on, then n when the template ends with the second
-    child.  An entry holds, for each child's fact, the packed word index in
-    a (row, word) plane and the bit of its first split, whose row is the
-    first max(1, L - d) of its L endpoints; a candidate whose first split
-    of either fact is undefined has no cell and is dropped.  The first
-    child's rows that begin at 0 are a leading slice of the addresses of
-    that length, so the candidates are one broadcast of those rows against
-    the columns, in row-major, that is endpoint, order; the second child's
-    ids come from ``AddressSpace.ids_of``."""
+    such a fact fixes the second child's endpoints: its own from the second
+    on, then n.  An entry holds each fact's first split as a packed word
+    index in a (row, word) plane and a bit; a candidate with no first split
+    of either fact is dropped."""
     n, d = space.n, space.d
     words = _nwords(space.dim)
     word_type = np.min_scalar_type(space.dim * words)
@@ -258,26 +247,27 @@ def _build_join(space: AddressSpace, template: tuple, fo: tuple) -> tuple:
     if Lb > 2 * d or Lc > 2 * d:
         none = np.zeros(0, dtype=word_type), np.zeros(0, dtype=np.uint8)
         return none + none
-    cut = max(1, Lb - d)
-    row_ids, row_pos = (a[:comb(n + cut - 1, cut - 1)] for a in space.by_length[cut])
-    col_ids, col_pos = space.by_length[Lb - cut]
-    fits = (row_pos[:, -1, None] <= col_pos[:, 0]) & (col_ids > row_ids[:, None])
+    pattern = row_at, col_at = next(split_patterns(Lb, d))
+    # the rows that begin at 0 are a leading slice of their length
+    k = len(row_at)
+    rows = [a[:comb(n + k - 1, k - 1)] for a in space.by_length[k]]
+    cols = space.by_length[len(col_at)]
+    candidates = fits(pattern, rows, cols)
     if template[-1].side == "b":
-        fits &= col_pos[:, -1] == n
-    ri, ci = fits.nonzero()
-    # the second child's endpoints: the first child's from the second on,
-    # endpoint Lb standing for n
-    ends = [row_pos[:, j].take(ri) if j < cut else
-            col_pos[:, j - cut].take(ci) if j < Lb else np.full(ri.size, n)
-            for j in range(1, Lc + 1)]
-    cut = max(1, Lc - d)
-    right_row, right_col = space.ids_of(ends[:cut]), space.ids_of(ends[cut:])
+        candidates &= cols[1][:, -1] == n
+    ri, ci = candidates.nonzero()
+    # the first child's endpoints, then n
+    ends = [None] * Lb + [np.full(ri.size, n)]
+    for at, pos, picked in ((row_at, rows[1], ri), (col_at, cols[1], ci)):
+        for j, t in enumerate(at):
+            ends[t] = pos[:, j].take(picked)
+    right_row, right_col = space.first_split_ids(ends[1:Lc + 1])
     keep = right_col > right_row
-    ri, ci, right_row, right_col = ri[keep], ci[keep], right_row[keep], right_col[keep]
     out = ()
-    for rows, cols in ((row_ids.take(ri), col_ids.take(ci)), (right_row, right_col)):
-        out += ((rows.astype(word_type) * words + (cols >> 6)).astype(word_type, copy=False),
-                (cols & 63).astype(np.uint8, copy=False))
+    for row, col in ((rows[0].take(ri[keep]), cols[0].take(ci[keep])),
+                     (right_row[keep], right_col[keep])):
+        out += ((row.astype(word_type) * words + (col >> 6)).astype(word_type, copy=False),
+                (col & 63).astype(np.uint8, copy=False))
     return out
 
 
@@ -293,17 +283,16 @@ def _join_table(space: AddressSpace, r) -> tuple:
     return got
 
 
-def _start_witness(clo: Closure, g: Grammar, n: int):
+def _start_witness(clo: Closure, g: Grammar):
     """The first ``(rule, left endpoints, right endpoints)``, in rule-id and
     then endpoint order, by which a binary start rule derives (0, n) from two
-    facts of a closed chart; None when there is none.  Only the planes of
-    the start rules' children are read.
+    facts of a closed chart over a sentence of length n; None when there is
+    none.  Only the planes of the start rules' children are read.
 
     Each start rule is one gather over its join table (``_join_table``):
     both children's bits at the first splits of every candidate pair, of
     which the first set in both is the witness.  The chart is closed under
-    pi-copy, so a fact's first split holds it exactly when the chart does.
-    ``n``, the sentence length, is the space's."""
+    pi-copy, so a fact's first split holds it exactly when the chart does."""
     space, chart, ids = clo.space, clo.chart, clo.symbol_ids
     words = chart.shape[-1]
     addrs = space.addresses
@@ -398,7 +387,7 @@ def run_recognition(g: Grammar, sentence) -> RunResult:
     mask_ms = space.mask_ms - built
     t3 = time.perf_counter()
     accepted = n > 0 and (clo.holds(work.start, (0, n))
-                          or (join and _start_witness(clo, work, n) is not None))
+                          or (join and _start_witness(clo, work) is not None))
     facts = popcount(seeded) + sum(r["new_facts"] for r in clo.rounds)
     t4 = time.perf_counter()
     stats = {
@@ -462,10 +451,13 @@ def extract_derivation(clo: Closure, g: Grammar, sentence):
     ascending order among the set bits of row i of the first child's plane;
     k is taken when the second child's bit at (k, j) is set, the rule's
     masks q2 and q3 hold (i, k) and (k, j) (all three masks are the
-    closure's, from the space), and both child facts rebuild in turn.
+    closure's, from the space), and both child facts rebuild in turn.  A
+    sentence of another length than the closure's raises ``ValueError``.
     """
     tokens = tuple(sentence)
     n = len(tokens)
+    if clo.space.n != n:
+        raise ValueError("closure over n=%d, sentence has %d tokens" % (clo.space.n, n))
     if n == 0:
         return None
     space = clo.space
@@ -474,7 +466,7 @@ def extract_derivation(clo: Closure, g: Grammar, sentence):
 
     witness = None
     if not clo.holds(g.start, (0, n)):
-        witness = _start_witness(clo, g, n)
+        witness = _start_witness(clo, g)
         if witness is None:
             return None
 

@@ -110,13 +110,14 @@ def enumerated_role_mask(space, cfg, fo):
     return mask
 
 
-def searched_start_witness(clo, g: Grammar, n: int):
+def searched_start_witness(clo, g: Grammar):
     """Reference for ``recognizer._start_witness``: the per-fact search it
     replaced.  The first children's facts that begin at 0 are read by
     ``facts_of`` off the rows below the id of (1,), and each, in endpoint
     order, fixes the second child's spans, which one ``Closure.holds``
     test decides."""
     rules = g.start_join
+    n = clo.space.n
     firsts = tuple(sorted({r.rhs[0] for r in rules}))
     starts_at_0 = clo.chart[[clo.symbol_ids[B] for B in firsts], :clo.space.ids[(1,)]]
     lefts_of = facts_of(starts_at_0, firsts, clo.space)

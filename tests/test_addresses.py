@@ -221,6 +221,23 @@ class TestIdsOf:
                     assert np.array_equal(got, ids), (n, d, L)
                     assert sp.ids_of([pos[:0, k] for k in range(L)]).size == 0
 
+    def test_first_split_ids_is_the_first_of_split_ids(self):
+        # one batch of every sorted endpoint tuple of each even length gives
+        # the first pair of split_ids where there is one, and an undefined
+        # split where there is none
+        checked = 0
+        for d in (1, 2, 3):
+            for n in range(6):
+                sp = AddressSpace(n, d)
+                for L in range(2, 2 * d + 1, 2):
+                    ends = list(itertools.combinations_with_replacement(range(n + 1), L))
+                    rows, cols = sp.first_split_ids([np.array(c) for c in zip(*ends)])
+                    for e, row, col in zip(ends, rows.tolist(), cols.tolist()):
+                        pairs = sp.split_ids(e)
+                        assert (pairs[0] == (row, col)) if pairs else col <= row, (n, d, e)
+                        checked += 1
+        assert checked > 1000
+
     def test_rank_terms_stay_small(self):
         # two (d, n + 1) arrays: O(d * n) entries, never (n + 1)^d
         sp = AddressSpace(96, 2)

@@ -170,6 +170,31 @@ class TestSemiNaiveClosure:
         assert T.fact_count() + sum(r["new_facts"] for r in clo.rounds) == clo.fact_count()
         assert clo.rounds[-1]["new_facts"] == 0
 
+    def test_round_traces_are_fixed(self, grammars):
+        # which terms a round multiplies is a fixed figure of the semi-naive
+        # operand choice: each round's (muls, new_facts) is pinned
+        want = {
+            ("count4", "a a b b c c d d"): [(2, 6), (2, 0)],
+            ("itg_sep", "x y x # x y x"): [(2, 12), (2, 3), (2, 0)],
+            ("cfg_anbn", "a a a b b b"): [(1, 1)] * 5 + [(1, 0)],
+            ("dual_initial_demo", "a b a a b a"): [(1, 7), (1, 1), (0, 0)],
+        }
+        for (name, sentence), rounds in want.items():
+            stats = run_recognition(grammars[name], sentence.split()).stats
+            assert stats["rounds"] == [{"muls": m, "new_facts": f} for m, f in rounds], name
+
+    def test_a_rule_whose_delta_facts_fit_neither_child_is_skipped(self):
+        # round 1 grows C by facts with tied endpoints, and in round 2 both
+        # children of a C rule have delta facts, none of which its child
+        # masks hold: the full planes would read no delta fact, so that rule
+        # is not multiplied
+        g = parse_grammar(
+            "start S\nS -> A A : b1 g1\nC -> C C : b1 , b2 g1 b3 g2 , g3\n"
+            "C -> C C : b1 g1 , g2 b2 , b3 g3\nB -> A B : b1 g1\n"
+            "A -> : 'a' 'a'\nB -> : 'a' 'b'\nC -> : '' , '' , 'a'\n")
+        stats = run_recognition(g, "a b a".split()).stats
+        assert stats["rounds"] == [{"muls": 2, "new_facts": 4}, {"muls": 1, "new_facts": 0}]
+
     def test_run_reports_rounds(self, grammars):
         for name, sentence in (("count4", "a b b c d d"), ("itg_sep", "x y # y x")):
             stats = run_recognition(grammars[name], sentence.split()).stats
@@ -246,7 +271,7 @@ class TestStartWitness:
         n = len(toks)
         work, clo = res.grammar, res.closure
         want = _brute_witness(clo, work, n)
-        assert _start_witness(clo, work, n) == want, label
+        assert _start_witness(clo, work) == want, label
         assert res.accepted == (clo.holds(work.start, (0, n))
                                 or want is not None), label
         return res, want
@@ -394,9 +419,9 @@ class TestJoinTable:
         found = missed = 0
         for name, toks in self._families():
             res = run_recognition(grammars[name], toks)
-            work, clo, n = res.grammar, res.closure, len(toks)
-            got = _start_witness(clo, work, n)
-            assert got == searched_start_witness(clo, work, n), (name, toks)
+            work, clo = res.grammar, res.closure
+            got = _start_witness(clo, work)
+            assert got == searched_start_witness(clo, work), (name, toks)
             assert res.accepted == (got is not None), (name, toks)
             found += got is not None
             missed += got is None
@@ -412,9 +437,9 @@ class TestJoinTable:
         res = run_recognition(g, toks)
         clo, work = res.closure, res.grammar
         assert clo.holds("A", (0, 2, 2, 3)) and clo.holds("B", (2, 2, 3, 5))
-        got = _start_witness(clo, work, 5)
+        got = _start_witness(clo, work)
         assert got[1:] == ((0, 1, 3, 4), (1, 3, 4, 5))
-        assert got == searched_start_witness(clo, work, 5)
+        assert got == searched_start_witness(clo, work)
 
     def test_a_table_is_built_once_per_space(self, grammars, monkeypatch):
         # the tables live on the address space, so sentences of one length
@@ -446,16 +471,15 @@ class TestJoinTable:
         for name, toks in (("count4", "a a b c c d"), ("itg_sep", "x y x # x y x"),
                            ("itg_sep", "x y # x x")):
             res = run_recognition(grammars[name], toks.split())
-            cases.append((res, len(toks.split()), searched_start_witness(
-                res.closure, res.grammar, len(toks.split()))))
+            cases.append((res, searched_start_witness(res.closure, res.grammar)))
 
         def refuse(*args, **kwargs):
             raise AssertionError("the witness read facts")
         monkeypatch.setattr(recognizer, "facts_of", refuse)
         monkeypatch.setattr(Closure, "holds", refuse)
-        for res, n, want in cases:
-            assert _start_witness(res.closure, res.grammar, n) == want
-        assert any(want for _, _, want in cases) and not all(want for _, _, want in cases)
+        for res, want in cases:
+            assert _start_witness(res.closure, res.grammar) == want
+        assert any(want for _, want in cases) and not all(want for _, want in cases)
 
 
 def _accepts(g, tokens):
@@ -990,6 +1014,15 @@ class TestExtraction:
         sp = enumerate_space(0, space_rank(g))
         chart = planes_of({}, g.symbol_ids, sp)
         assert extract_derivation(Closure(chart, g.symbol_ids, sp), g, []) is None
+
+    def test_sentence_of_another_length_is_refused(self, grammars):
+        # the chart was closed over four tokens; a longer sentence must not
+        # get a tree over its own length, nor a shorter one a chart fault
+        g = grammars["count4"]
+        res = run_recognition(g, "a b c d".split())
+        for sentence in ("a b c d e", "a b c", ""):
+            with pytest.raises(ValueError):
+                extract_derivation(res.closure, res.grammar, sentence.split())
 
     def test_deterministic(self, grammars):
         g = grammars["itg_sep"]
