@@ -1,0 +1,74 @@
+"""Three-way fuzz pass: the matrix engine, the tabular oracle and language
+enumeration on the random grammars of ``tests/conftest.py::random_grammar``.
+
+For each seed in the range, the grammar the seed draws is run when the
+engine accepts it, on every sentence over its alphabet up to the maximum
+length.  The pass prints the number of runnable grammars and sentences,
+then each false accept (the engine accepts what the oracle rejects) and
+each false reject.  It exits 1 on any false accept, or when the tabular
+oracle and the enumerator disagree; false rejects are reported only.
+
+    python scripts/fuzz_three_way.py --seeds 300 400 --max-len 5
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import os
+import random
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
+
+from conftest import random_grammar  # noqa: E402
+from lcfrs.grammar import is_single_initial, to_single_initial  # noqa: E402
+from lcfrs.oracle import enumerate_language, tabular_recognize  # noqa: E402
+from lcfrs.recognizer import engine_ready, run_recognition  # noqa: E402
+
+
+def fuzz(seeds: range, max_len: int) -> dict:
+    """Run the three checks over ``seeds``; the runnable count, the
+    sentence count and the ``(seed, sentence)`` lists of each failure."""
+    out = {"runnable": 0, "sentences": 0, "false_accepts": [], "false_rejects": [],
+           "oracle_disagreements": []}
+    for case in seeds:
+        g = random_grammar(random.Random(case), d_cap=4)
+        if engine_ready(g if is_single_initial(g) else to_single_initial(g)):
+            continue
+        out["runnable"] += 1
+        language = enumerate_language(g, max_len)
+        for n in range(1, max_len + 1):
+            for toks in itertools.product(sorted(g.terminals), repeat=n):
+                out["sentences"] += 1
+                engine = run_recognition(g, toks).accepted
+                tabular, _ = tabular_recognize(g, toks)
+                case_toks = (case, " ".join(toks))
+                if tabular != (toks in language):
+                    out["oracle_disagreements"].append(case_toks)
+                if engine and not tabular:
+                    out["false_accepts"].append(case_toks)
+                elif tabular and not engine:
+                    out["false_rejects"].append(case_toks)
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seeds", nargs=2, type=int, default=(300, 400), metavar=("FIRST", "STOP"),
+                    help="the seeds FIRST to STOP - 1 (default 300 400)")
+    ap.add_argument("--max-len", type=int, default=5, help="longest sentence (default 5)")
+    args = ap.parse_args(argv)
+    got = fuzz(range(*args.seeds), args.max_len)
+    print("seeds %d-%d, lengths 1-%d: %d runnable grammars, %d sentences"
+          % (args.seeds[0], args.seeds[1] - 1, args.max_len, got["runnable"], got["sentences"]))
+    for key in ("false_accepts", "false_rejects", "oracle_disagreements"):
+        print("%s: %d" % (key.replace("_", " "), len(got[key])))
+        for case, sentence in got[key]:
+            print("  seed %d: %r" % (case, sentence))
+    return int(bool(got["false_accepts"] or got["oracle_disagreements"]))
+
+
+if __name__ == "__main__":
+    sys.exit(main())

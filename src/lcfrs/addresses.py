@@ -112,7 +112,7 @@ class AddressSpace:
     There are ``sum(comb(n + L, L) for L in 1..d)`` of them.
 
     ``masks`` holds the rule masks built over this space by
-    ``boolmat.rule_mask``, and ``mask_ms`` the milliseconds they took;
+    ``boolmat.rule_mask``, which every run's ``boolmat.rule_plan`` reads;
     ``joins`` holds the start-rule join tables of
     ``recognizer._join_table``.  ``by_length``, the rank terms behind
     ``ids_of`` and the split-pattern tables behind ``split_ids`` are built
@@ -133,7 +133,6 @@ class AddressSpace:
         self._patterns = {}
         self._split_ids = {}
         self.masks = {}
-        self.mask_ms = 0.0
         self.joins = {}
 
     @cached_property

@@ -11,13 +11,14 @@ mask is a property of cell addresses and of the rule's configuration alone,
 so each is built once per address space, kept on the space
 (``AddressSpace.masks``), and shared by every sentence, rule and grammar
 run over it.  A mask is built by array comparisons over the space's
-per-length address arrays, never by walking position tuples.
+per-length address arrays, never by walking position tuples.  A run
+resolves its rules and their masks once, as a ``rule_plan``, which every
+round's ``plane_product`` reads.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from time import perf_counter
 
 from . import _matmul_fallback as _kernel
 from ._matmul_fallback import set_bits
@@ -195,29 +196,41 @@ def rule_mask(space: AddressSpace, r: Rule, role: int) -> np.ndarray:
     second child) of binary rule ``r``.  It depends on the rule only through
     its configuration and fan-out in that role, so it is built on first use
     into ``space.masks`` under that key and shared by rules, sentences and
-    re-parsed grammars; the build's milliseconds go to ``space.mask_ms``."""
+    re-parsed grammars.  ``rule_plan`` is its one caller on the run path."""
     key = configurations(r)[role - 1], r.fo[role - 1]
     got = space.masks.get(key)
     if got is None:
-        t0 = perf_counter()
         got = space.masks[key] = _role_mask(space, *key)
-        space.mask_ms += (perf_counter() - t0) * 1000
     return got
+
+
+def rule_plan(g: Grammar, space: AddressSpace) -> tuple:
+    """What a run of ``g`` over ``space`` multiplies, fixed before its first
+    round: ``(shape, rules)``, the (symbol, row, word) shape of its charts
+    and one ``(rule, first child plane, second child plane, head plane, q1,
+    q2, q3)`` entry per binary rule, in rule order, its masks from
+    ``rule_mask``.  A rule whose ``per_rule_d`` exceeds the space's rank is
+    left out: a child mask of it is all zeros there."""
+    ids = g.symbol_ids
+    return (len(ids), space.dim, _nwords(space.dim)), tuple(
+        (r, ids[r.rhs[0]], ids[r.rhs[1]], ids[r.lhs],
+         rule_mask(space, r, 1), rule_mask(space, r, 2), rule_mask(space, r, 3))
+        for r in g.binary_rules() if per_rule_d(r) <= space.d)
 
 
 # ---------------------------------------------------------------------------
 # the rendered product
 
-def plane_product(G: np.ndarray, H: np.ndarray, g: Grammar, space: AddressSpace,
+def plane_product(G: np.ndarray, H: np.ndarray, plan: tuple,
                   stats: dict | None = None, delta: tuple | None = None) -> tuple:
-    """The cell product of two charts over ``space``, as the planes it
-    writes: ``(heads, planes)``.  ``heads`` lists the ids of the head planes
-    of the rules it multiplied, in the order the rules first wrote them,
-    and ``planes`` is a (head, row, word) array of those planes in that
-    order.  Every other plane of the product is all zeros, and a listed
-    plane may be too, when a head mask clears its bits.  A chart is a
-    packed (symbol, row, word) array with one plane per nonterminal, in the
-    order of ``g.symbol_ids``.  One masked multiply per binary rule.
+    """The cell product of two charts, as the planes it writes: ``(heads,
+    planes)``.  ``heads`` lists the ids of the head planes of the rules it
+    multiplied, in the order the rules first wrote them, and ``planes`` is
+    a (head, row, word) array of those planes in that order.  Every other
+    plane of the product is all zeros, and a listed plane may be too, when
+    a head mask clears its bits.  ``plan`` is a ``rule_plan``, and a chart
+    is a packed (symbol, row, word) array of its shape.  One masked
+    multiply per rule of the plan.
 
     Every term is (A & M1) x (B & M2) & M3, so the product distributes over
     OR in either operand.  ``delta`` is a chart contained in both G and H,
@@ -228,43 +241,26 @@ def plane_product(G: np.ndarray, H: np.ndarray, g: Grammar, space: AddressSpace,
     children both have them multiplies the full planes, unless no delta
     fact of either child meets its mask.  The result then
     holds every term of G x H that reads a delta fact, and nothing outside
-    G x H.
-
-    The masks come from ``rule_mask``, built once per space.  A rule whose
-    ``per_rule_d`` exceeds the space's rank is skipped: a child mask of it
-    is all zeros there.  Until a rule's q2 is built over the space, the
-    rule is skipped before the build when a child plane it reads has no
-    bit; after that, a masked operand with no bit skips it.  ``stats``
+    G x H.  A rule is skipped when a masked operand has no bit.  ``stats``
     counts the multiplies in ``"muls"``."""
-    ids = g.symbol_ids
-    dim = space.dim
-    shape = (len(ids), dim, _nwords(dim))
+    shape, rules = plan
     if G.shape != shape or H.shape != shape:
         raise ValueError("charts of shape %s and %s, not %s for this grammar and space"
                          % (G.shape, H.shape, shape))
     d_of = {} if delta is None else dict(zip(*delta))
-    rules = g.binary_rules()
     # one slot per rule bounds the heads; slots no rule writes stay untouched
-    out = zeros(dim, len(rules))
+    out = zeros(shape[1], len(rules))
     heads = []
-    for r in rules:
-        b, c = ids[r.rhs[0]], ids[r.rhs[1]]
+    for _, b, c, h, q1, q2, q3 in rules:
         db, dc = d_of.get(b), d_of.get(c)
         if delta is not None and db is None and dc is None:
             continue
-        if per_rule_d(r) > space.d:
-            continue
-        # until its q2 is built, a rule whose child plane has no bit is
-        # skipped before the build; count_nonzero tests a plane for a bit at
-        # a third of any()'s call cost
-        if (configurations(r).cfg2, r.fo[1]) not in space.masks and not (
-                np.count_nonzero(G[b]) and np.count_nonzero(H[c])):
-            continue
         both = db is not None and dc is not None
-        left = (G[b] if db is None or both else db) & rule_mask(space, r, 2)
+        # count_nonzero tests a plane for a bit at a third of any()'s call cost
+        left = (G[b] if db is None or both else db) & q2
         if not np.count_nonzero(left):
             continue
-        right = (H[c] if dc is None or both else dc) & rule_mask(space, r, 3)
+        right = (H[c] if dc is None or both else dc) & q3
         if not np.count_nonzero(right):
             continue
         # the full planes read a delta fact only where one fits its mask
@@ -273,13 +269,12 @@ def plane_product(G: np.ndarray, H: np.ndarray, g: Grammar, space: AddressSpace,
         if stats is not None:
             stats["muls"] = stats.get("muls", 0) + 1
         # the first product into a head goes straight into its slot
-        h = ids[r.lhs]
         first = h not in heads
         if first:
             heads.append(h)
-        bits = out[len(heads) - 1] if first else zeros(dim)
+        bits = out[len(heads) - 1] if first else zeros(shape[1])
         _kernel.multiply_packed(left, right, bits)
-        bits &= rule_mask(space, r, 1)
+        bits &= q1
         if not first:
             out[heads.index(h)] |= bits
     return heads, out[:len(heads)]

@@ -35,7 +35,7 @@ import numpy as np
 
 from .addresses import AddressSpace, cell_endpoints, enumerate_space, fits, split_patterns
 from .boolmat import (
-    KERNEL_KIND, _nwords, bit, nonzero_bits, plane_product, popcount, row_bits, rule_mask,
+    KERNEL_KIND, _nwords, bit, nonzero_bits, plane_product, popcount, row_bits, rule_plan,
     set_cells, zeros,
 )
 from .grammar import (
@@ -107,11 +107,11 @@ def facts_of(chart, symbols, space: AddressSpace) -> dict:
     return out
 
 
-def _set_facts(chart, facts: dict, symbol_ids: dict, space: AddressSpace):
-    """``chart`` with every fact of ``facts`` set on every split of its
-    endpoints, all set in place by one scatter; ``symbol_ids`` gives each
-    nonterminal's plane.  A fact with no split in the space sets nothing."""
-    cells = [(t, r, c) for nt, flats in facts.items() for t in (symbol_ids[nt],)
+def _set_facts(chart, facts: dict, space: AddressSpace):
+    """``chart`` with every fact of ``facts`` (``{plane: sorted endpoint
+    tuples}``) set on every split of its endpoints, in place by one
+    scatter.  A fact with no split in the space sets nothing."""
+    cells = [(t, r, c) for t, flats in facts.items()
              for flat in flats for r, c in space.split_ids(flat)]
     if cells:
         tpc = np.fromiter(chain.from_iterable(cells), dtype=np.intp, count=3 * len(cells))
@@ -123,19 +123,20 @@ def planes_of(facts: dict, symbol_ids: dict, space: AddressSpace):
     """The chart with every fact of ``facts`` set on every split of its
     endpoints, all set by one scatter; ``symbol_ids`` gives each
     nonterminal's plane.  A fact with no split in the space sets nothing."""
-    return _set_facts(zeros(space.dim, len(symbol_ids)), facts, symbol_ids, space)
+    return _set_facts(zeros(space.dim, len(symbol_ids)),
+                      {symbol_ids[nt]: flats for nt, flats in facts.items()}, space)
 
 
-def pi_copy(chart, symbol_ids: dict, space: AddressSpace):
+def pi_copy(chart, space: AddressSpace):
     """Plane form of ``oracle.pi_copy``: a copy of the chart with each fact
-    also set on every cell whose addresses merge to the same endpoints.
-    Cells with an undefined merge copy nowhere.  ``symbol_ids`` names the
-    chart's planes, which may be any subset of a grammar's: the closure
-    passes only the planes a round wrote.  The work grows with the facts
-    given, not with the space, and a chart with no bit is only copied."""
+    also set on every cell whose addresses merge to the same endpoints, in
+    the same plane.  Cells with an undefined merge copy nowhere.  The
+    planes may be any stack over ``space``: the closure passes only the
+    planes a round wrote.  The work grows with the facts given, not with
+    the space, and a chart with no bit is only copied."""
     out = chart.copy()
     if np.count_nonzero(chart):
-        _set_facts(out, facts_of(chart, symbol_ids, space), symbol_ids, space)
+        _set_facts(out, facts_of(chart, range(len(chart)), space), space)
     return out
 
 
@@ -193,8 +194,9 @@ def closure_fixpoint(T, g: Grammar, space: AddressSpace) -> Closure:
     already.  Round 1 takes all of X as D, that is, multiplies every term.
     Round k therefore holds exactly the facts of round k of naive
     iteration, and ``iterations`` counts the same rounds, the last of which
-    adds nothing.  The rule masks live on ``space`` (``rule_mask``), so a
-    run over a space that earlier runs used builds none.
+    adds nothing.  The rules and their masks are looked up once, as the
+    ``rule_plan`` every round's product reads; the masks live on ``space``,
+    so a run over a space that earlier runs used builds none.
 
     A round touches only its live planes: the head planes the product
     wrote (``plane_product``'s ids), and of those, the ones that gained a
@@ -202,18 +204,18 @@ def closure_fixpoint(T, g: Grammar, space: AddressSpace) -> Closure:
     count and OR into X run over those planes alone, so a plane that no
     binary rule heads, a lexical-only symbol, is never touched after the
     seed."""
-    names = list(g.symbol_ids)
+    plan = rule_plan(g, space)
     X = T.copy()
     delta = None
     stats = {"muls": 0}
     rounds = []
     while True:
         before = stats["muls"]
-        heads, fresh = plane_product(X, X, g, space, stats, delta)
+        heads, fresh = plane_product(X, X, plan, stats, delta)
         absent = X.take(heads, axis=0)
         np.invert(absent, out=absent)
         fresh &= absent
-        fresh = pi_copy(fresh, {names[t]: p for p, t in enumerate(heads)}, space)
+        fresh = pi_copy(fresh, space)
         fresh &= absent
         new_facts = popcount(fresh)
         rounds.append({"muls": stats["muls"] - before, "new_facts": new_facts})
@@ -382,14 +384,14 @@ def run_recognition(g: Grammar, sentence) -> RunResult:
     t1 = time.perf_counter()
     seeded = seed_planes(work, tokens, space)
     t2 = time.perf_counter()
-    built = space.mask_ms
-    clo = closure_fixpoint(seeded, work, space)
-    mask_ms = space.mask_ms - built
+    rule_plan(work, space)
     t3 = time.perf_counter()
+    clo = closure_fixpoint(seeded, work, space)
+    t4 = time.perf_counter()
     accepted = n > 0 and (clo.holds(work.start, (0, n))
                           or (join and _start_witness(clo, work) is not None))
-    facts = popcount(seeded) + sum(r["new_facts"] for r in clo.rounds)
-    t4 = time.perf_counter()
+    facts = clo.fact_count()
+    t5 = time.perf_counter()
     stats = {
         "n": n,
         "rank": space.d,
@@ -403,9 +405,9 @@ def run_recognition(g: Grammar, sentence) -> RunResult:
         "phases": {
             "space": (t1 - t0) * 1000,
             "seed": (t2 - t1) * 1000,
-            "masks": mask_ms,
-            "closure": (t3 - t2) * 1000 - mask_ms,
-            "readout": (t4 - t3) * 1000,
+            "masks": (t3 - t2) * 1000,
+            "closure": (t4 - t3) * 1000,
+            "readout": (t5 - t4) * 1000,
         },
     }
     return RunResult(accepted, work, stats, clo)
@@ -451,8 +453,10 @@ def extract_derivation(clo: Closure, g: Grammar, sentence):
     ascending order among the set bits of row i of the first child's plane;
     k is taken when the second child's bit at (k, j) is set, the rule's
     masks q2 and q3 hold (i, k) and (k, j) (all three masks are the
-    closure's, from the space), and both child facts rebuild in turn.  A
-    sentence of another length than the closure's raises ``ValueError``.
+    closure's, from its ``rule_plan``), and both child facts rebuild in
+    turn.  A rule beyond the space's rank, which the plan leaves out, never
+    rebuilds a fact.  A sentence of another length than the closure's
+    raises ``ValueError``.
     """
     tokens = tuple(sentence)
     n = len(tokens)
@@ -462,7 +466,7 @@ def extract_derivation(clo: Closure, g: Grammar, sentence):
         return None
     space = clo.space
     addrs = space.addresses
-    chart, ids = clo.chart, clo.symbol_ids
+    chart = clo.chart
 
     witness = None
     if not clo.holds(g.start, (0, n)):
@@ -471,6 +475,7 @@ def extract_derivation(clo: Closure, g: Grammar, sentence):
             return None
 
     rules = sorted(g.rules, key=lambda r: r.rid)
+    plan = {entry[0].rid: entry for entry in rule_plan(g, space)[1]}
     memo: dict = {}
 
     def justify(nt, flat):
@@ -489,17 +494,16 @@ def extract_derivation(clo: Closure, g: Grammar, sentence):
                     node = DerivationNode(nt, r.rid, spans)
                     break
                 continue
+            if r.rid not in plan:
+                continue
             B, C = r.rhs
-            left, right = chart[ids[B]], chart[ids[C]]
+            _, b, c, _, q1, q2, q3 = plan[r.rid]
+            left, right = chart[b], chart[c]
             for i, j in sorted(space.split_ids(flat)):
-                if not bit(rule_mask(space, r, 1), i, j):
+                if not bit(q1, i, j):
                     continue
                 for k in row_bits(left[i]):
-                    if not (
-                        bit(right, k, j)
-                        and bit(rule_mask(space, r, 2), i, k)
-                        and bit(rule_mask(space, r, 3), k, j)
-                    ):
+                    if not (bit(right, k, j) and bit(q2, i, k) and bit(q3, k, j)):
                         continue
                     b_node = justify(B, cell_endpoints(addrs[i], addrs[k]))
                     if b_node is None:

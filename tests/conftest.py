@@ -12,7 +12,7 @@ import pytest
 
 import lcfrs
 from lcfrs import bundled
-from lcfrs.boolmat import nonzero_bits, plane_product, set_cells, zeros
+from lcfrs.boolmat import nonzero_bits, plane_product, rule_plan, set_cells, zeros
 from lcfrs.grammar import Grammar, Rule, Var, contact_rank, per_rule_d, validate
 from lcfrs.oracle import ProductMatrix, enumerate_language, pi_copy, tabular_recognize
 from lcfrs.recognizer import _spans_of, facts_of, run_recognition, space_rank
@@ -83,7 +83,7 @@ def symbol_planes(T: ProductMatrix, symbol_ids: dict):
 def product_chart(G, H, g: Grammar, space, **kwargs):
     """``plane_product`` of two charts as a full chart of ``g``'s symbols:
     the head planes it returns, and zeros elsewhere."""
-    heads, planes = plane_product(G, H, g, space, **kwargs)
+    heads, planes = plane_product(G, H, rule_plan(g, space), **kwargs)
     chart = zeros(space.dim, len(g.symbol_ids))
     chart[heads] = planes
     return chart

@@ -19,6 +19,7 @@ from lcfrs.boolmat import (
     popcount,
     row_bits,
     rule_mask,
+    rule_plan,
     set_cells,
     unpack_rows,
     zeros,
@@ -303,7 +304,7 @@ class TestFactors:
         planes = symbol_planes(T, g.symbol_ids)
         assert planes.any()
         stats = {}
-        heads, got = plane_product(planes, planes, lexical, sp, stats=stats)
+        heads, got = plane_product(planes, planes, rule_plan(lexical, sp), stats=stats)
         assert heads == [] and got.shape == (0, sp.dim, planes.shape[2])
         assert stats.get("muls", 0) == 0
         for chart in (planes, symbol_planes(T2, g.symbol_ids)):
@@ -332,9 +333,9 @@ class TestFactors:
         g = grammars["cfg_anbn"]
         small = symbol_planes(seed(g, ["a", "b"], enumerate_space(2, 1)), g.symbol_ids)
         with pytest.raises(ValueError):
-            plane_product(small, small, g, enumerate_space(3, 1))
+            plane_product(small, small, rule_plan(g, enumerate_space(3, 1)))
         with pytest.raises(ValueError):     # one plane short of the grammar's symbols
-            plane_product(small[1:], small[1:], g, enumerate_space(2, 1))
+            plane_product(small[1:], small[1:], rule_plan(g, enumerate_space(2, 1)))
 
     def test_plane_product_matches_cell_by_cell(self, grammars):
         for name, sentence in (("count4", "a b c d"), ("itg_sep", "x y # y x")):
@@ -346,7 +347,7 @@ class TestFactors:
                 want = symbol_planes(matrix_product(left, right, g), ids)
                 assert np.array_equal(product_chart(G, H, g, sp), want), name
                 # it lists every plane with bits, each once
-                heads, _ = plane_product(G, H, g, sp)
+                heads, _ = plane_product(G, H, rule_plan(g, sp))
                 assert len(set(heads)) == len(heads), name
                 assert set(live_planes(want)[0]) <= set(heads), name
 
@@ -372,7 +373,8 @@ class TestFactors:
                 assert not (part & ~full).any(), label
                 T = grown
             stats = {}
-            plane_product(new, new, g, sp, stats=stats, delta=live_planes(np.zeros_like(new)))
+            plane_product(new, new, rule_plan(g, sp), stats=stats,
+                          delta=live_planes(np.zeros_like(new)))
             assert stats.get("muls", 0) == 0
 
 

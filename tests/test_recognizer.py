@@ -232,6 +232,26 @@ class TestStartRulesOutsideMatrix:
         assert (tree.rule, tree.spans) == (0, ((0, 6),))
         assert [c.spans for c in tree.children] == [((0, 2), (3, 5)), ((2, 3), (5, 6))]
 
+    def test_one_start_rule_inside_the_rank_and_one_beyond(self, grammars):
+        # at rank 2 the closure multiplies S -> P Q and the join applies
+        # S -> Z M: engine, tabular oracle and enumeration agree on every
+        # sentence up to length 5, and every accepted one has a tree
+        g = parse_grammar(bundled.grammar_text("itg_sep")
+                          + "S -> P Q : b1 g1\nP -> : 'p'\nQ -> : 'q'\n")
+        assert space_rank(g) == 2
+        assert [per_rule_d(r) for r in g.start_join] == [3, 1]
+        language = enumerate_language(g, 5)
+        by = {"holds": 0, "join": 0}
+        for n in range(1, 6):
+            for toks in itertools.product("xy#pq", repeat=n):
+                res = run_recognition(g, toks)
+                tabular, _ = tabular_recognize(g, toks)
+                assert res.accepted == tabular == (toks in language), toks
+                if res.accepted:
+                    assert extract_derivation(res.closure, res.grammar, toks) is not None, toks
+                    by["holds" if res.closure.holds(g.start, (0, n)) else "join"] += 1
+        assert by == {"holds": 1, "join": 8}
+
 
 def _brute_witness(clo, g, n):
     """Reference for ``_start_witness``: join every pair of the start rules'
@@ -699,10 +719,10 @@ class TestPlanePath:
             assert clo.symbol_ids is work.symbol_ids, name
 
     def test_cold_runs_build_a_fixed_set_of_masks(self):
-        # a rule is skipped before its masks are built when a child plane it
-        # reads has no bit, and a rule beyond the rank is never multiplied,
-        # so a cold run builds on its fresh space only the masks its
-        # products and its derivation read
+        # a run's plan builds the three masks of every rule within the
+        # rank, whatever the sentence, and none of a rule beyond it, so a
+        # cold run builds on its fresh space the distinct masks of the
+        # rules within the rank, and its derivation builds none
         built = []
         for name, sentence in (
             ("cfg_anbn", "a a b b"), ("cfg_anbn", "a b b"),
@@ -717,7 +737,7 @@ class TestPlanePath:
             if res.accepted:
                 extract_derivation(res.closure, res.grammar, toks)
             built.append(len(res.closure.space.masks))
-        assert built == [1, 1, 2, 2, 1, 1, 2, 2, 4, 0]
+        assert built == [1, 1, 2, 2, 2, 2, 2, 2, 4, 4]
 
     def test_a_run_reuses_the_last_runs_masks(self, grammars, monkeypatch):
         # masks live on the address space, so a run over a space an earlier
@@ -742,10 +762,31 @@ class TestPlanePath:
             counts.append(len(built))
             phases.append(res.stats["phases"]["masks"])
         assert counts == [2, 0, 2, 0, 0]
-        # the masks phase is the build time: above 0 on a cold run, and
-        # exactly 0.0 on a warm one
+        # the masks phase is the plan's build: above 0 on a cold run
         assert phases[0] > 0 and phases[2] > 0
-        assert phases[1] == phases[3] == phases[4] == 0.0
+
+    def test_the_plan_is_resolved_once_per_run(self, grammars, monkeypatch):
+        # the rules and masks a run multiplies are looked up before its
+        # first round, not in every round: a warm run looks up as many
+        # masks on a 2-round sentence as on a 6-round one
+        g = grammars["count4"]
+        looked_up = []
+        real = boolmat.rule_mask
+
+        def spy(space, r, role):
+            looked_up.append(role)
+            return real(space, r, role)
+        counts = {}
+        for m in (2, 6):
+            toks = [c for c in "abcd" for _ in range(m)]
+            run_recognition(g, toks)
+            monkeypatch.setattr(boolmat, "rule_mask", spy)
+            looked_up.clear()
+            res = run_recognition(g, toks)
+            monkeypatch.undo()
+            counts[res.stats["iterations"]] = len(looked_up)
+        assert list(counts) == [2, 6]
+        assert counts[2] == counts[6] > 0
 
     def test_beyond_rank_rules_have_a_zero_mask(self, grammars):
         # a rule beyond the space's rank, which the closure never
@@ -883,7 +924,7 @@ class TestFactPlaneBridge:
             ids = work.symbol_ids
             seeded = seed_planes(work, toks, sp)
             P = seeded | product_chart(seeded, seeded, work, sp)
-            got = recognizer.pi_copy(P, ids, sp)
+            got = recognizer.pi_copy(P, sp)
             want = symbol_planes(pi_copy(chart_of(P, ids, sp)), ids)
             assert np.array_equal(got, want), label
             grown += not np.array_equal(got, P)
