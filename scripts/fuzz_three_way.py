@@ -3,10 +3,13 @@ enumeration on the random grammars of ``tests/conftest.py::random_grammar``.
 
 For each seed in the range, the grammar the seed draws is run when the
 engine accepts it, on every sentence over its alphabet up to the maximum
-length.  The pass prints the number of runnable grammars and sentences,
-then each false accept (the engine accepts what the oracle rejects) and
-each false reject.  It exits 1 on any false accept, or when the tabular
-oracle and the enumerator disagree; false rejects are reported only.
+length, and every sentence the engine accepts has its derivation
+extracted.  The pass prints the number of runnable grammars, sentences and
+trees, then each false accept (the engine accepts what the oracle
+rejects), each false reject, and each bad tree: none, a ``RuntimeError``
+from extraction, or a root that is not the start symbol over (0, n).  It
+exits 1 on any false accept or bad tree, or when the tabular oracle and
+the enumerator disagree; false rejects are reported only.
 
     python scripts/fuzz_three_way.py --seeds 300 400 --max-len 5
 """
@@ -25,14 +28,25 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 from conftest import random_grammar  # noqa: E402
 from lcfrs.grammar import is_single_initial, to_single_initial  # noqa: E402
 from lcfrs.oracle import enumerate_language, tabular_recognize  # noqa: E402
-from lcfrs.recognizer import engine_ready, run_recognition  # noqa: E402
+from lcfrs.recognizer import engine_ready, extract_derivation, run_recognition  # noqa: E402
+
+
+def _good_tree(result) -> bool:
+    """Does an accepted run extract a tree rooted in the start symbol over
+    (0, n)?"""
+    try:
+        tree = extract_derivation(result)
+    except RuntimeError:
+        return False
+    return tree is not None and (tree.nonterminal, tree.spans) == (
+        result.grammar.start, ((0, len(result.tokens)),))
 
 
 def fuzz(seeds: range, max_len: int) -> dict:
-    """Run the three checks over ``seeds``; the runnable count, the
-    sentence count and the ``(seed, sentence)`` lists of each failure."""
-    out = {"runnable": 0, "sentences": 0, "false_accepts": [], "false_rejects": [],
-           "oracle_disagreements": []}
+    """Run the checks over ``seeds``; the runnable, sentence and tree
+    counts and the ``(seed, sentence)`` lists of each failure."""
+    out = {"runnable": 0, "sentences": 0, "trees": 0, "false_accepts": [],
+           "false_rejects": [], "oracle_disagreements": [], "bad_trees": []}
     for case in seeds:
         g = random_grammar(random.Random(case), d_cap=4)
         if engine_ready(g if is_single_initial(g) else to_single_initial(g)):
@@ -42,9 +56,15 @@ def fuzz(seeds: range, max_len: int) -> dict:
         for n in range(1, max_len + 1):
             for toks in itertools.product(sorted(g.terminals), repeat=n):
                 out["sentences"] += 1
-                engine = run_recognition(g, toks).accepted
+                result = run_recognition(g, toks)
+                engine = result.accepted
                 tabular, _ = tabular_recognize(g, toks)
                 case_toks = (case, " ".join(toks))
+                if engine:
+                    if _good_tree(result):
+                        out["trees"] += 1
+                    else:
+                        out["bad_trees"].append(case_toks)
                 if tabular != (toks in language):
                     out["oracle_disagreements"].append(case_toks)
                 if engine and not tabular:
@@ -61,13 +81,14 @@ def main(argv=None) -> int:
     ap.add_argument("--max-len", type=int, default=5, help="longest sentence (default 5)")
     args = ap.parse_args(argv)
     got = fuzz(range(*args.seeds), args.max_len)
-    print("seeds %d-%d, lengths 1-%d: %d runnable grammars, %d sentences"
-          % (args.seeds[0], args.seeds[1] - 1, args.max_len, got["runnable"], got["sentences"]))
-    for key in ("false_accepts", "false_rejects", "oracle_disagreements"):
+    print("seeds %d-%d, lengths 1-%d: %d runnable grammars, %d sentences, %d trees"
+          % (args.seeds[0], args.seeds[1] - 1, args.max_len, got["runnable"], got["sentences"],
+             got["trees"]))
+    for key in ("false_accepts", "false_rejects", "oracle_disagreements", "bad_trees"):
         print("%s: %d" % (key.replace("_", " "), len(got[key])))
         for case, sentence in got[key]:
             print("  seed %d: %r" % (case, sentence))
-    return int(bool(got["false_accepts"] or got["oracle_disagreements"]))
+    return int(bool(got["false_accepts"] or got["oracle_disagreements"] or got["bad_trees"]))
 
 
 if __name__ == "__main__":

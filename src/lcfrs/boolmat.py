@@ -13,10 +13,13 @@ so each is built once per address space, kept on the space
 run over it.  A mask is built by array comparisons over the space's
 per-length address arrays, never by walking position tuples.  A run
 resolves its rules and their masks once, as a ``rule_plan``, which every
-round's ``plane_product`` reads.
+round's ``plane_product``, the start-rule join and derivation extraction
+read.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -204,24 +207,43 @@ def rule_mask(space: AddressSpace, r: Rule, role: int) -> np.ndarray:
     return got
 
 
-def rule_plan(g: Grammar, space: AddressSpace) -> tuple:
-    """What a run of ``g`` over ``space`` multiplies, fixed before its first
-    round: ``(shape, rules)``, the (symbol, row, word) shape of its charts
-    and one ``(rule, first child plane, second child plane, head plane, q1,
-    q2, q3)`` entry per binary rule, in rule order, its masks from
-    ``rule_mask``.  A rule whose ``per_rule_d`` exceeds the space's rank is
-    left out: a child mask of it is all zeros there."""
+class RulePlan(NamedTuple):
+    """What a run of a grammar over ``space`` multiplies and joins, fixed
+    before its first round (``rule_plan``)."""
+    space: AddressSpace
+    symbol_ids: dict        # ``Grammar.symbol_ids``: the chart's planes
+    shape: tuple            # (symbol, row, word) of the run's charts
+    # one (rule, first child plane, second child plane, head plane, q1, q2,
+    # q3) entry per binary rule within the space's rank, in rule order
+    rules: tuple
+    # the start rules beyond the rank, in rule-id order: the start-rule
+    # join applies them
+    joined: tuple
+
+
+def rule_plan(g: Grammar, space: AddressSpace) -> RulePlan:
+    """The plan of a run of ``g`` over ``space``, its masks from
+    ``rule_mask``.  The one place that compares a rule's ``per_rule_d``
+    with the space's rank: a rule beyond it is left out of ``rules``, as a
+    child mask of it is all zeros there, and a start rule beyond it goes to
+    ``joined``."""
     ids = g.symbol_ids
-    return (len(ids), space.dim, _nwords(space.dim)), tuple(
-        (r, ids[r.rhs[0]], ids[r.rhs[1]], ids[r.lhs],
-         rule_mask(space, r, 1), rule_mask(space, r, 2), rule_mask(space, r, 3))
-        for r in g.binary_rules() if per_rule_d(r) <= space.d)
+    rules, joined = [], []
+    for r in g.binary_rules():
+        if per_rule_d(r) <= space.d:
+            rules.append((r, ids[r.rhs[0]], ids[r.rhs[1]], ids[r.lhs],
+                          rule_mask(space, r, 1), rule_mask(space, r, 2),
+                          rule_mask(space, r, 3)))
+        elif r.lhs == g.start:
+            joined.append(r)
+    return RulePlan(space, ids, (len(ids), space.dim, _nwords(space.dim)), tuple(rules),
+                    tuple(sorted(joined, key=lambda r: r.rid)))
 
 
 # ---------------------------------------------------------------------------
 # the rendered product
 
-def plane_product(G: np.ndarray, H: np.ndarray, plan: tuple,
+def plane_product(G: np.ndarray, H: np.ndarray, plan: RulePlan,
                   stats: dict | None = None, delta: tuple | None = None) -> tuple:
     """The cell product of two charts, as the planes it writes: ``(heads,
     planes)``.  ``heads`` lists the ids of the head planes of the rules it
@@ -243,7 +265,7 @@ def plane_product(G: np.ndarray, H: np.ndarray, plan: tuple,
     holds every term of G x H that reads a delta fact, and nothing outside
     G x H.  A rule is skipped when a masked operand has no bit.  ``stats``
     counts the multiplies in ``"muls"``."""
-    shape, rules = plan
+    shape, rules = plan.shape, plan.rules
     if G.shape != shape or H.shape != shape:
         raise ValueError("charts of shape %s and %s, not %s for this grammar and space"
                          % (G.shape, H.shape, shape))

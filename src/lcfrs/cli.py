@@ -87,7 +87,7 @@ def _cmd_parse(args) -> int:
     if not res.accepted:
         print("null")
         return 1
-    tree = extract_derivation(res.closure, res.grammar, tokens)
+    tree = extract_derivation(res)
     print(json.dumps(tree.to_json(), indent=2))
     return 0
 

@@ -12,7 +12,6 @@ balance flag, and the rewrite that makes every rule single-initial.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -123,13 +122,6 @@ class Grammar:
         """``{nonterminal: plane}`` in sorted order: the symbol axis of the
         charts this grammar runs on."""
         return {nt: t for t, nt in enumerate(sorted(self.nonterminals))}
-
-    @cached_property
-    def start_join(self) -> tuple:
-        """The binary rules of the start symbol in rule-id order, which the
-        start-rule join reads; found once per grammar object."""
-        return tuple(sorted((r for r in self._binary if r.lhs == self.start),
-                            key=lambda r: r.rid))
 
     @cached_property
     def _problems(self) -> tuple:

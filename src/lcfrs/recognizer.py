@@ -24,6 +24,7 @@ table of candidate cells kept on the space.
 
 from __future__ import annotations
 
+import operator
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -35,15 +36,14 @@ import numpy as np
 
 from .addresses import AddressSpace, cell_endpoints, enumerate_space, fits, split_patterns
 from .boolmat import (
-    KERNEL_KIND, _nwords, bit, nonzero_bits, plane_product, popcount, row_bits, rule_plan,
-    set_cells, zeros,
+    KERNEL_KIND, RulePlan, _nwords, bit, nonzero_bits, plane_product, popcount, row_bits,
+    rule_plan, set_cells, zeros,
 )
 from .grammar import (
     Grammar,
     GrammarError,
     configurations,
     is_single_initial,
-    per_rule_d,
     space_rank,
     to_single_initial,
     validate,
@@ -52,14 +52,22 @@ from .grammar import (
 
 @dataclass
 class Closure:
-    """A closed chart over ``space``: a packed (symbol, row, word) array
-    with one plane per nonterminal of ``symbol_ids``, in that order."""
+    """A closed chart over ``plan.space``: a packed (symbol, row, word)
+    array with one plane per nonterminal of ``plan.symbol_ids``, in that
+    order.  ``plan`` is the ``rule_plan`` the closure multiplied by."""
     chart: object
-    symbol_ids: dict
-    space: AddressSpace
+    plan: RulePlan
     # one {"muls", "new_facts"} record per iteration: the multiplies it made
     # and the nonterminal facts it added
     rounds: list = field(default_factory=list)
+
+    @property
+    def space(self) -> AddressSpace:
+        return self.plan.space
+
+    @property
+    def symbol_ids(self) -> dict:
+        return self.plan.symbol_ids
 
     @property
     def iterations(self) -> int:
@@ -72,12 +80,17 @@ class Closure:
     def fact_count(self) -> int:
         return popcount(self.chart)
 
-    def holds(self, sym, endpoints: tuple) -> bool:
-        """Does the chart hold ``sym`` over the spans of ``endpoints``?  The
-        chart is closed under pi-copy, so the first of ``split_ids`` tells.
-        Endpoints that are unsorted, outside 0..n or of no split, and
-        symbols outside the chart, are never held."""
+    def holds(self, sym, endpoints) -> bool:
+        """Does the chart hold ``sym`` over the spans of ``endpoints``, a
+        sequence of integers?  The chart is closed under pi-copy, so the
+        first of ``split_ids`` tells.  Endpoints that are not integers,
+        unsorted, outside 0..n or of no split, and symbols outside the
+        chart, are never held."""
         t = self.symbol_ids.get(sym)
+        try:
+            endpoints = tuple(map(operator.index, endpoints))
+        except TypeError:
+            return False
         if t is None or not all(a <= b for a, b in zip((0, *endpoints),
                                                        (*endpoints, self.space.n))):
             return False
@@ -181,11 +194,12 @@ def seed_planes(g: Grammar, sentence, space: AddressSpace):
     return planes_of(facts, g.symbol_ids, space)
 
 
-def closure_fixpoint(T, g: Grammar, space: AddressSpace) -> Closure:
+def closure_fixpoint(T, plan: RulePlan) -> Closure:
     """Least fixpoint of X -> pi(X | X*X) above T, evaluated semi-naively on
-    a chart.  T is the seed chart over ``space`` (``seed_planes``, or any
-    chart of ``g``'s symbols).  It must be closed under pi-copy, as every
-    seed is, and it is never written to.
+    a chart.  ``plan`` is the ``rule_plan`` of the grammar run over its
+    space, and T is a seed chart of its shape (``seed_planes``, or any
+    chart of the grammar's symbols).  It must be closed under pi-copy, as
+    every seed is, and it is never written to.
 
     Each round multiplies only the terms of X * X that read a fact the round
     before added (D), then copies its new facts to their equivalent cells.
@@ -194,9 +208,8 @@ def closure_fixpoint(T, g: Grammar, space: AddressSpace) -> Closure:
     already.  Round 1 takes all of X as D, that is, multiplies every term.
     Round k therefore holds exactly the facts of round k of naive
     iteration, and ``iterations`` counts the same rounds, the last of which
-    adds nothing.  The rules and their masks are looked up once, as the
-    ``rule_plan`` every round's product reads; the masks live on ``space``,
-    so a run over a space that earlier runs used builds none.
+    adds nothing.  Every round's product reads the rules and their masks
+    off ``plan``.
 
     A round touches only its live planes: the head planes the product
     wrote (``plane_product``'s ids), and of those, the ones that gained a
@@ -204,7 +217,7 @@ def closure_fixpoint(T, g: Grammar, space: AddressSpace) -> Closure:
     count and OR into X run over those planes alone, so a plane that no
     binary rule heads, a lexical-only symbol, is never touched after the
     seed."""
-    plan = rule_plan(g, space)
+    space = plan.space
     X = T.copy()
     delta = None
     stats = {"muls": 0}
@@ -227,7 +240,7 @@ def closure_fixpoint(T, g: Grammar, space: AddressSpace) -> Closure:
         for t, plane in zip(heads, fresh):
             X[t] |= plane
         delta = (heads, fresh)
-    return Closure(X, g.symbol_ids, space, rounds)
+    return Closure(X, plan, rounds)
 
 
 def _build_join(space: AddressSpace, template: tuple, fo: tuple) -> tuple:
@@ -285,11 +298,12 @@ def _join_table(space: AddressSpace, r) -> tuple:
     return got
 
 
-def _start_witness(clo: Closure, g: Grammar):
+def _start_witness(clo: Closure):
     """The first ``(rule, left endpoints, right endpoints)``, in rule-id and
-    then endpoint order, by which a binary start rule derives (0, n) from two
-    facts of a closed chart over a sentence of length n; None when there is
-    none.  Only the planes of the start rules' children are read.
+    then endpoint order, by which a start rule beyond the rank
+    (``clo.plan.joined``) derives (0, n) from two facts of a closed chart
+    over a sentence of length n; None when there is none.  Only the planes
+    of those rules' children are read.
 
     Each start rule is one gather over its join table (``_join_table``):
     both children's bits at the first splits of every candidate pair, of
@@ -303,7 +317,7 @@ def _start_witness(clo: Closure, g: Grammar):
         row, word = divmod(int(word), words)
         return cell_endpoints(addrs[row], addrs[64 * word + int(at)])
 
-    for r in g.start_join:
+    for r in clo.plan.joined:
         left_words, left_bits, right_words, right_bits = _join_table(space, r)
         if not left_words.size:
             continue
@@ -323,6 +337,10 @@ class RunResult:
     grammar: Grammar            # the grammar actually run (post-conversion)
     stats: dict
     closure: Closure = field(repr=False)
+    tokens: tuple               # the sentence run
+    # the start-rule join's (rule, left endpoints, right endpoints) when it,
+    # and not a start fact of the chart, accepted the sentence; else None
+    witness: tuple | None
 
 
 class EngineUnsupported(ValueError):
@@ -356,11 +374,9 @@ def engine_ready(g: Grammar) -> list:
 
 @lru_cache(maxsize=64)
 def _prepare(g: Grammar):
-    """``(grammar to run, converted, rank, join)`` for ``g``, computed once
-    per grammar object (a grammar hashes by identity).  ``join`` tells
-    whether some start rule lies beyond the rank, so that only the
-    start-rule join can apply it.  A grammar that fails a check is not
-    cached, so it raises on every call."""
+    """``(grammar to run, converted, rank)`` for ``g``, computed once per
+    grammar object (a grammar hashes by identity).  A grammar that fails a
+    check is not cached, so it raises on every call."""
     problems = validate(g)
     if problems:
         raise GrammarError("; ".join(problems))
@@ -369,14 +385,14 @@ def _prepare(g: Grammar):
     problems = engine_ready(work)
     if problems:
         raise EngineUnsupported("; ".join(problems))
-    rank = space_rank(work)
-    join = any(per_rule_d(r) > rank for r in work.start_join)
-    return work, converted, rank, join
+    return work, converted, space_rank(work)
 
 
 def run_recognition(g: Grammar, sentence) -> RunResult:
-    """Validate, convert to single-initial if needed, and close the seed."""
-    work, converted, rank, join = _prepare(g)
+    """Validate, convert to single-initial if needed, close the seed, and
+    read the verdict: the start symbol over (0, n) in the chart, or else a
+    witness of the start-rule join."""
+    work, converted, rank = _prepare(g)
     tokens = tuple(sentence)
     n = len(tokens)
     t0 = time.perf_counter()
@@ -384,12 +400,13 @@ def run_recognition(g: Grammar, sentence) -> RunResult:
     t1 = time.perf_counter()
     seeded = seed_planes(work, tokens, space)
     t2 = time.perf_counter()
-    rule_plan(work, space)
+    plan = rule_plan(work, space)
     t3 = time.perf_counter()
-    clo = closure_fixpoint(seeded, work, space)
+    clo = closure_fixpoint(seeded, plan)
     t4 = time.perf_counter()
-    accepted = n > 0 and (clo.holds(work.start, (0, n))
-                          or (join and _start_witness(clo, work) is not None))
+    held = n > 0 and clo.holds(work.start, (0, n))
+    witness = None if held or n == 0 else _start_witness(clo)
+    accepted = held or witness is not None
     facts = clo.fact_count()
     t5 = time.perf_counter()
     stats = {
@@ -410,7 +427,7 @@ def run_recognition(g: Grammar, sentence) -> RunResult:
             "readout": (t5 - t4) * 1000,
         },
     }
-    return RunResult(accepted, work, stats, clo)
+    return RunResult(accepted, work, stats, clo, tokens, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -436,16 +453,15 @@ def _spans_of(flat):
     return tuple((flat[t], flat[t + 1]) for t in range(0, len(flat), 2))
 
 
-def extract_derivation(clo: Closure, g: Grammar, sentence):
-    """Backtrack a derivation tree out of a closed chart (``RunResult.closure``).
+def extract_derivation(result: RunResult):
+    """Backtrack a derivation tree out of a run's closed chart.
 
-    When the chart holds the start symbol over (0, n), the tree is rebuilt
-    from that fact.  Otherwise its top node comes from ``_start_witness``,
-    the start rule joined over two child facts of the chart, as
-    ``run_recognition`` accepts it, and everything below that node is
-    rebuilt from the chart.  Returns None when neither exists.  A start fact
-    or witness that cannot be rebuilt from the chart is a hard error: the
-    chart lied.
+    When the run accepted by the start fact over (0, n), the tree is
+    rebuilt from that fact.  When the start-rule join accepted it, the top
+    node comes from the run's ``witness``, and everything below that node
+    is rebuilt from the chart.  Returns None when the run rejected the
+    sentence.  A start fact or witness that cannot be rebuilt from the
+    chart is a hard error: the chart lied.
 
     A fact is rebuilt by the first rule, in id order, that derives it.  For
     a binary rule the splits (i, j) of its spans that the rule's head mask
@@ -453,29 +469,20 @@ def extract_derivation(clo: Closure, g: Grammar, sentence):
     ascending order among the set bits of row i of the first child's plane;
     k is taken when the second child's bit at (k, j) is set, the rule's
     masks q2 and q3 hold (i, k) and (k, j) (all three masks are the
-    closure's, from its ``rule_plan``), and both child facts rebuild in
-    turn.  A rule beyond the space's rank, which the plan leaves out, never
-    rebuilds a fact.  A sentence of another length than the closure's
-    raises ``ValueError``.
+    closure's, from its ``plan``), and both child facts rebuild in turn.  A
+    rule beyond the space's rank, which the plan leaves out, never rebuilds
+    a fact.
     """
-    tokens = tuple(sentence)
-    n = len(tokens)
-    if clo.space.n != n:
-        raise ValueError("closure over n=%d, sentence has %d tokens" % (clo.space.n, n))
-    if n == 0:
+    if not result.accepted:
         return None
+    g, tokens, clo = result.grammar, result.tokens, result.closure
+    n = len(tokens)
     space = clo.space
     addrs = space.addresses
     chart = clo.chart
 
-    witness = None
-    if not clo.holds(g.start, (0, n)):
-        witness = _start_witness(clo, g)
-        if witness is None:
-            return None
-
     rules = sorted(g.rules, key=lambda r: r.rid)
-    plan = {entry[0].rid: entry for entry in rule_plan(g, space)[1]}
+    plan = {entry[0].rid: entry for entry in clo.plan.rules}
     memo: dict = {}
 
     def justify(nt, flat):
@@ -520,10 +527,10 @@ def extract_derivation(clo: Closure, g: Grammar, sentence):
         memo[key] = node
         return node
 
-    if witness is None:
+    if result.witness is None:
         root = justify(g.start, (0, n))
     else:
-        r, left_flat, right_flat = witness
+        r, left_flat, right_flat = result.witness
         children = (justify(r.rhs[0], left_flat), justify(r.rhs[1], right_flat))
         root = DerivationNode(g.start, r.rid, ((0, n),), children) if all(children) else None
     if root is None:

@@ -110,13 +110,19 @@ def enumerated_role_mask(space, cfg, fo):
     return mask
 
 
+def start_rules(g: Grammar) -> tuple:
+    """The binary rules of the start symbol, in rule-id order."""
+    return tuple(sorted((r for r in g.binary_rules() if r.lhs == g.start),
+                        key=lambda r: r.rid))
+
+
 def searched_start_witness(clo, g: Grammar):
     """Reference for ``recognizer._start_witness``: the per-fact search it
-    replaced.  The first children's facts that begin at 0 are read by
-    ``facts_of`` off the rows below the id of (1,), and each, in endpoint
-    order, fixes the second child's spans, which one ``Closure.holds``
-    test decides."""
-    rules = g.start_join
+    replaced, over every start rule of ``g``.  The first children's facts
+    that begin at 0 are read by ``facts_of`` off the rows below the id of
+    (1,), and each, in endpoint order, fixes the second child's spans,
+    which one ``Closure.holds`` test decides."""
+    rules = start_rules(g)
     n = clo.space.n
     firsts = tuple(sorted({r.rhs[0] for r in rules}))
     starts_at_0 = clo.chart[[clo.symbol_ids[B] for B in firsts], :clo.space.ids[(1,)]]
@@ -274,8 +280,8 @@ def sweep(grammars):
                     (name, " ".join(toks), res.accepted, by_oracle, by_enum)
                 )
             if res.accepted:
-                # keep the closure so derivations can be rebuilt later
-                accepted[tuple(toks)] = (res.closure, res.grammar)
+                # keep the run so derivations can be rebuilt later
+                accepted[tuple(toks)] = res
             clo = res.closure
             bad = _chart_violations(chart_of(clo.chart, clo.symbol_ids, clo.space))
             if bad:

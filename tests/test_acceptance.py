@@ -11,7 +11,7 @@ import random
 import numpy as np
 
 from lcfrs.addresses import enumerate_space
-from lcfrs.boolmat import BoolMatrix, bool_multiply
+from lcfrs.boolmat import BoolMatrix, bool_multiply, rule_plan
 from lcfrs.grammar import (
     configurations,
     contact_rank,
@@ -191,7 +191,7 @@ def test_06_closure_equivalence(grammars):
     for t, (label, g, toks) in enumerate(cases):
         sp = enumerate_space(len(toks), full_rank(g))
         T = seed(g, toks, sp)
-        fix = closure_fixpoint(seed_planes(g, toks, sp), g, sp)
+        fix = closure_fixpoint(seed_planes(g, toks, sp), rule_plan(g, sp))
         got = chart_of(fix.chart, fix.symbol_ids, sp)
         if got != _cell_by_cell_closure(T, g):
             bad.append(label)
@@ -224,8 +224,9 @@ def test_08_derivation_soundness(sweep):
     problems = []
     trees = 0
     for name, r in sweep.items():
-        for toks, (clo, run_g) in r["accepted"].items():
-            tree = extract_derivation(clo, run_g, toks)
+        for toks, res in r["accepted"].items():
+            run_g = res.grammar
+            tree = extract_derivation(res)
             if tree is None:
                 problems.append((name, toks, "no derivation"))
                 continue

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lcfrs.addresses import AddressSpace, enumerate_space
-from lcfrs.boolmat import KERNEL_KIND, popcount, rule_mask, zeros
+from lcfrs.boolmat import KERNEL_KIND, popcount, rule_mask, rule_plan, zeros
 from lcfrs.grammar import (
     Grammar, GrammarError, Rule, Var, analyze, contact_rank, is_single_initial, parse_grammar,
     per_rule_d, to_single_initial,
@@ -36,14 +36,14 @@ from lcfrs.recognizer import (
 
 from conftest import (
     BOTH_CHILDREN_GROW, SWEEP_NAMES, chart_of, full_rank, product_chart, random_grammar,
-    searched_start_witness, sweep_sentences, symbol_planes, union,
+    searched_start_witness, start_rules, sweep_sentences, symbol_planes, union,
 )
 
 
 def _closed(g, sentence):
     toks = sentence.split()
     sp = enumerate_space(len(toks), full_rank(g))
-    return closure_fixpoint(seed_planes(g, toks, sp), g, sp), sp
+    return closure_fixpoint(seed_planes(g, toks, sp), rule_plan(g, sp)), sp
 
 
 def _facts(clo, nts):
@@ -56,7 +56,7 @@ class TestClosure:
     def test_empty_matrix_is_its_own_closure(self, grammars):
         g = grammars["cfg_anbn"]
         sp = enumerate_space(3, 1)
-        clo = closure_fixpoint(planes_of({}, g.symbol_ids, sp), g, sp)
+        clo = closure_fixpoint(planes_of({}, g.symbol_ids, sp), rule_plan(g, sp))
         assert clo.fact_count() == 0
         assert clo.iterations == 1
 
@@ -73,7 +73,7 @@ class TestClosure:
     def test_closure_is_idempotent(self, grammars):
         g = grammars["cfg_anbn"]
         clo, sp = _closed(g, "a b")
-        again = closure_fixpoint(clo.chart, g, sp)
+        again = closure_fixpoint(clo.chart, clo.plan)
         assert np.array_equal(again.chart, clo.chart)
         assert again.iterations == 1
 
@@ -119,7 +119,7 @@ class TestSemiNaiveClosure:
         T = seed(g, toks, sp)
         assert pi_copy(T) == T, label     # the closure's precondition
         want, iterations, muls = _naive_closure(T, g)
-        got = closure_fixpoint(seed_planes(g, toks, sp), g, sp)
+        got = closure_fixpoint(seed_planes(g, toks, sp), rule_plan(g, sp))
         assert chart_of(got.chart, got.symbol_ids, sp) == want, label
         assert got.iterations == iterations, label
         assert got.muls <= muls, label
@@ -164,7 +164,7 @@ class TestSemiNaiveClosure:
         toks = "a a b b c c d d".split()
         sp = enumerate_space(len(toks), full_rank(g))
         T = seed(g, toks, sp)
-        clo = closure_fixpoint(seed_planes(g, toks, sp), g, sp)
+        clo = closure_fixpoint(seed_planes(g, toks, sp), rule_plan(g, sp))
         assert len(clo.rounds) == clo.iterations
         assert sum(r["muls"] for r in clo.rounds) == clo.muls
         assert T.fact_count() + sum(r["new_facts"] for r in clo.rounds) == clo.fact_count()
@@ -219,7 +219,7 @@ class TestStartRulesOutsideMatrix:
             for toks in sentences:
                 full, _ = _closed(g, " ".join(toks))
                 sp = enumerate_space(len(toks), space_rank(g))
-                runtime = closure_fixpoint(seed_planes(g, toks, sp), g, sp)
+                runtime = closure_fixpoint(seed_planes(g, toks, sp), rule_plan(g, sp))
                 assert _facts(runtime, nts) == _facts(full, nts), (name, toks)
 
     def test_start_fact_comes_from_the_join(self, grammars):
@@ -228,7 +228,7 @@ class TestStartRulesOutsideMatrix:
         res = run_recognition(g, toks)
         assert res.accepted and res.stats["rank"] == 2
         assert not res.closure.holds(g.start, (0, len(toks)))
-        tree = extract_derivation(res.closure, g, toks)
+        tree = extract_derivation(res)
         assert (tree.rule, tree.spans) == (0, ((0, 6),))
         assert [c.spans for c in tree.children] == [((0, 2), (3, 5)), ((2, 3), (5, 6))]
 
@@ -236,10 +236,9 @@ class TestStartRulesOutsideMatrix:
         # at rank 2 the closure multiplies S -> P Q and the join applies
         # S -> Z M: engine, tabular oracle and enumeration agree on every
         # sentence up to length 5, and every accepted one has a tree
-        g = parse_grammar(bundled.grammar_text("itg_sep")
-                          + "S -> P Q : b1 g1\nP -> : 'p'\nQ -> : 'q'\n")
+        g = _mixed_start_rules()
         assert space_rank(g) == 2
-        assert [per_rule_d(r) for r in g.start_join] == [3, 1]
+        assert [per_rule_d(r) for r in start_rules(g)] == [3, 1]
         language = enumerate_language(g, 5)
         by = {"holds": 0, "join": 0}
         for n in range(1, 6):
@@ -248,17 +247,40 @@ class TestStartRulesOutsideMatrix:
                 tabular, _ = tabular_recognize(g, toks)
                 assert res.accepted == tabular == (toks in language), toks
                 if res.accepted:
-                    assert extract_derivation(res.closure, res.grammar, toks) is not None, toks
+                    assert extract_derivation(res) is not None, toks
                     by["holds" if res.closure.holds(g.start, (0, n)) else "join"] += 1
         assert by == {"holds": 1, "join": 8}
 
+    def test_the_plan_joins_exactly_the_start_rules_beyond_the_rank(self, grammars):
+        # the plan is the one place that compares per_rule_d with the rank:
+        # the rules within it are multiplied, the start rules beyond it
+        # joined; at the full rank nothing is left to the join
+        joined = {}
+        for name, g in [*grammars.items(), ("mixed", _mixed_start_rules())]:
+            work = g if is_single_initial(g) else to_single_initial(g)
+            for d in sorted({space_rank(work), full_rank(work)}):
+                plan = rule_plan(work, enumerate_space(3, d))
+                assert plan.joined == tuple(r for r in start_rules(work)
+                                            if per_rule_d(r) > d), (name, d)
+                assert [entry[0] for entry in plan.rules] == [
+                    r for r in work.binary_rules() if per_rule_d(r) <= d], (name, d)
+                joined[name, d] = [r.rid for r in plan.joined]
+        assert {key: rids for key, rids in joined.items() if rids} == {
+            ("count4", 2): [0], ("itg_sep", 2): [0], ("mixed", 2): [0]}
 
-def _brute_witness(clo, g, n):
-    """Reference for ``_start_witness``: join every pair of the start rules'
-    child facts, read off all of the closure's cells by ``facts_of``, and
-    keep the first pair, in rule-id and then endpoint order, whose spans the
-    rule's template lays end to end over (0, n)."""
-    rules = sorted((r for r in g.binary_rules() if r.lhs == g.start), key=lambda r: r.rid)
+
+def _mixed_start_rules():
+    """``itg_sep`` with a second start rule, S -> P Q, within rank 2."""
+    return parse_grammar(bundled.grammar_text("itg_sep")
+                         + "S -> P Q : b1 g1\nP -> : 'p'\nQ -> : 'q'\n")
+
+
+def _brute_witness(clo, rules, n):
+    """Reference for ``_start_witness``: join every pair of the child facts
+    of ``rules`` (start rules in rule-id order), read off all of the
+    closure's cells by ``facts_of``, and keep the first pair, in rule-id
+    and then endpoint order, whose spans the rule's template lays end to
+    end over (0, n)."""
     facts = _facts(clo, {nt for r in rules for nt in r.rhs})
     for r in rules:
         B, C = r.rhs
@@ -287,13 +309,17 @@ class TestStartWitness:
     every fact of both children finds."""
 
     def _check(self, g, toks, label):
+        # the join searches only the start rules beyond the rank; where the
+        # chart lacks the start fact, no start rule within the rank has a
+        # witness, so the run's witness is the first of every start rule
         res = run_recognition(g, toks)
         n = len(toks)
         work, clo = res.grammar, res.closure
-        want = _brute_witness(clo, work, n)
-        assert _start_witness(clo, work) == want, label
-        assert res.accepted == (clo.holds(work.start, (0, n))
-                                or want is not None), label
+        want = _brute_witness(clo, start_rules(work), n)
+        held = clo.holds(work.start, (0, n))
+        assert _start_witness(clo) == _brute_witness(clo, clo.plan.joined, n), label
+        assert res.witness == (None if held else want), label
+        assert res.accepted == (held or want is not None), label
         return res, want
 
     def test_bundled_grammars(self, grammars):
@@ -303,10 +329,10 @@ class TestStartWitness:
             for toks in itertools.chain.from_iterable(
                     itertools.product(alphabet, repeat=n) for n in range(1, 6)):
                 res, want = self._check(g, toks, (name, toks))
-                if want is None or res.closure.holds(res.grammar.start, (0, len(toks))):
+                if res.witness is None:
                     continue
-                # extraction takes its top node from the same search
-                tree = extract_derivation(res.closure, res.grammar, toks)
+                # extraction takes its top node from the run's witness
+                tree = extract_derivation(res)
                 assert tree.rule == want[0].rid, (name, toks)
                 assert [c.spans for c in tree.children] == [_spans_of(want[1]),
                                                              _spans_of(want[2])], (name, toks)
@@ -398,7 +424,7 @@ class TestJoinTable:
 
     def test_rows_match_a_brute_enumeration(self, grammars):
         rules = _start_rules()
-        assert {(r.comp, r.fo) for g in grammars.values() for r in g.start_join} <= {
+        assert {(r.comp, r.fo) for g in grammars.values() for r in start_rules(g)} <= {
             (r.comp, r.fo) for r in rules}
         checked = 0
         for r in rules:
@@ -412,7 +438,7 @@ class TestJoinTable:
 
     def test_tables_are_narrow(self):
         sp = enumerate_space(7, 2)
-        r = bundled.load("itg_sep").start_join[0]
+        (r,) = start_rules(bundled.load("itg_sep"))
         left_words, left_bits, right_words, right_bits = _join_table(sp, r)
         assert left_words.size == 118
         assert left_words.dtype == right_words.dtype == np.uint8
@@ -440,7 +466,7 @@ class TestJoinTable:
         for name, toks in self._families():
             res = run_recognition(grammars[name], toks)
             work, clo = res.grammar, res.closure
-            got = _start_witness(clo, work)
+            got = _start_witness(clo)
             assert got == searched_start_witness(clo, work), (name, toks)
             assert res.accepted == (got is not None), (name, toks)
             found += got is not None
@@ -457,7 +483,7 @@ class TestJoinTable:
         res = run_recognition(g, toks)
         clo, work = res.closure, res.grammar
         assert clo.holds("A", (0, 2, 2, 3)) and clo.holds("B", (2, 2, 3, 5))
-        got = _start_witness(clo, work)
+        got = _start_witness(clo)
         assert got[1:] == ((0, 1, 3, 4), (1, 3, 4, 5))
         assert got == searched_start_witness(clo, work)
 
@@ -498,7 +524,7 @@ class TestJoinTable:
         monkeypatch.setattr(recognizer, "facts_of", refuse)
         monkeypatch.setattr(Closure, "holds", refuse)
         for res, want in cases:
-            assert _start_witness(res.closure, res.grammar) == want
+            assert _start_witness(res.closure) == want
         assert any(want for _, want in cases) and not all(want for _, want in cases)
 
 
@@ -639,6 +665,36 @@ class TestRunRecognition:
         assert res.accepted
         assert calls == ["pi_copy"] * res.stats["iterations"] + ["closure_fixpoint"]
 
+    def test_a_parse_resolves_its_plan_once(self, grammars, monkeypatch):
+        # the run builds the plan as its masks phase and keeps it on the
+        # closure, and the verdict keeps the join's witness on the result:
+        # the closure, the join and extraction read them from there
+        calls = []
+
+        def spy(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        plan = spy(boolmat.rule_plan)
+        monkeypatch.setattr(boolmat, "rule_plan", plan)
+        monkeypatch.setattr(recognizer, "rule_plan", plan)
+        monkeypatch.setattr(recognizer, "_start_witness", spy(recognizer._start_witness))
+        verdicts = []
+        for name, sentence in (("count4", "a a b c c d"), ("count4", "a b c d"),
+                               ("count4", "a b d c"), ("itg_sep", "x y # y x"),
+                               ("itg_sep", "x # x"), ("itg_sep", "x y # x x")):
+            calls.clear()
+            res = run_recognition(grammars[name], sentence.split())
+            tree = extract_derivation(res)
+            assert (tree is not None) == res.accepted, (name, sentence)
+            assert calls.count("rule_plan") == 1, (name, sentence, calls)
+            assert calls.count("_start_witness") <= 1, (name, sentence, calls)
+            verdicts.append((name, res.accepted))
+        assert sorted(set(verdicts)) == [("count4", False), ("count4", True),
+                                         ("itg_sep", False), ("itg_sep", True)]
+
 
 class TestPlanePath:
     """A run stays on bit planes; the symbol-set chart is built only when a
@@ -699,7 +755,7 @@ class TestPlanePath:
             toks = sentence.split()
             res = run_recognition(grammars[name], toks)
             if res.accepted:
-                assert extract_derivation(res.closure, res.grammar, toks) is not None
+                assert extract_derivation(res) is not None
         assert calls == []
         clo = res.closure
         chart_of(clo.chart, clo.symbol_ids, clo.space)
@@ -735,7 +791,7 @@ class TestPlanePath:
             recognizer.enumerate_space.cache_clear()
             res = run_recognition(bundled.load(name), toks)
             if res.accepted:
-                extract_derivation(res.closure, res.grammar, toks)
+                extract_derivation(res)
             built.append(len(res.closure.space.masks))
         assert built == [1, 1, 2, 2, 2, 2, 2, 2, 4, 4]
 
@@ -937,7 +993,7 @@ class TestFactPlaneBridge:
             # the lexical facts that have a split
             F = facts_of(seed_planes(work, toks, sp), ids, sp)
             assert facts_of(planes_of(F, ids, sp), ids, sp) == F, label
-            clo = closure_fixpoint(planes_of(F, ids, sp), work, sp)
+            clo = closure_fixpoint(planes_of(F, ids, sp), rule_plan(work, sp))
             closed = facts_of(clo.chart, ids, sp)
             assert facts_of(planes_of(closed, ids, sp), ids, sp) == closed, label
             # a closed chart is its facts on every split, and nothing else
@@ -966,11 +1022,13 @@ class TestFactPlaneBridge:
         # ``split_ids`` finds a split: a bit set or cleared there alone
         # decides.  An odd length, or one above 2d, is a fact of no cell
         held = 0
+        g = parse_grammar("start A\nA -> : 'a'\n")
         for n in range(7):
             for d in range(1, 5):
                 sp = AddressSpace(n, d)
-                empty = Closure(zeros(sp.dim, 1), {"A": 0}, sp)
-                full = Closure(~empty.chart, {"A": 0}, sp)
+                plan = rule_plan(g, sp)
+                empty = Closure(zeros(sp.dim, 1), plan)
+                full = Closure(~empty.chart, plan)
                 for L in range(1, 2 * d + 2):
                     for e in itertools.combinations_with_replacement(range(n + 1), L):
                         splits = sp.split_ids(e) if L % 2 == 0 and L <= 2 * d else ()
@@ -1001,12 +1059,25 @@ class TestFactPlaneBridge:
             assert not clo.holds("A", bad), bad
             assert not clo.holds("B", bad), bad
 
+    def test_holds_takes_any_sequence_of_integers(self, grammars):
+        # a list or an integer array reads the same fact as a tuple; once a
+        # list or array raised TypeError (unhashable) and a float KeyError
+        clo = run_recognition(grammars["count4"], "a b c d".split()).closure
+        for ends in ([0, 1, 2, 3], np.array([0, 1, 2, 3]), np.array([0, 1, 2, 3], np.uint8),
+                     (np.int64(0), 1, 2, 3), range(4)):
+            assert clo.holds("A", ends), ends
+        assert not clo.holds("S", [0, 4]) and not clo.holds("S", np.array([0, 4]))
+        assert not clo.holds("A", [0, 2, 1, 3])
+        for bad in ((0, 1.5, 2, 3), (0.0, 1, 2, 3), np.array([0.0, 1, 2, 3]), ("0", 1, 2, 3),
+                    (0, None, 2, 3), 4):
+            assert not clo.holds("A", bad), bad
+
 
 class TestExtraction:
     def test_cfg_tree(self, grammars):
         g = grammars["cfg_anbn"]
         res = run_recognition(g, "a a b b".split())
-        tree = extract_derivation(res.closure, g, "a a b b".split())
+        tree = extract_derivation(res)
         assert tree is not None
         assert tree.nonterminal == "S"
         assert tree.spans == ((0, 4),)
@@ -1017,7 +1088,7 @@ class TestExtraction:
         g = grammars["count4"]
         toks = "a a b b c c d d".split()
         res = run_recognition(g, toks)
-        tree = extract_derivation(res.closure, g, toks)
+        tree = extract_derivation(res)
         assert tree.spans == ((0, 8),)
         a_child, b_child = tree.children
         assert a_child.nonterminal == "A"
@@ -1029,7 +1100,7 @@ class TestExtraction:
         g = grammars["count4"]
         toks = "a b c d".split()
         res = run_recognition(g, toks)
-        tree = extract_derivation(res.closure, g, toks)
+        tree = extract_derivation(res)
         got = {}
 
         def walk(node):
@@ -1048,47 +1119,37 @@ class TestExtraction:
     def test_rejected_sentence_gives_none(self, grammars):
         g = grammars["cfg_anbn"]
         res = run_recognition(g, "a b b".split())
-        assert extract_derivation(res.closure, g, "a b b".split()) is None
+        assert extract_derivation(res) is None
 
     def test_empty_sentence_gives_none(self, grammars):
-        g = grammars["cfg_anbn"]
-        sp = enumerate_space(0, space_rank(g))
-        chart = planes_of({}, g.symbol_ids, sp)
-        assert extract_derivation(Closure(chart, g.symbol_ids, sp), g, []) is None
-
-    def test_sentence_of_another_length_is_refused(self, grammars):
-        # the chart was closed over four tokens; a longer sentence must not
-        # get a tree over its own length, nor a shorter one a chart fault
-        g = grammars["count4"]
-        res = run_recognition(g, "a b c d".split())
-        for sentence in ("a b c d e", "a b c", ""):
-            with pytest.raises(ValueError):
-                extract_derivation(res.closure, res.grammar, sentence.split())
+        for name in ("cfg_anbn", "count4"):
+            res = run_recognition(grammars[name], [])
+            assert not res.accepted and res.witness is None, name
+            assert extract_derivation(res) is None, name
 
     def test_deterministic(self, grammars):
         g = grammars["itg_sep"]
         toks = "x y # y x".split()
         res = run_recognition(g, toks)
-        t1 = extract_derivation(res.closure, g, toks)
-        t2 = extract_derivation(res.closure, g, toks)
+        t1 = extract_derivation(res)
+        t2 = extract_derivation(res)
         assert json.dumps(t1.to_json()) == json.dumps(t2.to_json())
 
     def test_trees_unchanged(self, grammars, sweep):
         # which tree extraction returns is a fixed figure: the first split,
         # middle address and rule in id order that rebuild each fact
-        runs = [(run_g, toks, clo) for name in SWEEP_NAMES
-                for toks, (clo, run_g) in sweep[name]["accepted"].items()]
+        runs = [res for name in SWEEP_NAMES for res in sweep[name]["accepted"].values()]
         extra = [("count4", ["a"] * m + ["b"] * k + ["c"] * m + ["d"] * k)
                  for m in range(1, 4) for k in range(1, 4)]
         extra += [("cfg_anbn", ["a"] * m + ["b"] * m) for m in range(1, 7)]
         for name, toks in extra:
             res = run_recognition(grammars[name], toks)
             assert res.accepted, (name, toks)
-            runs.append((res.grammar, tuple(toks), res.closure))
+            runs.append(res)
         digest = hashlib.sha256()
-        for run_g, toks, clo in runs:
-            tree = extract_derivation(clo, run_g, toks)
-            digest.update(json.dumps([toks, tree.to_json()], sort_keys=True).encode())
+        for res in runs:
+            tree = extract_derivation(res)
+            digest.update(json.dumps([res.tokens, tree.to_json()], sort_keys=True).encode())
         assert len(runs) == 52
         assert digest.hexdigest() == (
             "8c82f243b32c812c4d918a1b7aba52fe7e5daf537938d2659a8f543072ffa42f")
