@@ -7,9 +7,11 @@ length, and every sentence the engine accepts has its derivation
 extracted.  The pass prints the number of runnable grammars, sentences and
 trees, then each false accept (the engine accepts what the oracle
 rejects), each false reject, and each bad tree: none, a ``RuntimeError``
-from extraction, or a root that is not the start symbol over (0, n).  It
-exits 1 on any false accept or bad tree, or when the tabular oracle and
-the enumerator disagree; false rejects are reported only.
+from extraction, a root that is not the start symbol over (0, n), or a
+text as ``lcfrs parse`` prints it (``DerivationNode.to_json_text``) that is
+not ``json.dumps(tree.to_json(), indent=2)``.  It exits 1 on any false
+accept or bad tree, or when the tabular oracle and the enumerator
+disagree; false rejects are reported only.
 
     python scripts/fuzz_three_way.py --seeds 300 400 --max-len 5
 """
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import json
 import os
 import random
 import sys
@@ -33,13 +36,14 @@ from lcfrs.recognizer import engine_ready, extract_derivation, run_recognition  
 
 def _good_tree(result) -> bool:
     """Does an accepted run extract a tree rooted in the start symbol over
-    (0, n)?"""
+    (0, n), which the CLI prints as ``json.dumps`` would?"""
     try:
         tree = extract_derivation(result)
     except RuntimeError:
         return False
     return tree is not None and (tree.nonterminal, tree.spans) == (
-        result.grammar.start, ((0, len(result.tokens)),))
+        result.grammar.start, ((0, len(result.tokens)),)) and (
+        tree.to_json_text() == json.dumps(tree.to_json(), indent=2))
 
 
 def fuzz(seeds: range, max_len: int) -> dict:

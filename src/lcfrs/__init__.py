@@ -2,8 +2,10 @@
 matrix, with the product lowered to Boolean matrix multiplication.
 
 ``run_recognition`` is the one recognition entry point.  Everything not
-re-exported here stays importable from its own module."""
+re-exported here stays importable from its own module; ``lcfrs.bundled``,
+the shipped grammars, is bound by ``import lcfrs``."""
 
+from . import bundled
 from .boolmat import KERNEL_KIND
 from .grammar import (
     AnalysisReport,

@@ -87,8 +87,7 @@ def _cmd_parse(args) -> int:
     if not res.accepted:
         print("null")
         return 1
-    tree = extract_derivation(res)
-    print(json.dumps(tree.to_json(), indent=2))
+    print(extract_derivation(res).to_json_text())
     return 0
 
 

@@ -24,6 +24,7 @@ table of candidate cells kept on the space.
 
 from __future__ import annotations
 
+import json
 import operator
 import time
 from bisect import bisect_left
@@ -441,12 +442,44 @@ class DerivationNode:
     children: tuple = ()
 
     def to_json(self) -> dict:
-        return {
-            "nonterminal": self.nonterminal,
-            "rule": self.rule,
-            "spans": [[l, r] for l, r in self.spans],
-            "children": [c.to_json() for c in self.children],
-        }
+        """The tree as nested dicts, built without recursion."""
+        root = {}
+        todo = [(self, root)]
+        while todo:
+            node, out = todo.pop()
+            kids = [{} for _ in node.children]
+            out.update(nonterminal=node.nonterminal, rule=node.rule,
+                       spans=[[l, r] for l, r in node.spans], children=kids)
+            todo += zip(node.children, kids)
+        return root
+
+    def to_json_text(self) -> str:
+        """The text of ``json.dumps(self.to_json(), indent=2)``, written
+        without recursion, so a tree of any depth prints."""
+        out = []
+        # a node with its indent and the text after its closing brace, or
+        # the text that closes a node's children
+        todo = [(self, "", "")]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            node, pad, tail = item
+            inner, deep = pad + "  ", pad + "    "
+            spans = ",\n".join("%s[\n%s  %d,\n%s  %d\n%s]" % (deep, deep, l, deep, r, deep)
+                               for l, r in node.spans)
+            out.append('%s{\n%s"nonterminal": %s,\n%s"rule": %d,\n%s"spans": %s,\n%s"children": '
+                       % (pad, inner, json.dumps(node.nonterminal), inner, node.rule, inner,
+                          "[\n%s\n%s]" % (spans, inner) if spans else "[]", inner))
+            if not node.children:
+                out.append("[]\n%s}%s" % (pad, tail))
+                continue
+            out.append("[\n")
+            todo.append("\n%s]\n%s}%s" % (inner, pad, tail))
+            todo.append((node.children[-1], deep, ""))
+            todo += ((child, deep, ",\n") for child in reversed(node.children[:-1]))
+        return "".join(out)
 
 
 def _spans_of(flat):
@@ -454,52 +487,50 @@ def _spans_of(flat):
 
 
 def extract_derivation(result: RunResult):
-    """Backtrack a derivation tree out of a run's closed chart.
+    """The first derivation a run's closed chart holds for its sentence, as
+    a tree; None when the run rejected the sentence.
 
-    When the run accepted by the start fact over (0, n), the tree is
-    rebuilt from that fact.  When the start-rule join accepted it, the top
-    node comes from the run's ``witness``, and everything below that node
-    is rebuilt from the chart.  Returns None when the run rejected the
-    sentence.  A start fact or witness that cannot be rebuilt from the
-    chart is a hard error: the chart lied.
+    Each fact takes its first candidate: the first rule, in id order, that
+    derives it.  A lexical rule does when its words stand at the fact's
+    spans.  For a binary rule the splits (i, j) of the fact that the rule's
+    head mask q1 holds are taken in id order, and for each the middle
+    addresses k in ascending order among the set bits of row i of the first
+    child's plane; k is taken when the second child's bit at (k, j) is set
+    and the rule's masks q2 and q3 hold (i, k) and (k, j) (all three masks
+    are the closure's, from its ``plan``).  A rule beyond the space's rank,
+    which the plan leaves out, derives no fact.  When the start-rule join
+    accepted the sentence, the root's candidate is the run's ``witness``.
 
-    A fact is rebuilt by the first rule, in id order, that derives it.  For
-    a binary rule the splits (i, j) of its spans that the rule's head mask
-    q1 holds are tried in id order, and for each the middle addresses k in
-    ascending order among the set bits of row i of the first child's plane;
-    k is taken when the second child's bit at (k, j) is set, the rule's
-    masks q2 and q3 hold (i, k) and (k, j) (all three masks are the
-    closure's, from its ``plan``), and both child facts rebuild in turn.  A
-    rule beyond the space's rank, which the plan leaves out, never rebuilds
-    a fact.
+    No candidate is ever given up.  Every set bit of a closed chart is a
+    fact of the least fixpoint, so each child a candidate names has a
+    derivation of its own.  Every fact covers at least one token and a
+    binary fact covers the tokens of both children, so a child covers
+    fewer tokens than its parent and no derivation has a cycle.  So one
+    worklist collects a ``(rule, child facts)`` entry per fact from the
+    root down, and the nodes are built in ascending order of the tokens
+    they cover: neither step recurses, and a tree of any depth is built.
+    A fact with no candidate is a hard error: the chart is inconsistent.
     """
     if not result.accepted:
         return None
     g, tokens, clo = result.grammar, result.tokens, result.closure
-    n = len(tokens)
-    space = clo.space
+    space, chart = clo.space, clo.chart
     addrs = space.addresses
-    chart = clo.chart
-
     rules = sorted(g.rules, key=lambda r: r.rid)
     plan = {entry[0].rid: entry for entry in clo.plan.rules}
-    memo: dict = {}
 
-    def justify(nt, flat):
-        key = (nt, flat)
-        if key in memo:
-            return memo[key]
+    def candidates(nt, flat):
+        """Each ``(rule id, child facts)`` that derives ``nt`` over
+        ``flat`` from facts the chart holds, in the order above."""
         spans = _spans_of(flat)
-        node = None
         for r in rules:
             if r.lhs != nt:
                 continue
             if not r.is_binary:
                 if len(r.words) == len(spans) and all(
-                    tuple(tokens[l:h]) == w for (l, h), w in zip(spans, r.words)
+                    tokens[l:h] == w for (l, h), w in zip(spans, r.words)
                 ):
-                    node = DerivationNode(nt, r.rid, spans)
-                    break
+                    yield r.rid, ()
                 continue
             if r.rid not in plan:
                 continue
@@ -510,32 +541,28 @@ def extract_derivation(result: RunResult):
                 if not bit(q1, i, j):
                     continue
                 for k in row_bits(left[i]):
-                    if not (bit(right, k, j) and bit(q2, i, k) and bit(q3, k, j)):
-                        continue
-                    b_node = justify(B, cell_endpoints(addrs[i], addrs[k]))
-                    if b_node is None:
-                        continue
-                    c_node = justify(C, cell_endpoints(addrs[k], addrs[j]))
-                    if c_node is None:
-                        continue
-                    node = DerivationNode(nt, r.rid, spans, (b_node, c_node))
-                    break
-                if node is not None:
-                    break
-            if node is not None:
-                break
-        memo[key] = node
-        return node
+                    if bit(right, k, j) and bit(q2, i, k) and bit(q3, k, j):
+                        yield r.rid, ((B, cell_endpoints(addrs[i], addrs[k])),
+                                      (C, cell_endpoints(addrs[k], addrs[j])))
 
+    root = (g.start, (0, len(tokens)))
     if result.witness is None:
-        root = justify(g.start, (0, n))
+        entries, todo = {}, [root]
     else:
         r, left_flat, right_flat = result.witness
-        children = (justify(r.rhs[0], left_flat), justify(r.rhs[1], right_flat))
-        root = DerivationNode(g.start, r.rid, ((0, n),), children) if all(children) else None
-    if root is None:
-        raise RuntimeError(
-            "start fact or start-rule witness present for (0, %d) but no "
-            "derivation rebuilds it; the chart is inconsistent" % n
-        )
-    return root
+        kids = ((r.rhs[0], left_flat), (r.rhs[1], right_flat))
+        entries, todo = {root: (r.rid, kids)}, list(kids)
+    while todo:
+        fact = todo.pop()
+        entry = entries[fact] = next(candidates(*fact), None)
+        if entry is None:
+            raise RuntimeError(
+                "no rule derives %s over %s from facts the chart holds; the chart "
+                "is inconsistent" % fact)
+        todo += entry[1]
+    nodes = {}
+    for fact in sorted(entries, key=lambda f: sum(f[1][1::2]) - sum(f[1][0::2])):
+        rid, kids = entries[fact]
+        nodes[fact] = DerivationNode(fact[0], rid, _spans_of(fact[1]),
+                                     tuple(nodes[kid] for kid in kids))
+    return nodes[root]

@@ -2,6 +2,7 @@ import errno
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -161,6 +162,20 @@ class TestParse:
         )
         assert code == 0
         assert json.loads(out)["nonterminal"] == "S"
+
+    def test_deep_tree_prints(self, capsys):
+        # a^m b^m at m = 300 nests 600 nodes deep, deeper than json.dumps
+        # can print; the output is read by pattern, as json.loads would
+        # recurse too
+        m = 300
+        code, out, err = run(capsys, "parse", "--grammar", "cfg_anbn",
+                             "--sentence", " ".join(["a"] * m + ["b"] * m))
+        assert (code, err) == (0, "")
+        assert out.count('"nonterminal"') == 4 * m - 1
+        leaves = re.findall(r'"rule": (\d+),\s*"spans": \[\s*\[\s*(\d+),\s*(\d+)\s*\]\s*\],'
+                            r'\s*"children": \[\]', out)
+        # cfg_anbn's rules 3 and 4 are A -> 'a' and B -> 'b'
+        assert leaves == [("3" if p < m else "4", str(p), str(p + 1)) for p in range(2 * m)]
 
     def test_each_grammar_is_checked_once_per_call(self, capsys, monkeypatch):
         # parsing checks the grammar, and the run reuses that result

@@ -58,6 +58,14 @@ class TestPublicSurface:
                               text=True, env=env)
         assert proc.returncode == 0, proc.stderr
 
+    def test_import_binds_bundled_in_a_fresh_process(self):
+        # the shipped grammars are reached through the package object alone,
+        # with no other module of the package imported first
+        code = "import lcfrs\nassert lcfrs.bundled.load('count4').start == 'S'\n"
+        # conftest.py puts the tested package on the subprocess's PYTHONPATH
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_imports_load_only_numpy_and_the_standard_library(self):
         # start-up time counts on every cold CLI call: importing the package
         # and its CLI must pull in no third-party package but numpy

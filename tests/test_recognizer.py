@@ -1073,6 +1073,21 @@ class TestFactPlaneBridge:
             assert not clo.holds("A", bad), bad
 
 
+def _node_count_and_words(tree, g):
+    """The number of nodes of ``tree`` and the sentence its leaves spell
+    by their rules' words, read without recursion."""
+    count, words, todo = 0, {}, [tree]
+    while todo:
+        node = todo.pop()
+        count += 1
+        todo += node.children
+        if not node.children:
+            for (l, r), span in zip(node.spans, g.rules[node.rule].words):
+                assert r - l == len(span)
+                words.update(zip(range(l, r), span))
+    return count, [words[p] for p in sorted(words)]
+
+
 class TestExtraction:
     def test_cfg_tree(self, grammars):
         g = grammars["cfg_anbn"]
@@ -1099,22 +1114,8 @@ class TestExtraction:
     def test_leaves_spell_the_sentence(self, grammars):
         g = grammars["count4"]
         toks = "a b c d".split()
-        res = run_recognition(g, toks)
-        tree = extract_derivation(res)
-        got = {}
-
-        def walk(node):
-            if not node.children:
-                rule = g.rules[node.rule]
-                for (l, r), words in zip(node.spans, rule.words):
-                    assert tuple(toks[l:r]) == words
-                    for off, w in enumerate(words):
-                        got[l + off] = w
-            for ch in node.children:
-                walk(ch)
-
-        walk(tree)
-        assert [got[i] for i in range(len(toks))] == toks
+        tree = extract_derivation(run_recognition(g, toks))
+        assert _node_count_and_words(tree, g) == (3, toks)
 
     def test_rejected_sentence_gives_none(self, grammars):
         g = grammars["cfg_anbn"]
@@ -1135,9 +1136,39 @@ class TestExtraction:
         t2 = extract_derivation(res)
         assert json.dumps(t1.to_json()) == json.dumps(t2.to_json())
 
+    def test_inconsistent_chart_is_a_hard_error(self, grammars):
+        # with a plane cleared, a fact the tree needs has no candidate:
+        # extraction raises rather than return a tree
+        res = run_recognition(grammars["count4"], "a a b b c c d d".split())
+        assert extract_derivation(res) is not None
+        res.closure.chart[res.closure.symbol_ids["X"]] = 0
+        with pytest.raises(RuntimeError, match="the chart is inconsistent"):
+            extract_derivation(res)
+
+    def test_deep_tree(self, grammars):
+        # a^m b^m nests 2m nodes deep, past Python's recursion limit at
+        # m = 600: neither extraction nor to_json may recurse.  The tree is
+        # read by a loop, since json.loads, == and repr would recurse
+        g = grammars["cfg_anbn"]
+        m = 600
+        toks = ["a"] * m + ["b"] * m
+        tree = extract_derivation(run_recognition(g, toks))
+        assert _node_count_and_words(tree, g) == (4 * m - 1, toks)
+        assert tree.to_json()["spans"] == [[0, 2 * m]]
+
+    def test_text_is_json_dumps(self, grammars, sweep):
+        # the CLI prints a tree with to_json_text, whose text is
+        # json.dumps's wherever json.dumps does not overflow the stack
+        runs = [res for name in SWEEP_NAMES for res in sweep[name]["accepted"].values()]
+        runs += [run_recognition(grammars["cfg_anbn"], ["a"] * m + ["b"] * m)
+                 for m in range(1, 101)]
+        for res in runs:
+            tree = extract_derivation(res)
+            assert tree.to_json_text() == json.dumps(tree.to_json(), indent=2), res.tokens
+
     def test_trees_unchanged(self, grammars, sweep):
         # which tree extraction returns is a fixed figure: the first split,
-        # middle address and rule in id order that rebuild each fact
+        # middle address and rule in id order that the chart holds
         runs = [res for name in SWEEP_NAMES for res in sweep[name]["accepted"].values()]
         extra = [("count4", ["a"] * m + ["b"] * k + ["c"] * m + ["d"] * k)
                  for m in range(1, 4) for k in range(1, 4)]
