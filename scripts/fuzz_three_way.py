@@ -4,14 +4,19 @@ enumeration on the random grammars of ``tests/conftest.py::random_grammar``.
 For each seed in the range, the grammar the seed draws is run when the
 engine accepts it, on every sentence over its alphabet up to the maximum
 length, and every sentence the engine accepts has its derivation
-extracted.  The pass prints the number of runnable grammars, sentences and
-trees, then each false accept (the engine accepts what the oracle
-rejects), each false reject, and each bad tree: none, a ``RuntimeError``
-from extraction, a root that is not the start symbol over (0, n), or a
-text as ``lcfrs parse`` prints it (``DerivationNode.to_json_text``) that is
-not ``json.dumps(tree.to_json(), indent=2)``.  It exits 1 on any false
-accept or bad tree, or when the tabular oracle and the enumerator
-disagree; false rejects are reported only.
+extracted.  Every run's facts (``Closure.facts``) are compared with the
+tabular oracle's items of the grammar run, the converted grammar when the
+engine rewrote it.  The pass prints the number of runnable grammars,
+sentences and trees, then each false accept (the engine accepts what the
+oracle rejects), each false reject, each bad tree (none, a
+``RuntimeError`` from extraction, a root that is not the start symbol over
+(0, n), or a text as ``lcfrs parse`` prints it
+(``DerivationNode.to_json_text``) that is not ``json.dumps(tree.to_json(),
+indent=2)``), each unsound fact (a fact of the run that is no oracle
+item) and each sentence with missing facts (an oracle item, start symbol
+aside, that is no fact of the run).  It exits 1 on any false accept, bad
+tree or unsound fact, or when the tabular oracle and the enumerator
+disagree; false rejects and missing facts are reported only.
 
     python scripts/fuzz_three_way.py --seeds 300 400 --max-len 5
 """
@@ -28,7 +33,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
-from conftest import random_grammar  # noqa: E402
+from conftest import fact_items, random_grammar  # noqa: E402
 from lcfrs.grammar import is_single_initial, to_single_initial  # noqa: E402
 from lcfrs.oracle import enumerate_language, tabular_recognize  # noqa: E402
 from lcfrs.recognizer import engine_ready, extract_derivation, run_recognition  # noqa: E402
@@ -48,9 +53,11 @@ def _good_tree(result) -> bool:
 
 def fuzz(seeds: range, max_len: int) -> dict:
     """Run the checks over ``seeds``; the runnable, sentence and tree
-    counts and the ``(seed, sentence)`` lists of each failure."""
+    counts and the ``(seed, sentence)`` lists of each failure, one entry per
+    fact for unsound facts."""
     out = {"runnable": 0, "sentences": 0, "trees": 0, "false_accepts": [],
-           "false_rejects": [], "oracle_disagreements": [], "bad_trees": []}
+           "false_rejects": [], "oracle_disagreements": [], "bad_trees": [],
+           "unsound_facts": [], "sentences_missing_facts": []}
     for case in seeds:
         g = random_grammar(random.Random(case), d_cap=4)
         if engine_ready(g if is_single_initial(g) else to_single_initial(g)):
@@ -62,8 +69,16 @@ def fuzz(seeds: range, max_len: int) -> dict:
                 out["sentences"] += 1
                 result = run_recognition(g, toks)
                 engine = result.accepted
-                tabular, _ = tabular_recognize(g, toks)
+                tabular, items = tabular_recognize(g, toks)
                 case_toks = (case, " ".join(toks))
+                work = result.grammar
+                if work is not g:
+                    _, items = tabular_recognize(work, toks)
+                held = fact_items(result.closure)
+                out["unsound_facts"] += [(case, "%s: %s %s" % (case_toks[1], *item))
+                                         for item in sorted(held - items)]
+                if any(item[0] != work.start and item not in held for item in items):
+                    out["sentences_missing_facts"].append(case_toks)
                 if engine:
                     if _good_tree(result):
                         out["trees"] += 1
@@ -88,11 +103,13 @@ def main(argv=None) -> int:
     print("seeds %d-%d, lengths 1-%d: %d runnable grammars, %d sentences, %d trees"
           % (args.seeds[0], args.seeds[1] - 1, args.max_len, got["runnable"], got["sentences"],
              got["trees"]))
-    for key in ("false_accepts", "false_rejects", "oracle_disagreements", "bad_trees"):
+    for key in ("false_accepts", "false_rejects", "oracle_disagreements", "bad_trees",
+                "unsound_facts", "sentences_missing_facts"):
         print("%s: %d" % (key.replace("_", " "), len(got[key])))
         for case, sentence in got[key]:
             print("  seed %d: %r" % (case, sentence))
-    return int(bool(got["false_accepts"] or got["oracle_disagreements"] or got["bad_trees"]))
+    return int(bool(got["false_accepts"] or got["oracle_disagreements"] or got["bad_trees"]
+                    or got["unsound_facts"]))
 
 
 if __name__ == "__main__":

@@ -17,7 +17,8 @@ the head planes its product wrote, so its work follows the planes that
 can change rather than the whole chart.  Derivation extraction reads the
 same closed chart.
 ``facts_of`` and ``planes_of`` are the one conversion between chart bits
-and facts (sorted endpoint tuples): the seed and pi-copy go through them.
+and facts (sorted endpoint tuples): the seed and pi-copy go through them,
+and ``Closure.facts()`` reads a closed run's facts for its callers.
 The start-rule join reads no facts: it gathers the children's bits at a
 table of candidate cells kept on the space.
 """
@@ -59,7 +60,7 @@ class Closure:
     chart: object
     plan: RulePlan
     # one {"muls", "new_facts"} record per iteration: the multiplies it made
-    # and the nonterminal facts it added
+    # and the chart bits it set, a fact once per cell that holds it
     rounds: list = field(default_factory=list)
 
     @property
@@ -78,7 +79,18 @@ class Closure:
     def muls(self) -> int:
         return sum(r["muls"] for r in self.rounds)
 
+    def facts(self) -> dict:
+        """``{nonterminal: set of sorted endpoint tuples}``: what the run
+        derived, read off the closed chart by ``facts_of``.  A nonterminal
+        with no fact has no entry.  A start fact that the start-rule join
+        accepted is not among them; ``RunResult.accepted`` and
+        ``RunResult.witness`` carry it."""
+        return facts_of(self.chart, self.symbol_ids, self.space)
+
     def fact_count(self) -> int:
+        """The chart's set bits.  The chart is closed under pi-copy, so each
+        fact of ``facts()`` counts once per split of its endpoints
+        (``space.split_ids``), not once."""
         return popcount(self.chart)
 
     def holds(self, sym, endpoints) -> bool:

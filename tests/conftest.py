@@ -14,8 +14,8 @@ import lcfrs
 from lcfrs import bundled
 from lcfrs.boolmat import nonzero_bits, plane_product, rule_plan, set_cells, zeros
 from lcfrs.grammar import Grammar, Rule, Var, contact_rank, per_rule_d, validate
-from lcfrs.oracle import ProductMatrix, enumerate_language, pi_copy, tabular_recognize
-from lcfrs.recognizer import _spans_of, facts_of, run_recognition, space_rank
+from lcfrs.oracle import ProductMatrix, enumerate_language, tabular_recognize
+from lcfrs.recognizer import _spans_of, run_recognition, space_rank
 
 
 # subprocesses import the package these tests import, also when pytest found
@@ -118,21 +118,17 @@ def start_rules(g: Grammar) -> tuple:
 
 def searched_start_witness(clo, g: Grammar):
     """Reference for ``recognizer._start_witness``: the per-fact search it
-    replaced, over every start rule of ``g``.  The first children's facts
-    that begin at 0 are read by ``facts_of`` off the rows below the id of
-    (1,), and each, in endpoint order, fixes the second child's spans,
-    which one ``Closure.holds`` test decides."""
-    rules = start_rules(g)
+    replaced, over every start rule of ``g``.  Each first child's fact of
+    ``Closure.facts`` that begins at 0, in endpoint order, fixes the second
+    child's spans, which one ``Closure.holds`` test decides."""
     n = clo.space.n
-    firsts = tuple(sorted({r.rhs[0] for r in rules}))
-    starts_at_0 = clo.chart[[clo.symbol_ids[B] for B in firsts], :clo.space.ids[(1,)]]
-    lefts_of = facts_of(starts_at_0, firsts, clo.space)
-    for r in rules:
+    facts = clo.facts()
+    for r in start_rules(g):
         B, C = r.rhs
         (template,) = r.comp
         ends_with_b = template[-1].side == "b"
-        for left in sorted(lefts_of.get(B, ())):
-            if ends_with_b and left[-1] != n:
+        for left in sorted(facts.get(B, ())):
+            if left[0] != 0 or ends_with_b and left[-1] != n:
                 continue
             spans = _spans_of(left)
             right = []
@@ -145,6 +141,12 @@ def searched_start_witness(clo, g: Grammar):
             if clo.holds(C, right):
                 return r, left, right
     return None
+
+
+def fact_items(clo) -> set:
+    """The facts of ``clo.facts()`` as the tabular oracle's items:
+    ``(nonterminal, ((l, r), ...))``."""
+    return {(nt, _spans_of(flat)) for nt, flats in clo.facts().items() for flat in flats}
 
 
 def live_planes(chart):
@@ -246,51 +248,47 @@ def sweep_sentences(name: str):
     raise KeyError(name)
 
 
-def _chart_violations(chart) -> list:
-    """Structural checks every published matrix must satisfy."""
-    out = []
-    if not chart.is_upper_triangular():
-        out.append("not upper-triangular")
-    if pi_copy(chart) != chart:
-        out.append("not copy-complete at fixpoint")
-    return out
-
-
 SWEEP_NAMES = ("cfg_anbn", "count4", "itg_sep", "dual_initial_demo")
 
 
 @pytest.fixture(scope="session")
 def sweep(grammars):
-    """Recognize every sweep sentence three ways; collect disagreements,
-    structural violations, and the accepted sets."""
+    """Recognize every sweep sentence three ways, and compare each run's
+    closed facts with the tabular oracle's items of the grammar run, start
+    symbol aside (a start fact the join accepted is no fact of the chart);
+    collect disagreements, fact mismatches, every run and the accepted
+    runs."""
     results = {}
     for name in SWEEP_NAMES:
         g = grammars[name]
         max_len = {"cfg_anbn": 10, "count4": 6, "itg_sep": 7, "dual_initial_demo": 6}[name]
         enumerated = enumerate_language(g, max_len)
         disagreements = []
-        violations = []
-        accepted = {}
+        fact_mismatches = []
+        runs = []
         for toks in sweep_sentences(name):
             res = run_recognition(g, toks)
-            by_oracle, _ = tabular_recognize(g, toks)
+            by_oracle, items = tabular_recognize(g, toks)
             by_enum = tuple(toks) in enumerated
             if not (res.accepted == by_oracle == by_enum):
                 disagreements.append(
                     (name, " ".join(toks), res.accepted, by_oracle, by_enum)
                 )
-            if res.accepted:
-                # keep the run so derivations can be rebuilt later
-                accepted[tuple(toks)] = res
-            clo = res.closure
-            bad = _chart_violations(chart_of(clo.chart, clo.symbol_ids, clo.space))
-            if bad:
-                violations.append((name, " ".join(toks), bad))
+            work = res.grammar
+            if work is not g:
+                # the run's facts are the converted grammar's
+                _, items = tabular_recognize(work, toks)
+            held = {it for it in fact_items(res.closure) if it[0] != work.start}
+            if held != {it for it in items if it[0] != work.start}:
+                fact_mismatches.append((name, " ".join(toks)))
+            runs.append(res)
         results[name] = {
             "grammar": g,
             "disagreements": disagreements,
-            "violations": violations,
-            "accepted": accepted,
-            "sentences": len(sweep_sentences(name)),
+            "fact_mismatches": fact_mismatches,
+            "runs": runs,
+            # kept so derivations can be rebuilt later
+            "accepted": {res.tokens: res for res in runs if res.accepted},
+            "sentences": len(runs),
         }
     return results

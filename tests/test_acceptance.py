@@ -3,14 +3,17 @@ per check, each printing a single PASS/FAIL line (run with -s or -rA to see
 them alongside the pytest verdicts).
 
 The three-way sweep (check 1) is shared with checks 7 and 8 through the
-session-scoped ``sweep`` fixture in conftest.
+session-scoped ``sweep`` fixture in conftest.  Checks 1, 6 and 8 read a run
+as its verdict, its facts (``Closure.facts``) and its tree; checks 2 and 9
+test the grammar analysis; checks 3, 4, 5 and 7 test the plane form itself:
+products, packed multiplies and the cells of closed charts.
 """
 
 import random
 
 import numpy as np
 
-from lcfrs.addresses import enumerate_space
+from lcfrs.addresses import cell_endpoints, enumerate_space
 from lcfrs.boolmat import BoolMatrix, bool_multiply, rule_plan
 from lcfrs.grammar import (
     configurations,
@@ -28,8 +31,11 @@ from lcfrs.recognizer import closure_fixpoint, extract_derivation, seed_planes
 
 from conftest import chart_of, full_rank, product_chart, random_grammar, symbol_planes, union
 
-# matrices produced by checks 3-6, re-examined by check 7
+# matrices produced by checks 3 and 4, re-examined by check 7
 MATERIALIZED = []
+# check 6's (case, closure, cell-by-cell fixpoint), compared cell for cell by
+# check 7
+FIXPOINTS = []
 
 
 def _gate(label, ok, detail=""):
@@ -42,11 +48,12 @@ def _gate(label, ok, detail=""):
 
 def test_01_three_way_agreement(sweep):
     problems = [d for r in sweep.values() for d in r["disagreements"]]
+    problems += [("facts", *m) for r in sweep.values() for m in r["fact_mismatches"]]
     total = sum(r["sentences"] for r in sweep.values())
     accepted = sum(len(r["accepted"]) for r in sweep.values())
     _gate(
-        "check 1 (engine = oracle = enumeration on %d sentences, %d accepted)"
-        % (total, accepted),
+        "check 1 (engine = oracle = enumeration on %d sentences, %d accepted; "
+        "closed facts = oracle items)" % (total, accepted),
         not problems,
         str(problems[:5]),
     )
@@ -162,6 +169,18 @@ def test_05_backend_equivalence():
     )
 
 
+def _facts_of_cells(P: ProductMatrix) -> dict:
+    """``{nonterminal: set of sorted endpoint tuples}`` of the cells of a
+    symbol-set chart whose merge is defined."""
+    out = {}
+    for row, col, syms in P.nonterminal_facts():
+        flat = cell_endpoints(row, col)
+        if flat is not None:
+            for nt in syms:
+                out.setdefault(nt, set()).add(flat)
+    return out
+
+
 def _cell_by_cell_closure(T, g):
     """Least fixpoint of X <- pi(X | X*X) with the cell-by-cell product and
     the dict-based copy step, which share no code with the bit-plane
@@ -188,33 +207,55 @@ def test_06_closure_equivalence(grammars):
     ):
         cases.append((name, grammars[name], sentence.split()))
     bad = []
-    for t, (label, g, toks) in enumerate(cases):
+    for label, g, toks in cases:
         sp = enumerate_space(len(toks), full_rank(g))
-        T = seed(g, toks, sp)
         fix = closure_fixpoint(seed_planes(g, toks, sp), rule_plan(g, sp))
-        got = chart_of(fix.chart, fix.symbol_ids, sp)
-        if got != _cell_by_cell_closure(T, g):
+        want = _cell_by_cell_closure(seed(g, toks, sp), g)
+        if fix.facts() != _facts_of_cells(want):
             bad.append(label)
-        if t % 6 == 0:
-            MATERIALIZED.append(got)
+        FIXPOINTS.append((label, fix, want))
     _gate(
-        "check 6 (bit-plane closure = cell-by-cell fixpoint, %d cases)" % len(cases),
+        "check 6 (bit-plane closure's facts = cell-by-cell fixpoint's, %d cases)" % len(cases),
         not bad,
         "cases %s" % bad,
     )
 
 
+def _chart_violations(chart) -> list:
+    """Structural checks every published matrix must satisfy."""
+    out = []
+    if not chart.is_upper_triangular():
+        out.append("not upper-triangular")
+    if pi_copy(chart) != chart:
+        out.append("not copy-complete at fixpoint")
+    return out
+
+
 def test_07_structural_invariants(sweep):
-    problems = [v for r in sweep.values() for v in r["violations"]]
-    checked = sum(r["sentences"] for r in sweep.values())
+    problems = []
+    checked = 0
+    for name, r in sweep.items():
+        for res in r["runs"]:
+            clo = res.closure
+            checked += 1
+            bad = _chart_violations(chart_of(clo.chart, clo.symbol_ids, clo.space))
+            if bad:
+                problems.append((name, " ".join(res.tokens), bad))
+    # check 6's closed charts hold its reference fixpoint's cells exactly
+    for label, fix, want in FIXPOINTS:
+        checked += 1
+        got = chart_of(fix.chart, fix.symbol_ids, fix.space)
+        bad = _chart_violations(got) + ["not the cell-by-cell fixpoint"] * (got != want)
+        if bad:
+            problems.append((label, bad))
     for t, matrix in enumerate(MATERIALIZED):
         checked += 1
-        # raw products need not be copy-complete; the sweep checks fixpoints
+        # raw products need not be copy-complete; the closed charts above are
         if not matrix.is_upper_triangular():
             problems.append(("materialized-%d" % t, "not upper-triangular"))
     _gate(
-        "check 7 (triangularity, copy-complete; %d matrices)"
-        % checked,
+        "check 7 (triangularity, copy-complete, closed charts = cell-by-cell "
+        "fixpoints; %d matrices)" % checked,
         not problems,
         str(problems[:5]),
     )

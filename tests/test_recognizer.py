@@ -46,12 +46,6 @@ def _closed(g, sentence):
     return closure_fixpoint(seed_planes(g, toks, sp), rule_plan(g, sp)), sp
 
 
-def _facts(clo, nts):
-    """``facts_of`` the closure's planes of the nonterminals in ``nts``."""
-    return {nt: flats for nt, flats in facts_of(clo.chart, clo.symbol_ids, clo.space).items()
-            if nt in nts}
-
-
 class TestClosure:
     def test_empty_matrix_is_its_own_closure(self, grammars):
         g = grammars["cfg_anbn"]
@@ -215,12 +209,10 @@ class TestStartRulesOutsideMatrix:
         ):
             g = grammars[name]
             assert (space_rank(g), full_rank(g)) == (2, 3), name
-            nts = set(g.nonterminals - {g.start})
             for toks in sentences:
                 full, _ = _closed(g, " ".join(toks))
-                sp = enumerate_space(len(toks), space_rank(g))
-                runtime = closure_fixpoint(seed_planes(g, toks, sp), rule_plan(g, sp))
-                assert _facts(runtime, nts) == _facts(full, nts), (name, toks)
+                want = {nt: flats for nt, flats in full.facts().items() if nt != g.start}
+                assert run_recognition(g, toks).closure.facts() == want, (name, toks)
 
     def test_start_fact_comes_from_the_join(self, grammars):
         g = grammars["count4"]
@@ -277,11 +269,10 @@ def _mixed_start_rules():
 
 def _brute_witness(clo, rules, n):
     """Reference for ``_start_witness``: join every pair of the child facts
-    of ``rules`` (start rules in rule-id order), read off all of the
-    closure's cells by ``facts_of``, and keep the first pair, in rule-id
-    and then endpoint order, whose spans the rule's template lays end to
-    end over (0, n)."""
-    facts = _facts(clo, {nt for r in rules for nt in r.rhs})
+    of ``rules`` (start rules in rule-id order), read by ``Closure.facts``,
+    and keep the first pair, in rule-id and then endpoint order, whose spans
+    the rule's template lays end to end over (0, n)."""
+    facts = clo.facts()
     for r in rules:
         B, C = r.rhs
         (template,) = r.comp
@@ -733,13 +724,19 @@ class TestPlanePath:
                     assert res.stats["facts"] == res.closure.fact_count(), label
 
     def test_facts_count_the_chart(self, grammars):
+        # stats["facts"] counts set bits: each fact of Closure.facts once per
+        # split of its endpoints; count4 on "a b c d", the last case, holds
+        # 4 facts in 12 bits
         for name, sentence in (("count4", "a a b c c d"), ("itg_sep", "x y # y x"),
                                ("dual_initial_demo", "a b a a b a"),
-                               ("cfg_anbn", "a a b")):
+                               ("cfg_anbn", "a a b"), ("count4", "a b c d")):
             res = run_recognition(grammars[name], sentence.split())
             clo = res.closure
             chart = chart_of(clo.chart, clo.symbol_ids, clo.space)
             assert res.stats["facts"] == chart.fact_count(), name
+            flats = [flat for flats in clo.facts().values() for flat in flats]
+            assert res.stats["facts"] == sum(len(clo.space.split_ids(f)) for f in flats), name
+        assert (len(flats), res.stats["facts"]) == (4, 12)
 
     def test_recognition_builds_no_chart(self, grammars, monkeypatch):
         # neither a run nor a derivation builds a symbol-set chart
@@ -1004,7 +1001,7 @@ class TestFactPlaneBridge:
         toks = "a a b b c c d d".split()
         clo = run_recognition(g, toks).closure
         assert clo.space.d == 2
-        facts = facts_of(clo.chart, clo.symbol_ids, clo.space)
+        facts = clo.facts()
         assert facts["A"] and facts["B"]
         for nt, flats in facts.items():
             for flat in flats:
@@ -1161,7 +1158,7 @@ class TestExtraction:
         # json.dumps's wherever json.dumps does not overflow the stack
         runs = [res for name in SWEEP_NAMES for res in sweep[name]["accepted"].values()]
         runs += [run_recognition(grammars["cfg_anbn"], ["a"] * m + ["b"] * m)
-                 for m in range(1, 101)]
+                 for m in (*range(1, 11), 25, 50, 100)]
         for res in runs:
             tree = extract_derivation(res)
             assert tree.to_json_text() == json.dumps(tree.to_json(), indent=2), res.tokens
