@@ -14,9 +14,12 @@ oracle rejects), each false reject, each bad tree (none, a
 (``DerivationNode.to_json_text``) that is not ``json.dumps(tree.to_json(),
 indent=2)``), each unsound fact (a fact of the run that is no oracle
 item) and each sentence with missing facts (an oracle item, start symbol
-aside, that is no fact of the run).  It exits 1 on any false accept, bad
-tree or unsound fact, or when the tabular oracle and the enumerator
-disagree; false rejects and missing facts are reported only.
+aside, that is no fact of the run).  Each missing fact is counted in one of
+three classes: it has a tied endpoint (two of its endpoints are equal); else
+every oracle derivation of it uses a child fact the run also lacks; else
+other, which is listed.  It exits 1 on any false accept, bad tree or unsound
+fact, or when the tabular oracle and the enumerator disagree; false rejects
+and missing facts are reported only.
 
     python scripts/fuzz_three_way.py --seeds 300 400 --max-len 5
 """
@@ -35,7 +38,9 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 from conftest import fact_items, random_grammar  # noqa: E402
 from lcfrs.grammar import is_single_initial, to_single_initial  # noqa: E402
-from lcfrs.oracle import enumerate_language, tabular_recognize  # noqa: E402
+from lcfrs.oracle import (  # noqa: E402
+    _instantiate, _word_placements, enumerate_language, tabular_recognize,
+)
 from lcfrs.recognizer import engine_ready, extract_derivation, run_recognition  # noqa: E402
 
 
@@ -51,13 +56,39 @@ def _good_tree(result) -> bool:
         tree.to_json_text() == json.dumps(tree.to_json(), indent=2))
 
 
+def _missing_class(work, toks, item, items, held) -> str:
+    """Why the run of grammar ``work`` on ``toks`` lacks ``item``, one of
+    the oracle's ``items``: ``"tied"`` when two of its endpoints are equal,
+    ``"child"`` when every derivation of it from ``items`` uses a child
+    fact not in ``held``, and ``"other"`` when neither holds."""
+    nt, spans = item
+    n = len(toks)
+    flat = [p for span in spans for p in span]
+    if len(set(flat)) < len(flat):
+        return "tied"
+    for r in work.rules:
+        if r.lhs != nt:
+            continue
+        if not r.is_binary:
+            if spans in _word_placements(r.words, toks, n):
+                return "other"
+            continue
+        B, C = r.rhs
+        for bs in (s for sym, s in items if sym == B):
+            for cs in (s for sym, s in items if sym == C):
+                if spans in _instantiate(r, bs, cs, n) and (B, bs) in held and (C, cs) in held:
+                    return "other"
+    return "child"
+
+
 def fuzz(seeds: range, max_len: int) -> dict:
     """Run the checks over ``seeds``; the runnable, sentence and tree
     counts and the ``(seed, sentence)`` lists of each failure, one entry per
     fact for unsound facts."""
     out = {"runnable": 0, "sentences": 0, "trees": 0, "false_accepts": [],
            "false_rejects": [], "oracle_disagreements": [], "bad_trees": [],
-           "unsound_facts": [], "sentences_missing_facts": []}
+           "unsound_facts": [], "sentences_missing_facts": [],
+           "missing": {"tied": 0, "child": 0, "other": []}}
     for case in seeds:
         g = random_grammar(random.Random(case), d_cap=4)
         if engine_ready(g if is_single_initial(g) else to_single_initial(g)):
@@ -77,8 +108,17 @@ def fuzz(seeds: range, max_len: int) -> dict:
                 held = fact_items(result.closure)
                 out["unsound_facts"] += [(case, "%s: %s %s" % (case_toks[1], *item))
                                          for item in sorted(held - items)]
-                if any(item[0] != work.start and item not in held for item in items):
+                missing = [item for item in sorted(items) if item[0] != work.start
+                           and item not in held]
+                if missing:
                     out["sentences_missing_facts"].append(case_toks)
+                for item in missing:
+                    kind = _missing_class(work, toks, item, items, held)
+                    if kind == "other":
+                        out["missing"]["other"].append(
+                            (case, "%s: %s %s" % (case_toks[1], *item)))
+                    else:
+                        out["missing"][kind] += 1
                 if engine:
                     if _good_tree(result):
                         out["trees"] += 1
@@ -108,6 +148,11 @@ def main(argv=None) -> int:
         print("%s: %d" % (key.replace("_", " "), len(got[key])))
         for case, sentence in got[key]:
             print("  seed %d: %r" % (case, sentence))
+    missing = got["missing"]
+    print("missing facts: %d tied endpoint, %d child missing, %d other"
+          % (missing["tied"], missing["child"], len(missing["other"])))
+    for case, fact in missing["other"]:
+        print("  seed %d: %r" % (case, fact))
     return int(bool(got["false_accepts"] or got["oracle_disagreements"] or got["bad_trees"]
                     or got["unsound_facts"]))
 

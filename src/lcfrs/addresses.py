@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, combinations_with_replacement
-from math import comb
 from operator import itemgetter
 
 import numpy as np
@@ -114,9 +113,9 @@ class AddressSpace:
     ``masks`` holds the rule masks built over this space by
     ``boolmat.rule_mask``, which every run's ``boolmat.rule_plan`` reads;
     ``joins`` holds the start-rule join tables of
-    ``recognizer._join_table``.  ``by_length``, the rank terms behind
-    ``ids_of`` and the split-pattern tables behind ``split_ids`` are built
-    on first use and kept here too.
+    ``recognizer._join_table``.  ``by_length``, which ``ids_of`` searches,
+    and the split-pattern tables behind ``split_ids`` are built on first
+    use and kept here too.
     """
 
     def __init__(self, n: int, d: int):
@@ -150,36 +149,20 @@ class AddressSpace:
                                                   count=L * len(addrs)).reshape(-1, L)))
                 for L, addrs in enumerate(self._of_length, 1)}
 
-    @cached_property
-    def _rank_terms(self) -> tuple:
-        """``(steps, lasts)``, two (d, n + 1) arrays: the id of an address a
-        of length L is ``sum(steps[k, a[k]] for k < L - 1)`` plus
-        ``lasts[L - 1, a[L - 1]]``.
-
-        An id counts the addresses before a: its L - 1 proper prefixes, and
-        for each k those that first differ from a at k, by a value u in
-        [a[k - 1], a[k]) (a[-1] = 0) followed by any sorted tail of values
-        from u to n and of length below d - k.  There are
-        ``comb(n - u + d - k, d - 1 - k)`` such tails, and P[k, v], their
-        sum over u below v, is a difference of two binomials.  The id is
-        L - 1 + sum(P[k, a[k]] - P[k, a[k - 1]]), which regroups by
-        position into ``steps`` = P[k] - P[k + 1] and ``lasts`` = P[k] + k."""
-        n, d = self.n, self.d
-        P = np.array([[comb(n + d - k + 1, d - k) - comb(n - v + d - k + 1, d - k)
-                       for v in range(n + 1)] for k in range(d)] + [[0] * (n + 1)])
-        return P[:-1] - P[1:], P[:-1] + np.arange(d)[:, None]
-
     def ids_of(self, columns) -> np.ndarray:
         """The ids of a batch of addresses of one length L, 1 <= L <= d,
         given as L equal-length integer arrays: ``columns[k]`` holds every
         address's position k, and each must be an address of the space.
-        A closed-form rank: one gather per position, in O(d * n) memory,
-        never an (n + 1)^L table."""
-        steps, lasts = self._rank_terms
-        ids = lasts[len(columns) - 1].take(columns[-1])
-        for k in range(len(columns) - 1):
-            ids += steps[k].take(columns[k])
-        return ids
+        Within a length, the base-(n + 1) keys of the positions rise in
+        tuple order, as the ids do, so one ``searchsorted`` of the batch's
+        keys into those of ``by_length[L]`` finds them."""
+        ids, pos = self.by_length[len(columns)]
+        base = self.n + 1
+        keys, want = np.zeros(len(ids), dtype=np.int64), np.zeros(len(columns[0]), dtype=np.int64)
+        for k, column in enumerate(columns):
+            keys = keys * base + pos[:, k]
+            want = want * base + column
+        return ids.take(keys.searchsorted(want))
 
     def first_split_ids(self, columns) -> tuple:
         """The (row ids, column ids) of the first split pattern of a batch

@@ -21,6 +21,14 @@ DEFAULT_OMEGA = 2.3728639
 
 _VAR_RE = re.compile(r"^([bg])([0-9]+)$")
 _QUOTED_RE = re.compile(r"^'([^']*)'$")
+# a token of a grammar line: a comma, or a run of characters up to a space,
+# a comma or an unquoted '#', which starts a comment.  A quoted terminal in a
+# run may hold '#' or ',' but no space or quote; a quote that closes no
+# terminal takes the rest of its run, so the run is a token no rule accepts
+_TOKEN = r"(?:[^\s,#']+|'[^'\s]*')+(?:'[^\s,#']*)?|'[^\s,#']*|,"
+_TOKEN_RE = re.compile(_TOKEN)
+# a line's tokens and spaces, which end where its comment begins
+_CODE_RE = re.compile(r"(?:%s|\s)*" % _TOKEN)
 
 
 class GrammarError(ValueError):
@@ -138,32 +146,6 @@ class ConfigTriple(NamedTuple):
 # ---------------------------------------------------------------------------
 # file format
 
-def _strip_comment(line: str) -> str:
-    out = []
-    quoted = False
-    for ch in line:
-        if ch == "'":
-            quoted = not quoted
-        elif ch == "#" and not quoted:
-            break
-        out.append(ch)
-    return "".join(out)
-
-
-def _split_outside_quotes(text: str, sep: str):
-    parts, cur, quoted = [], [], False
-    for ch in text:
-        if ch == "'":
-            quoted = not quoted
-        if ch == sep and not quoted:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
-
-
 def parse_grammar(text: str) -> Grammar:
     """Parse the line-based grammar format and return a validated Grammar.
 
@@ -187,7 +169,7 @@ def parse_grammar(text: str) -> Grammar:
             )
 
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = _strip_comment(raw).strip()
+        line = _CODE_RE.match(raw)[0].strip()
         if not line:
             continue
         if line.startswith("start "):
@@ -207,7 +189,12 @@ def parse_grammar(text: str) -> Grammar:
         if not colon:
             raise GrammarError("line %d: missing ':' before span templates" % lineno)
         body_parts = body.split()
-        span_parts = _split_outside_quotes(spans_text, ",")
+        span_parts = [[]]
+        for tok in _TOKEN_RE.findall(spans_text):
+            if tok == ",":
+                span_parts.append([])
+            else:
+                span_parts[-1].append(tok)
 
         if len(body_parts) == 2:
             rhs = (body_parts[0], body_parts[1])
@@ -215,7 +202,7 @@ def parse_grammar(text: str) -> Grammar:
             max_b = max_g = 0
             for part in span_parts:
                 template = []
-                for tok in part.split():
+                for tok in part:
                     mv = _VAR_RE.match(tok)
                     if not mv:
                         raise GrammarError(
@@ -242,7 +229,7 @@ def parse_grammar(text: str) -> Grammar:
             words = []
             for part in span_parts:
                 span = []
-                for tok in part.split():
+                for tok in part:
                     mq = _QUOTED_RE.match(tok)
                     if not mq:
                         raise GrammarError(

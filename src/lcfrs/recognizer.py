@@ -229,7 +229,8 @@ def closure_fixpoint(T, plan: RulePlan) -> Closure:
     fact become D, carried as (ids, planes).  The complement, AND, copy,
     count and OR into X run over those planes alone, so a plane that no
     binary rule heads, a lexical-only symbol, is never touched after the
-    seed."""
+    seed.  At rank 1 a fact has two endpoints and one split, the cell it
+    is set on, so there is nothing to copy and ``pi_copy`` is not called."""
     space = plan.space
     X = T.copy()
     delta = None
@@ -241,8 +242,9 @@ def closure_fixpoint(T, plan: RulePlan) -> Closure:
         absent = X.take(heads, axis=0)
         np.invert(absent, out=absent)
         fresh &= absent
-        fresh = pi_copy(fresh, space)
-        fresh &= absent
+        if space.d > 1:
+            fresh = pi_copy(fresh, space)
+            fresh &= absent
         new_facts = popcount(fresh)
         rounds.append({"muls": stats["muls"] - before, "new_facts": new_facts})
         if not new_facts:
@@ -265,15 +267,15 @@ def _build_join(space: AddressSpace, template: tuple, fo: tuple) -> tuple:
     n when the template ends with the first child.  The start symbol has
     fan-out 1, so the template alternates b1 g1 b2 g2 ... over (0, n), and
     such a fact fixes the second child's endpoints: its own from the second
-    on, then n.  An entry holds each fact's first split as a packed word
-    index in a (row, word) plane and a bit; a candidate with no first split
-    of either fact is dropped."""
+    on, then n.  An entry holds each fact's first split as the index of
+    its word in a flattened (row, word) plane, an ``intp``, and the shift
+    of its bit in that word, a ``uint64``, so the gathers take them as
+    they are; a candidate with no first split of either fact is dropped."""
     n, d = space.n, space.d
     words = _nwords(space.dim)
-    word_type = np.min_scalar_type(space.dim * words)
     Lb, Lc = 2 * fo[1], 2 * fo[2]
     if Lb > 2 * d or Lc > 2 * d:
-        none = np.zeros(0, dtype=word_type), np.zeros(0, dtype=np.uint8)
+        none = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.uint64)
         return none + none
     pattern = row_at, col_at = next(split_patterns(Lb, d))
     # the rows that begin at 0 are a leading slice of their length
@@ -294,8 +296,8 @@ def _build_join(space: AddressSpace, template: tuple, fo: tuple) -> tuple:
     out = ()
     for row, col in ((rows[0].take(ri[keep]), cols[0].take(ci[keep])),
                      (right_row[keep], right_col[keep])):
-        out += ((row.astype(word_type) * words + (col >> 6)).astype(word_type, copy=False),
-                (col & 63).astype(np.uint8, copy=False))
+        row, col = row.astype(np.intp), col.astype(np.intp)
+        out += (row * words + (col >> 6), (col & 63).astype(np.uint64))
     return out
 
 

@@ -237,9 +237,3 @@ class TestIdsOf:
                         assert (pairs[0] == (row, col)) if pairs else col <= row, (n, d, e)
                         checked += 1
         assert checked > 1000
-
-    def test_rank_terms_stay_small(self):
-        # two (d, n + 1) arrays: O(d * n) entries, never (n + 1)^d
-        sp = AddressSpace(96, 2)
-        sp.ids_of([np.array([0]), np.array([96])])
-        assert sum(t.size for t in sp._rank_terms) == 2 * 2 * 97

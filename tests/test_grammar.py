@@ -73,6 +73,20 @@ class TestParsing:
         )
         assert g.terminals == {"#"}
 
+    def test_quotes_bound_one_terminal(self):
+        # a quoted terminal holds no space and is closed on its token; a
+        # quoted '#' or ',' is a terminal, and '' an empty span
+        for body, message in ((": 'a b'", "bad terminal token"), (": 'a", "bad terminal token"),
+                              (": a'", "bad terminal token"), (": 'a' '", "bad terminal token"),
+                              (": 'a # b'", "bad terminal token"),
+                              ("A A : b1 ' g1", "bad variable")):
+            with pytest.raises(GrammarError, match=message):
+                parse_grammar("start S\nS -> %s\nA -> : 'a'\n" % body)
+        g = parse_grammar("start S\nS -> A B : b1 g1 b2 g2  # A's '#\n"
+                          "A -> : '#' , ''\nB -> : ',' 'x' , 'y'\n")
+        assert {r.lhs: r.words for r in g.rules if not r.is_binary} == {
+            "A": (("#",), ()), "B": ((",", "x"), ("y",))}
+
     def test_empty_span_syntax(self):
         g = parse_grammar(
             "start S\nS -> A B : b1 g1 b2 g2\n"

@@ -35,8 +35,8 @@ from lcfrs.recognizer import (
 )
 
 from conftest import (
-    BOTH_CHILDREN_GROW, SWEEP_NAMES, chart_of, full_rank, product_chart, random_grammar,
-    searched_start_witness, start_rules, sweep_sentences, symbol_planes, union,
+    BOTH_CHILDREN_GROW, SWEEP_NAMES, chart_of, fact_items, full_rank, product_chart,
+    random_grammar, searched_start_witness, start_rules, sweep_sentences, symbol_planes, union,
 )
 
 
@@ -427,13 +427,15 @@ class TestJoinTable:
                     checked += len(want)
         assert checked > 1000
 
-    def test_tables_are_narrow(self):
+    def test_tables_hold_native_index_types(self):
+        # the gathers index by intp and shift uint64 words by uint64, so
+        # the tables hold those types and no gather casts
         sp = enumerate_space(7, 2)
         (r,) = start_rules(bundled.load("itg_sep"))
         left_words, left_bits, right_words, right_bits = _join_table(sp, r)
         assert left_words.size == 118
-        assert left_words.dtype == right_words.dtype == np.uint8
-        assert left_bits.dtype == right_bits.dtype == np.uint8
+        assert left_words.dtype == right_words.dtype == np.intp
+        assert left_bits.dtype == right_bits.dtype == np.uint64
 
     @staticmethod
     def _families():
@@ -655,6 +657,28 @@ class TestRunRecognition:
         res = run_recognition(grammars["itg_sep"], "x # x".split())
         assert res.accepted
         assert calls == ["pi_copy"] * res.stats["iterations"] + ["closure_fixpoint"]
+
+    def test_rank_one_runs_copy_nothing(self, grammars, monkeypatch):
+        # at rank 1 a fact's two endpoints have one split, the cell it is
+        # set on, so only wider spaces call pi_copy; the rank-1 runs still
+        # derive exactly the tabular oracle's items
+        ranks = []
+        real = recognizer.pi_copy
+
+        def spy(chart, space):
+            ranks.append(space.d)
+            return real(chart, space)
+        monkeypatch.setattr(recognizer, "pi_copy", spy)
+        g = grammars["cfg_anbn"]
+        assert space_rank(g) == 1
+        for n in range(1, 7):
+            for toks in itertools.product("ab", repeat=n):
+                res = run_recognition(g, toks)
+                accepted, items = tabular_recognize(g, toks)
+                assert (res.accepted, fact_items(res.closure)) == (accepted, items), toks
+        assert ranks == []
+        res = run_recognition(grammars["itg_sep"], "x # x".split())
+        assert ranks == [2] * res.stats["iterations"]
 
     def test_a_parse_resolves_its_plan_once(self, grammars, monkeypatch):
         # the run builds the plan as its masks phase and keeps it on the
