@@ -22,13 +22,12 @@ DEFAULT_OMEGA = 2.3728639
 _VAR_RE = re.compile(r"^([bg])([0-9]+)$")
 _QUOTED_RE = re.compile(r"^'([^']*)'$")
 # a token of a grammar line: a comma, or a run of characters up to a space,
-# a comma or an unquoted '#', which starts a comment.  A quoted terminal in a
-# run may hold '#' or ',' but no space or quote; a quote that closes no
-# terminal takes the rest of its run, so the run is a token no rule accepts
-_TOKEN = r"(?:[^\s,#']+|'[^'\s]*')+(?:'[^\s,#']*)?|'[^\s,#']*|,"
-_TOKEN_RE = re.compile(_TOKEN)
-# a line's tokens and spaces, which end where its comment begins
-_CODE_RE = re.compile(r"(?:%s|\s)*" % _TOKEN)
+# a comma or a '#'.  A quoted terminal in a run may hold '#' or ',' but no
+# space or quote; a quote that closes no terminal takes the rest of its run,
+# so the run is a token no rule accepts
+_TOKEN_RE = re.compile(r"(?:[^\s,#']+|'[^'\s]*')+(?:'[^\s,#']*)?|'[^\s,#']*|,")
+# a line up to its comment, which a '#' outside a quoted terminal starts
+_CODE_RE = re.compile(r"(?:[^#']+|'[^'\s]*'|')*")
 
 
 class GrammarError(ValueError):

@@ -211,8 +211,8 @@ class TestEquivalentCells:
 
 class TestIdsOf:
     def test_ids_of_position_columns_are_the_ids(self):
-        # the closed-form rank gives every address its id, at every length,
-        # from its positions alone
+        # the lookup gives every address its id, at every length, from its
+        # positions alone
         for d in (1, 2, 3, 4):
             for n in range(9):
                 sp = AddressSpace(n, d)
