@@ -12,11 +12,18 @@ at a given length n.  For every (family, n) point the script measures
 * ``peak_rss_mb``: the peak resident set of one fresh process that parses
   the grammar and runs the sentence once;
 
+* ``miss_warm_ms``: the warm time, taken as ``warm_ms`` is, of the near
+  miss: the sentence with tokens n//2 - 1 and n//2 swapped.  Every family
+  puts a boundary there (count4's b|c, cfg_anbn's a|b, itg_sep's last
+  source token and ``#``), so the swap is a non-member, and on it the
+  start-rule join tests every candidate;
+
 with the run's ``facts`` (chart bits), ``rounds`` (closure iterations) and
-verdict.  Every constructed sentence is a member, so a rejection fails the
-script.  One point per (family, n) is appended to ``BENCH_scaling.json``
-with the commit it measured, and the log-log slope of ``warm_ms`` in n is
-printed per family beside ``analyze(g).runtime_exponent``.
+verdict.  Every constructed sentence is a member and every near miss is
+not, so a rejected member or an accepted near miss fails the script.  One
+point per (family, n) is appended to ``BENCH_scaling.json`` with the commit
+it measured, and the log-log slope of ``warm_ms`` in n is printed per
+family beside ``analyze(g).runtime_exponent``.
 
     python scripts/scale.py                  # every point, about a minute
     python scripts/scale.py --smallest --out /tmp/scale.json   # smoke run
@@ -92,6 +99,23 @@ def clear_caches() -> None:
                 obj.clear()
 
 
+def near_miss(toks: list) -> list:
+    """``toks`` with tokens n//2 - 1 and n//2 swapped."""
+    i = len(toks) // 2
+    return toks[:i - 1] + [toks[i], toks[i - 1]] + toks[i + 1:]
+
+
+def warm(g, toks) -> list:
+    """The times of warm calls of ``run_recognition``: at least 3, and more
+    while they take under a second in all."""
+    times = []
+    while len(times) < 3 or (sum(times) < 1.0 and len(times) < 60):
+        t0 = time.perf_counter()
+        run_recognition(g, toks)
+        times.append(time.perf_counter() - t0)
+    return times
+
+
 def measure(name: str, toks: list) -> dict:
     """One point's figures for grammar ``name`` on ``toks``."""
     clear_caches()
@@ -101,15 +125,14 @@ def measure(name: str, toks: list) -> dict:
     cold = time.perf_counter() - t0
     if not res.accepted:
         raise SystemExit("%s rejected a member of length %d" % (name, len(toks)))
-    warm = []
-    # at least 3 calls, and more while they take under a second in all
-    while len(warm) < 3 or (sum(warm) < 1.0 and len(warm) < 60):
-        t0 = time.perf_counter()
-        run_recognition(g, toks)
-        warm.append(time.perf_counter() - t0)
+    miss = near_miss(toks)
+    if run_recognition(g, miss).accepted:
+        raise SystemExit("%s accepted the near miss %s" % (name, " ".join(miss)))
+    hit_times = warm(g, toks)
     fresh = subprocess.run([sys.executable, "-c", _FRESH, SRC, name, " ".join(toks)],
                            check=True, capture_output=True, text=True)
-    return {"warm_ms": min(warm) * 1e3, "warm_k": len(warm), "cold_ms": cold * 1e3,
+    return {"warm_ms": min(hit_times) * 1e3, "warm_k": len(hit_times),
+            "miss_warm_ms": min(warm(g, miss)) * 1e3, "cold_ms": cold * 1e3,
             "peak_rss_mb": float(fresh.stdout), "facts": res.stats["facts"],
             "rounds": res.stats["iterations"], "accepted": res.accepted,
             "rank": res.stats["rank"], "kernel": res.stats["kernel"]}
@@ -138,8 +161,8 @@ def main(argv=None) -> int:
     host = {"machine": platform.machine(), "cpus": os.cpu_count(),
             "python": platform.python_version(), "numpy": np.__version__}
     points = []
-    print("%-24s %5s %10s %10s %8s %9s %7s" % ("family", "n", "warm ms", "cold ms", "RSS MB",
-                                               "facts", "rounds"))
+    print("%-24s %5s %10s %10s %10s %8s %9s %7s" % ("family", "n", "warm ms", "miss ms",
+                                                    "cold ms", "RSS MB", "facts", "rounds"))
     for family, (name, sentence, lengths) in FAMILIES.items():
         for n in lengths[:1] if args.smallest else lengths:
             toks = sentence(n)
@@ -147,9 +170,9 @@ def main(argv=None) -> int:
             point = {"commit": commit, "family": family, "grammar": name, "n": n,
                      **measure(name, toks), "host": host}
             points.append(point)
-            print("%-24s %5d %10.3f %10.3f %8.1f %9d %7d" % (
-                family, n, point["warm_ms"], point["cold_ms"], point["peak_rss_mb"],
-                point["facts"], point["rounds"]))
+            print("%-24s %5d %10.3f %10.3f %10.3f %8.1f %9d %7d" % (
+                family, n, point["warm_ms"], point["miss_warm_ms"], point["cold_ms"],
+                point["peak_rss_mb"], point["facts"], point["rounds"]))
     print("\n%-24s %12s %18s" % ("family", "warm slope", "runtime_exponent"))
     for family, (name, _, _) in FAMILIES.items():
         s = slope([p for p in points if p["family"] == family])

@@ -16,11 +16,9 @@ The splits of sorted endpoints back into (row, column) pairs come from one
 table of split patterns, ``split_patterns``: which sorted positions go to
 the row and which to the column.  ``splits_of_endpoints`` applies it to
 tuples, and ``AddressSpace.split_ids`` to ids.  Which address pairs merge
-by a pattern is one predicate, ``fits``, which the rule masks and the
-start-rule join tables evaluate by broadcasting over the space's
-per-length address arrays rather than by walking position tuples.
-``AddressSpace.ids_of`` finds the ids of a batch of addresses given as
-position columns.
+by a pattern is one predicate, ``fits``, which the rule masks evaluate by
+broadcasting over the space's per-length address arrays rather than by
+walking position tuples.
 """
 
 from __future__ import annotations
@@ -111,11 +109,10 @@ class AddressSpace:
     There are ``sum(comb(n + L, L) for L in 1..d)`` of them.
 
     ``masks`` holds the rule masks built over this space by
-    ``boolmat.rule_mask``, which every run's ``boolmat.rule_plan`` reads;
-    ``joins`` holds the start-rule join tables of
-    ``recognizer._join_table``.  ``by_length``, which ``ids_of`` searches,
-    and the split-pattern tables behind ``split_ids`` are built on first
-    use and kept here too.
+    ``boolmat.rule_mask``, which every run's ``boolmat.rule_plan`` reads.
+    ``by_length``, the per-length address arrays the masks compare, and
+    the split-pattern tables behind ``split_ids`` are built on first use
+    and kept here too.
     """
 
     def __init__(self, n: int, d: int):
@@ -132,7 +129,6 @@ class AddressSpace:
         self._patterns = {}
         self._split_ids = {}
         self.masks = {}
-        self.joins = {}
 
     @cached_property
     def by_length(self) -> dict:
@@ -148,30 +144,6 @@ class AddressSpace:
                     np.asfortranarray(np.fromiter(chain.from_iterable(addrs), dtype=pos_type,
                                                   count=L * len(addrs)).reshape(-1, L)))
                 for L, addrs in enumerate(self._of_length, 1)}
-
-    def ids_of(self, columns) -> np.ndarray:
-        """The ids of a batch of addresses of one length L, 1 <= L <= d,
-        given as L equal-length integer arrays: ``columns[k]`` holds every
-        address's position k, and each must be an address of the space.
-        Within a length, the base-(n + 1) keys of the positions rise in
-        tuple order, as the ids do, so one ``searchsorted`` of the batch's
-        keys into those of ``by_length[L]`` finds them."""
-        ids, pos = self.by_length[len(columns)]
-        base = self.n + 1
-        keys, want = np.zeros(len(ids), dtype=np.int64), np.zeros(len(columns[0]), dtype=np.int64)
-        for k, column in enumerate(columns):
-            keys = keys * base + pos[:, k]
-            want = want * base + column
-        return ids.take(keys.searchsorted(want))
-
-    def first_split_ids(self, columns) -> tuple:
-        """The (row ids, column ids) of the first split pattern of a batch
-        of sorted endpoints, given as 2 <= L <= 2d position columns as
-        ``ids_of`` takes them.  Where the column id is not above the row
-        id, the split is undefined."""
-        row_at, col_at = next(split_patterns(len(columns), self.d))
-        return (self.ids_of([columns[t] for t in row_at]),
-                self.ids_of([columns[t] for t in col_at]))
 
     def split_ids(self, endpoints: tuple) -> tuple:
         """``splits_of_endpoints(endpoints, d)`` as (row id, col id) pairs:

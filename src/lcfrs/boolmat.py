@@ -13,8 +13,8 @@ so each is built once per address space, kept on the space
 run over it.  A mask is built by array comparisons over the space's
 per-length address arrays, never by walking position tuples.  A run
 resolves its rules and their masks once, as a ``rule_plan``, which every
-round's ``plane_product``, the start-rule join and derivation extraction
-read.
+round's ``plane_product`` and derivation extraction read, and whose
+``joined`` start rules the start-rule join applies to the closed chart.
 """
 
 from __future__ import annotations
@@ -94,10 +94,11 @@ def bit(words: np.ndarray, i: int, j: int) -> bool:
     return bool((int(words[i, j >> 6]) >> (j & 63)) & 1)
 
 
-def row_bits(row: np.ndarray) -> list:
-    """The set columns of one packed row, ascending."""
+def row_bits(words: list) -> list:
+    """The set columns of one packed row, given as its words as Python
+    integers (``row.tolist()``), ascending."""
     out = []
-    for base, word in enumerate(row.tolist()):
+    for base, word in enumerate(words):
         while word:
             low = word & -word
             out.append(64 * base + low.bit_length() - 1)

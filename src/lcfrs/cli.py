@@ -14,7 +14,7 @@ import sys
 from . import bundled
 from .grammar import DEFAULT_OMEGA, GrammarError, analyze, parse_grammar
 from .oracle import tabular_recognize
-from .recognizer import EngineUnsupported, extract_derivation, run_recognition
+from .recognizer import extract_derivation, run_recognition
 
 
 def _load_grammar(source: str):
@@ -155,10 +155,10 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    # internal faults too (an inconsistent chart, RecursionError, MemoryError):
+    # ValueError covers GrammarError and EngineUnsupported.  Internal faults
+    # are caught too (an inconsistent chart, RecursionError, MemoryError):
     # left to escape, they would exit 1, which reads as REJECT
-    except (GrammarError, EngineUnsupported, OSError, ValueError,
-            RuntimeError, MemoryError) as exc:
+    except (OSError, ValueError, RuntimeError, MemoryError) as exc:
         print("error: %s" % (str(exc) or type(exc).__name__), file=sys.stderr)
         return 2
 

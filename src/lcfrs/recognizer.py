@@ -19,8 +19,8 @@ same closed chart.
 ``facts_of`` and ``planes_of`` are the one conversion between chart bits
 and facts (sorted endpoint tuples): the seed and pi-copy go through them,
 and ``Closure.facts()`` reads a closed run's facts for its callers.
-The start-rule join reads no facts: it gathers the children's bits at a
-table of candidate cells kept on the space.
+The start-rule join reads the first child's facts that begin at 0 and
+tests the second child's fact each one fixes.
 """
 
 from __future__ import annotations
@@ -32,13 +32,12 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
-from math import comb
 
 import numpy as np
 
-from .addresses import AddressSpace, cell_endpoints, enumerate_space, fits, split_patterns
+from .addresses import AddressSpace, cell_endpoints, enumerate_space
 from .boolmat import (
-    KERNEL_KIND, RulePlan, _nwords, bit, nonzero_bits, plane_product, popcount, row_bits,
+    KERNEL_KIND, RulePlan, bit, nonzero_bits, plane_product, popcount, row_bits,
     rule_plan, set_cells, zeros,
 )
 from .grammar import (
@@ -258,91 +257,43 @@ def closure_fixpoint(T, plan: RulePlan) -> Closure:
     return Closure(X, plan, rounds)
 
 
-def _build_join(space: AddressSpace, template: tuple, fo: tuple) -> tuple:
-    """The join table of a start rule with one ``template`` and fan-outs
-    ``fo`` over ``space``: ``(left words, left bits, right words, right
-    bits)``, one entry per candidate, in the first child's endpoint order.
-
-    The candidates are the first child's facts that begin at 0, and end at
-    n when the template ends with the first child.  The start symbol has
-    fan-out 1, so the template alternates b1 g1 b2 g2 ... over (0, n), and
-    such a fact fixes the second child's endpoints: its own from the second
-    on, then n.  An entry holds each fact's first split as the index of
-    its word in a flattened (row, word) plane, an ``intp``, and the shift
-    of its bit in that word, a ``uint64``, so the gathers take them as
-    they are; a candidate with no first split of either fact is dropped."""
-    n, d = space.n, space.d
-    words = _nwords(space.dim)
-    Lb, Lc = 2 * fo[1], 2 * fo[2]
-    if Lb > 2 * d or Lc > 2 * d:
-        none = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.uint64)
-        return none + none
-    pattern = row_at, col_at = next(split_patterns(Lb, d))
-    # the rows that begin at 0 are a leading slice of their length
-    k = len(row_at)
-    rows = [a[:comb(n + k - 1, k - 1)] for a in space.by_length[k]]
-    cols = space.by_length[len(col_at)]
-    candidates = fits(pattern, rows, cols)
-    if template[-1].side == "b":
-        candidates &= cols[1][:, -1] == n
-    ri, ci = candidates.nonzero()
-    # the first child's endpoints, then n
-    ends = [None] * Lb + [np.full(ri.size, n)]
-    for at, pos, picked in ((row_at, rows[1], ri), (col_at, cols[1], ci)):
-        for j, t in enumerate(at):
-            ends[t] = pos[:, j].take(picked)
-    right_row, right_col = space.first_split_ids(ends[1:Lc + 1])
-    keep = right_col > right_row
-    out = ()
-    for row, col in ((rows[0].take(ri[keep]), cols[0].take(ci[keep])),
-                     (right_row[keep], right_col[keep])):
-        row, col = row.astype(np.intp), col.astype(np.intp)
-        out += (row * words + (col >> 6), (col & 63).astype(np.uint64))
-    return out
-
-
-def _join_table(space: AddressSpace, r) -> tuple:
-    """``_build_join`` for start rule ``r``, built on first use into
-    ``space.joins`` under its template and fan-outs, and shared by
-    sentences and re-parsed grammars over the space."""
-    (template,) = r.comp
-    key = template, r.fo
-    got = space.joins.get(key)
-    if got is None:
-        got = space.joins[key] = _build_join(space, template, r.fo)
-    return got
-
-
 def _start_witness(clo: Closure):
     """The first ``(rule, left endpoints, right endpoints)``, in rule-id and
     then endpoint order, by which a start rule beyond the rank
     (``clo.plan.joined``) derives (0, n) from two facts of a closed chart
-    over a sentence of length n; None when there is none.  Only the planes
-    of those rules' children are read.
+    over a sentence of length n; None when there is none.
 
-    Each start rule is one gather over its join table (``_join_table``):
-    both children's bits at the first splits of every candidate pair, of
-    which the first set in both is the witness.  The chart is closed under
-    pi-copy, so a fact's first split holds it exactly when the chart does."""
+    The start symbol has fan-out 1, so a start rule's template alternates
+    b1 g1 b2 g2 ... over (0, n), and a first-child fact that begins at 0
+    fixes the second child's endpoints: its own from the second on, then
+    n.  When the template ends with the first child, that fact must end at
+    n, and the second child's endpoints are its own from the second to the
+    second-to-last.
+
+    Every split of a fact that begins at 0 has a row that begins at 0, and
+    those rows lead the space, so the candidates are read off the leading
+    rows of the first child's plane.  Each is read at the splits whose row
+    positions all come before the column's: the first split pattern is
+    one, and a fact with any cell has a cell there, which the closed chart
+    sets.  The second child's fact is tested as ``Closure.holds`` tests
+    one, at its first split; its endpoints are sorted and within 0..n by
+    construction.  A child with no split in the space holds no fact."""
     space, chart, ids = clo.space, clo.chart, clo.symbol_ids
-    words = chart.shape[-1]
-    addrs = space.addresses
-
-    def fact(word, at):
-        row, word = divmod(int(word), words)
-        return cell_endpoints(addrs[row], addrs[64 * word + int(at)])
-
+    n, addrs = space.n, space.addresses
+    lead = bisect_left(addrs, (1,))
     for r in clo.plan.joined:
-        left_words, left_bits, right_words, right_bits = _join_table(space, r)
-        if not left_words.size:
-            continue
         B, C = r.rhs
-        hits = chart[ids[B]].reshape(-1).take(left_words) >> left_bits
-        hits &= chart[ids[C]].reshape(-1).take(right_words) >> right_bits
-        hits &= np.uint64(1)
-        k = hits.argmax()
-        if hits[k]:
-            return r, fact(left_words[k], left_bits[k]), fact(right_words[k], right_bits[k])
+        ends_with_b = r.comp[0][-1].side == "b"
+        lefts = {addrs[i] + addrs[j] for i, words in enumerate(chart[ids[B], :lead].tolist())
+                 for j in row_bits(words) if addrs[i][-1] <= addrs[j][0]}
+        right_plane = chart[ids[C]]
+        for left in sorted(lefts):
+            if ends_with_b and left[-1] != n:
+                continue
+            right = left[1:-1] if ends_with_b else left[1:] + (n,)
+            splits = space.split_ids(right)
+            if splits and bit(right_plane, *splits[0]):
+                return r, left, right
     return None
 
 
@@ -368,21 +319,19 @@ def engine_ready(g: Grammar) -> list:
     Every rule role must keep at least one endpoint on the surface: a child
     whose endpoints all combine would need a zero-length address.  The
     first child and the result row always keep endpoint 1, because every
-    rule's first template starts with ``b1``, so only the second child and
-    the result column are checked.
+    rule's first template starts with ``b1``, so only the second child is
+    checked.  The result column needs no check of its own: it is empty
+    only when the first child contributes every endpoint of the head, so
+    every template begins and ends with a ``b`` variable, every ``g``
+    variable is interior, and the second child is fully absorbed.
     """
     problems = []
     if not is_single_initial(g):
         problems.append("grammar is not single-initial; rewrite it first")
     for r in g.binary_rules():
-        cfg1, _, cfg3 = configurations(r)
-        if len(cfg3) == 2 * r.fo[2]:
+        if len(configurations(r).cfg3) == 2 * r.fo[2]:
             problems.append(
                 "rule %d: second child is fully absorbed (no surface endpoint)" % r.rid
-            )
-        if len(cfg1) == 2 * r.fo[0]:
-            problems.append(
-                "rule %d: result column address would be empty" % r.rid
             )
     return problems
 
@@ -554,7 +503,7 @@ def extract_derivation(result: RunResult):
             for i, j in sorted(space.split_ids(flat)):
                 if not bit(q1, i, j):
                     continue
-                for k in row_bits(left[i]):
+                for k in row_bits(left[i].tolist()):
                     if bit(right, k, j) and bit(q2, i, k) and bit(q3, k, j):
                         yield r.rid, ((B, cell_endpoints(addrs[i], addrs[k])),
                                       (C, cell_endpoints(addrs[k], addrs[j])))

@@ -116,33 +116,6 @@ def start_rules(g: Grammar) -> tuple:
                         key=lambda r: r.rid))
 
 
-def searched_start_witness(clo, g: Grammar):
-    """Reference for ``recognizer._start_witness``: the per-fact search it
-    replaced, over every start rule of ``g``.  Each first child's fact of
-    ``Closure.facts`` that begins at 0, in endpoint order, fixes the second
-    child's spans, which one ``Closure.holds`` test decides."""
-    n = clo.space.n
-    facts = clo.facts()
-    for r in start_rules(g):
-        B, C = r.rhs
-        (template,) = r.comp
-        ends_with_b = template[-1].side == "b"
-        for left in sorted(facts.get(B, ())):
-            if left[0] != 0 or ends_with_b and left[-1] != n:
-                continue
-            spans = _spans_of(left)
-            right = []
-            for t, v in enumerate(template):
-                if v.side == "g":
-                    start = spans[template[t - 1].index - 1][1]
-                    end = spans[template[t + 1].index - 1][0] if t + 1 < len(template) else n
-                    right += (start, end)
-            right = tuple(right)
-            if clo.holds(C, right):
-                return r, left, right
-    return None
-
-
 def fact_items(clo) -> set:
     """The facts of ``clo.facts()`` as the tabular oracle's items:
     ``(nonterminal, ((l, r), ...))``."""

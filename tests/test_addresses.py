@@ -3,8 +3,6 @@ from math import comb
 
 from hypothesis import given, strategies as st
 
-import numpy as np
-
 from lcfrs.addresses import (
     AddressSpace,
     cell_endpoints,
@@ -181,6 +179,12 @@ class TestEquivalentCells:
                         assert len(got) == len(set(got)) and set(got) == want, (n, d, e)
                         if L % 2 == 0:
                             assert want == merges.get(e, set()), (n, d, e)
+                        # the first split, where there is one, is the row
+                        # then the column: the start-rule join reads each
+                        # fact at such a split
+                        if got:
+                            row, col = (sp.addresses[t] for t in got[0])
+                            assert row + col == e, (n, d, e)
                         checked += len(want)
         assert checked
 
@@ -207,33 +211,3 @@ class TestEquivalentCells:
             ((1, 5), (4, 8)),
             ((1, 8), (4, 5)),
         }
-
-
-class TestIdsOf:
-    def test_ids_of_position_columns_are_the_ids(self):
-        # the lookup gives every address its id, at every length, from its
-        # positions alone
-        for d in (1, 2, 3, 4):
-            for n in range(9):
-                sp = AddressSpace(n, d)
-                for L, (ids, pos) in sp.by_length.items():
-                    got = sp.ids_of([pos[:, k] for k in range(L)])
-                    assert np.array_equal(got, ids), (n, d, L)
-                    assert sp.ids_of([pos[:0, k] for k in range(L)]).size == 0
-
-    def test_first_split_ids_is_the_first_of_split_ids(self):
-        # one batch of every sorted endpoint tuple of each even length gives
-        # the first pair of split_ids where there is one, and an undefined
-        # split where there is none
-        checked = 0
-        for d in (1, 2, 3):
-            for n in range(6):
-                sp = AddressSpace(n, d)
-                for L in range(2, 2 * d + 1, 2):
-                    ends = list(itertools.combinations_with_replacement(range(n + 1), L))
-                    rows, cols = sp.first_split_ids([np.array(c) for c in zip(*ends)])
-                    for e, row, col in zip(ends, rows.tolist(), cols.tolist()):
-                        pairs = sp.split_ids(e)
-                        assert (pairs[0] == (row, col)) if pairs else col <= row, (n, d, e)
-                        checked += 1
-        assert checked > 1000

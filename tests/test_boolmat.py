@@ -264,7 +264,7 @@ class TestScatter:
             want = [[] for _ in range(dim)]
             for r, c in cells(m.words):
                 want[r].append(c)
-            assert [row_bits(m.words[i]) for i in range(dim)] == want, label
+            assert [row_bits(words) for words in m.words.tolist()] == want, label
 
     def test_set_cells_with_duplicates(self):
         chart = zeros(70, 2)

@@ -185,13 +185,15 @@ class TestEngineReady:
         assert any("single-initial" in p for p in problems)
 
     def test_absorbed_result_rejected(self):
-        # the head keeps every endpoint, leaving an empty column address
+        # the head keeps every endpoint, which would leave an empty column
+        # address; the second child is then fully absorbed, and that one
+        # check refuses the rule
         g = parse_grammar(
             "start S\nS -> Z M : b1 g1 b2\n"
             "Z -> : 'x' , 'x'\nM -> : '#'\n"
         )
-        problems = engine_ready(g)
-        assert any("column address would be empty" in p for p in problems)
+        assert engine_ready(g) == [
+            "rule 0: second child is fully absorbed (no surface endpoint)"]
 
 
 class TestDump:

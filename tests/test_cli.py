@@ -289,6 +289,14 @@ class TestErrors:
         assert code == 2
         assert "error:" in err
 
+    def test_unsupported_grammar_is_exit_2(self, capsys, tmp_path):
+        # EngineUnsupported is a ValueError, which main reports
+        path = tmp_path / "absorbed.lcfrs"
+        path.write_text("start S\nS -> Z M : b1 g1 b2\nZ -> : 'x' , 'x'\nM -> : '#'\n")
+        code, _, err = run(capsys, "recognize", "--grammar", str(path), "--sentence", "x # x")
+        assert code == 2
+        assert err.startswith("error: rule 0: second child is fully absorbed")
+
     def test_closed_stdout_is_not_an_error(self, capsys, monkeypatch, tmp_path):
         # ``lcfrs parse ... | head -1``: the reader closes the pipe early
         class ClosedPipe(io.TextIOBase):

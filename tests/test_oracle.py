@@ -1,6 +1,10 @@
+import importlib.util
 import itertools
+import os
 
 import pytest
+
+from lcfrs import bundled
 
 from lcfrs.grammar import parse_grammar
 from lcfrs.oracle import enumerate_language, tabular_recognize
@@ -102,3 +106,32 @@ class TestEnumerate:
         for u in itertools.product("xy", repeat=2):
             toks = list(u) + ["#"] + list(reversed(u))
             assert (tuple(toks) in lang) == tabular_recognize(g, toks)[0]
+
+
+def _scale_script():
+    """``scripts/scale.py``, loaded as a module."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "scale.py")
+    spec = importlib.util.spec_from_file_location("scale", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+class TestScalingFamilies:
+    def test_the_swap_is_a_near_miss(self):
+        # each family's construction at n = 7-8 is a member, and its swap
+        # at n//2 - 1, n//2, which scripts/scale.py times, is not
+        scale = _scale_script()
+        checked = set()
+        for family, (name, sentence, _) in scale.FAMILIES.items():
+            g = bundled.load(name)
+            for n in (7, 8):
+                toks = sentence(n)
+                if len(toks) != n:
+                    continue
+                assert tabular_recognize(g, toks)[0], (family, toks)
+                miss = scale.near_miss(toks)
+                assert sorted(miss) == sorted(toks) and miss != toks, (family, miss)
+                assert not tabular_recognize(g, miss)[0], (family, miss)
+                checked.add(family)
+        assert checked == set(scale.FAMILIES)

@@ -21,7 +21,6 @@ from lcfrs import grammar as grammar_mod
 from lcfrs.recognizer import (
     Closure,
     EngineUnsupported,
-    _join_table,
     _spans_of,
     _start_witness,
     closure_fixpoint,
@@ -36,7 +35,7 @@ from lcfrs.recognizer import (
 
 from conftest import (
     BOTH_CHILDREN_GROW, SWEEP_NAMES, chart_of, fact_items, full_rank, product_chart,
-    random_grammar, searched_start_witness, start_rules, sweep_sentences, symbol_planes, union,
+    random_grammar, start_rules, sweep_sentences, symbol_planes, union,
 )
 
 
@@ -295,9 +294,9 @@ def _runnable_random_grammars():
 
 
 class TestStartWitness:
-    """The witness is read by one gather per start rule, at the cells of a
-    join table of candidate fact pairs; it must find what a join over
-    every fact of both children finds."""
+    """The witness tests, per start rule, the second-child fact that each
+    first-child fact beginning at 0 fixes; it must find what a join over
+    every fact of both children (``_brute_witness``) finds."""
 
     def _check(self, g, toks, label):
         # the join searches only the start rules beyond the rank; where the
@@ -354,89 +353,6 @@ class TestStartWitness:
             assert got is not None and got[1:] == want, text
             assert res.accepted and tabular_recognize(g, toks)[0], text
 
-
-def _join_rows(space, r) -> list:
-    """``_join_table``'s entries as (left row, left col, right row, right
-    col) ids."""
-    words = (space.dim + 63) // 64
-    lw, lb, rw, rb = (a.tolist() for a in _join_table(space, r))
-    return [(a // words, 64 * (a % words) + b, c // words, 64 * (c % words) + e)
-            for a, b, c, e in zip(lw, lb, rw, rb)]
-
-
-def _brute_join_rows(space, r) -> list:
-    """Reference for ``_join_rows``: every sorted first-child endpoint
-    tuple that begins at 0, in order, laid by the template with the second
-    child's spans over (0, n), kept when both facts' first splits (row =
-    the first max(1, L - d) endpoints) are cells of the space."""
-    n, d = space.n, space.d
-    (template,) = r.comp
-    Lb = 2 * r.fo[1]
-
-    def first_split(e):
-        cut = max(1, len(e) - d)
-        row, col = e[:cut], e[cut:]
-        if len(row) <= d and len(col) <= d and col > row:
-            return space.ids[row], space.ids[col]
-        return None
-
-    rows = []
-    for rest in itertools.combinations_with_replacement(range(n + 1), Lb - 1):
-        left = (0, *rest)
-        spans = {"b": _spans_of(left)}
-        gaps = [(spans["b"][template[t - 1].index - 1][1],
-                 spans["b"][template[t + 1].index - 1][0] if t + 1 < len(template) else n)
-                for t, v in enumerate(template) if v.side == "g"]
-        laid = [spans["b"][v.index - 1] if v.side == "b" else gaps[v.index - 1]
-                for v in template]
-        if laid[-1][1] != n:
-            continue
-        assert all(a[1] == b[0] for a, b in zip(laid, laid[1:]))
-        right = tuple(p for gap in gaps for p in gap)
-        cells = first_split(left), first_split(right)
-        if None not in cells:
-            rows.append(cells[0] + cells[1])
-    return rows
-
-
-def _start_rules():
-    """A start rule of every shape with first-child fan-out up to 3: the
-    template alternates b1 g1 b2 g2 ..., and ends with either child."""
-    return [Rule(0, "S", ("B", "C"),
-                 (tuple(Var(side, i) for i in range(1, fb + 1) for side in "bg")[:fb + fc],),
-                 None, (1, fb, fc))
-            for fb in (1, 2, 3) for fc in (fb - 1, fb) if fc]
-
-
-class TestJoinTable:
-    """The start-rule join reads one table per space and start-rule shape,
-    built by broadcasting; the per-fact search it replaced
-    (``searched_start_witness``) is the reference."""
-
-    def test_rows_match_a_brute_enumeration(self, grammars):
-        rules = _start_rules()
-        assert {(r.comp, r.fo) for g in grammars.values() for r in start_rules(g)} <= {
-            (r.comp, r.fo) for r in rules}
-        checked = 0
-        for r in rules:
-            for d in (1, 2, 3):
-                for n in range(9):
-                    sp = AddressSpace(n, d)
-                    got, want = _join_rows(sp, r), _brute_join_rows(sp, r)
-                    assert got == want, (r, n, d)
-                    checked += len(want)
-        assert checked > 1000
-
-    def test_tables_hold_native_index_types(self):
-        # the gathers index by intp and shift uint64 words by uint64, so
-        # the tables hold those types and no gather casts
-        sp = enumerate_space(7, 2)
-        (r,) = start_rules(bundled.load("itg_sep"))
-        left_words, left_bits, right_words, right_bits = _join_table(sp, r)
-        assert left_words.size == 118
-        assert left_words.dtype == right_words.dtype == np.intp
-        assert left_bits.dtype == right_bits.dtype == np.uint64
-
     @staticmethod
     def _families():
         # count4 a^m b^m c^m d^m, n = 8..16, and its adjacent-swap near
@@ -457,13 +373,9 @@ class TestJoinTable:
     def test_witness_matches_the_search(self, grammars):
         found = missed = 0
         for name, toks in self._families():
-            res = run_recognition(grammars[name], toks)
-            work, clo = res.grammar, res.closure
-            got = _start_witness(clo)
-            assert got == searched_start_witness(clo, work), (name, toks)
-            assert res.accepted == (got is not None), (name, toks)
-            found += got is not None
-            missed += got is None
+            _, want = self._check(grammars[name], toks, (name, toks))
+            found += want is not None
+            missed += want is None
         assert found >= 15 and missed >= 10
 
     def test_the_first_of_two_witnesses(self):
@@ -473,52 +385,11 @@ class TestJoinTable:
         g = parse_grammar("start S\nS -> A B : b1 g1 b2 g2\nA -> : 'a' , 'd'\n"
                           "A -> : 'a' 'b' , 'c'\nB -> : 'b' 'c' , 'e'\nB -> : '' , 'd' 'e'\n")
         toks = "a b c d e".split()
-        res = run_recognition(g, toks)
-        clo, work = res.closure, res.grammar
+        res, want = self._check(g, toks, "two witnesses")
+        clo = res.closure
         assert clo.holds("A", (0, 2, 2, 3)) and clo.holds("B", (2, 2, 3, 5))
-        got = _start_witness(clo)
-        assert got[1:] == ((0, 1, 3, 4), (1, 3, 4, 5))
-        assert got == searched_start_witness(clo, work)
-
-    def test_a_table_is_built_once_per_space(self, grammars, monkeypatch):
-        # the tables live on the address space, so sentences of one length
-        # share them, for the same grammar object and for a second parse of
-        # the same text alike; another length builds its own
-        built = []
-        real = recognizer._build_join
-
-        def spy(space, template, fo):
-            built.append((space.n, template, fo))
-            return real(space, template, fo)
-        monkeypatch.setattr(recognizer, "_build_join", spy)
-        recognizer.enumerate_space.cache_clear()
-        g = grammars["itg_sep"]
-        copy = parse_grammar(bundled.grammar_text("itg_sep"))
-        counts = []
-        for grammar, sentence in ((g, "x y # y x"), (g, "x y # x y"), (g, "y x # x x"),
-                                  (copy, "x y # y x"), (g, "x y x # x y x"),
-                                  (copy, "x y x # x y x")):
-            built.clear()
-            res = run_recognition(grammar, sentence.split())
-            counts.append(len(built))
-            assert len(res.closure.space.joins) == 1, sentence
-        assert counts == [1, 0, 0, 0, 1, 0]
-
-    def test_the_witness_reads_no_facts(self, grammars, monkeypatch):
-        # the gather reads chart bits only: neither facts_of nor holds runs
-        cases = []
-        for name, toks in (("count4", "a a b c c d"), ("itg_sep", "x y x # x y x"),
-                           ("itg_sep", "x y # x x")):
-            res = run_recognition(grammars[name], toks.split())
-            cases.append((res, searched_start_witness(res.closure, res.grammar)))
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the witness read facts")
-        monkeypatch.setattr(recognizer, "facts_of", refuse)
-        monkeypatch.setattr(Closure, "holds", refuse)
-        for res, want in cases:
-            assert _start_witness(res.closure) == want
-        assert any(want for _, want in cases) and not all(want for _, want in cases)
+        assert want[1:] == ((0, 1, 3, 4), (1, 3, 4, 5))
+        assert _start_witness(clo) == want
 
 
 def _accepts(g, tokens):
